@@ -10,8 +10,8 @@ fraction of the cost.  Probabilities are accumulated as exact rationals; no
 floating point enters the exact path.
 
 Empirical rates re-run the verifier's own per-iteration experiment many times
-(vectorized, one trial per column of a batch matrix) and report a Wilson 99%
-confidence interval around the observed rate.
+through the verifier's ``fingerprint_block``, one trial per column of a block,
+and report a Wilson 99% confidence interval around the observed rate.
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ from .matrix import (
     outer,
 )
 from .sampling import (
-    GOLDEN,
-    MASK64,
     DiscreteDistribution,
     SeededRng,
+    _sample_trial_block,
     draw_words,
-    mix64_np,
     p_max,
     substream,
 )
-from .verify import _check_inputs, freivalds_iteration
+from .verify import _check_inputs, fingerprint_block
 
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
@@ -146,7 +144,10 @@ def _exact_rank(e: Matrix) -> int:
     return rank
 
 
-def _profile_from(d: Matrix, c: Matrix) -> DifferenceProfile:
+def difference_profile(a: Matrix, b: Matrix, c: Matrix) -> DifferenceProfile:
+    """Profile of E = AB - C; computes the product once, deterministically."""
+    _check_inputs(a, b, c)
+    d = matmul(a, b)
     diff = d.data != c.data
     cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
     entries = int(diff.sum())
@@ -157,12 +158,6 @@ def _profile_from(d: Matrix, c: Matrix) -> DifferenceProfile:
     else:
         rank = None
     return DifferenceProfile(cols, entries, rank)
-
-
-def difference_profile(a: Matrix, b: Matrix, c: Matrix) -> DifferenceProfile:
-    """Profile of E = AB - C; computes the product once, deterministically."""
-    _check_inputs(a, b, c)
-    return _profile_from(matmul(a, b), c)
 
 
 def _max_enumerable_n(s: int, budget: int) -> int:
@@ -209,10 +204,7 @@ def exact_false_accept_probability(
             f"{_max_enumerable_n(s, budget)}"
         )
     d = matmul(a, b)
-    if mats_equal(d, c):
-        raise InstanceActuallyEqual(
-            "product equals the claimed result; no false accept to measure"
-        )
+    _refuse_equal(mats_equal(d, c))
     e = mat_sub(d, c)
     p = a.ring.modulus if a.ring.kind == PRIME_FIELD else None
 
@@ -268,20 +260,29 @@ def exact_false_accept_probability(
     return Fraction(numerator, common ** m)
 
 
-def _sample_trial_block(
-    dist: DiscreteDistribution, n: int, seed: int, start: int, stop: int
-) -> np.ndarray:
-    """Vectors for trials start..stop-1 as an (n, stop-start) int64 array.
+def _refuse_equal(equal: bool) -> None:
+    if equal:
+        raise InstanceActuallyEqual(
+            "product equals the claimed result; no false accept to measure"
+        )
 
-    Trial t uses substream (seed, t), so column t equals the vector
-    ``sample_vector`` draws from ``substream(seed, t)``; a test pins that.
-    """
-    tidx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    subs = mix64_np(np.uint64(seed & MASK64) + tidx * np.uint64(GOLDEN))
-    comp = np.arange(1, n + 1, dtype=np.uint64)
-    words = mix64_np(subs[:, None] + comp[None, :] * np.uint64(GOLDEN))
-    idx = np.searchsorted(dist._upper, words.ravel(), side="right")
-    return np.ascontiguousarray(dist._support_arr[idx].reshape(stop - start, n).T)
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigInvalid(f"need at least one trial, got {trials}")
+
+
+def _empirical_rate(
+    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, trials: int, seed: int
+) -> EmpiricalRate:
+    # Trial t is the verifier's iteration with the vector of substream
+    # (seed, t), run _TRIAL_CHUNK at a time through the verifier's own block.
+    hits = 0
+    for start in range(0, trials, _TRIAL_CHUNK):
+        stop = min(start + _TRIAL_CHUNK, trials)
+        r = Matrix._wrap(_sample_trial_block(dist, a.rows, seed, start, stop), a.ring)
+        hits += int(np.count_nonzero(~fingerprint_block(a, b, c, r).any(axis=0)))
+    return EmpiricalRate(hits / trials, trials, wilson_interval(hits, trials))
 
 
 def empirical_false_accept_rate(
@@ -295,55 +296,13 @@ def empirical_false_accept_rate(
     """Measured single-iteration accept rate over seeded independent trials."""
     _check_inputs(a, b, c)
     dist.validate_for_ring(a.ring)
-    if trials < 1:
-        raise ConfigInvalid(f"need at least one trial, got {trials}")
-    d = matmul(a, b)
-    if mats_equal(d, c):
-        raise InstanceActuallyEqual(
-            "product equals the claimed result; no false accept to measure"
-        )
-    profile = _profile_from(d, c)
-    n = a.rows
-    p = a.ring.modulus if a.ring.kind == PRIME_FIELD else None
-
-    # The batched path needs int64 headroom for B r, A (B r) and C r.
-    if p is not None:
-        fast = n * (p - 1) * (p - 1) <= INT64_MAX
-    else:
-        smag = max(abs(v) for v in dist.support)
-        mags = [
-            max(abs(int(x.data.min())), abs(int(x.data.max()))) for x in (a, b, c)
-        ]
-        fast = (
-            n * mags[1] * smag <= INT64_MAX
-            and n * mags[0] * (n * mags[1] * smag) <= INT64_MAX
-            and n * mags[2] * smag <= INT64_MAX
-        )
-
-    hits = 0
-    for start in range(0, trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, trials)
-        r_block = _sample_trial_block(dist, n, seed, start, stop)
-        if fast:
-            br = b.data @ r_block
-            abr = a.data @ (br % p if p is not None else br)
-            cr = c.data @ r_block
-            if p is not None:
-                abr %= p
-                cr %= p
-            agree = ~((abr != cr).any(axis=0))
-            hits += int(np.count_nonzero(agree))
-        else:
-            for t in range(stop - start):
-                r = Vector._wrap(r_block[:, t].copy(), a.ring)
-                ok, _ = freivalds_iteration(a, b, c, r)
-                hits += int(ok)
-
-    rate = hits / trials
+    _check_trials(trials)
+    profile = difference_profile(a, b, c)
+    _refuse_equal(profile.differing_entries == 0)
     return ErrorReport(
         per_iteration_bound=p_max(dist),
         instance_profile=profile,
-        empirical=EmpiricalRate(rate, trials, wilson_interval(hits, trials)),
+        empirical=_empirical_rate(a, b, c, dist, trials, seed),
     )
 
 
@@ -360,22 +319,16 @@ def analyze_instance(
     """Bundle profile, optional exact probability and optional measured rate."""
     _check_inputs(a, b, c)
     dist.validate_for_ring(a.ring)
-    report = ErrorReport(
-        per_iteration_bound=p_max(dist),
-        instance_profile=difference_profile(a, b, c),
-    )
+    profile = difference_profile(a, b, c)
     exact_fap = None
     empirical = None
     if exact:
         exact_fap = exact_false_accept_probability(a, b, c, dist, budget)
     if trials is not None:
-        empirical = empirical_false_accept_rate(a, b, c, dist, trials, seed).empirical
-    return ErrorReport(
-        per_iteration_bound=report.per_iteration_bound,
-        instance_profile=report.instance_profile,
-        exact_fap=exact_fap,
-        empirical=empirical,
-    )
+        _check_trials(trials)
+        _refuse_equal(profile.differing_entries == 0)
+        empirical = _empirical_rate(a, b, c, dist, trials, seed)
+    return ErrorReport(p_max(dist), profile, exact_fap, empirical)
 
 
 MODES = ("equal", "single-entry", "single-column", "rank-one", "dense-random")

@@ -3,11 +3,15 @@
 For each size n the runner builds one correct instance (C really is AB, so
 the fingerprint check never exits early and all k iterations run), then times
 the deterministic recompute-and-compare against the k-iteration fingerprint
-check.  Wall times are the median over repeats; scalar multiplication counts
-come from the exact counter, so they are n^3 and 3*k*n^2 regardless of how
-noisy the clock is.  Consecutive doubled sizes also get a time ratio, the
-empirical growth signal (ideal: 8x for the cubic method, 4x for the
-quadratic one).
+check.  Both go through the same exact product chooser, so with the default
+entry bound both use its fastest tier (float64 BLAS wherever the bound
+allows): the comparison is against the strongest exact recompute the
+package has.  Wall times are the median over repeats; scalar multiplication
+counts come from the exact counter, which charges ``rows * inner * cols``
+per product however the iterations are batched, so they are n^3 and
+3*k*n^2 regardless of how noisy the clock is.  Consecutive doubled sizes
+also get a time ratio, the empirical growth signal (ideal: 8x for the cubic
+method, 4x for the quadratic one).
 """
 
 from __future__ import annotations

@@ -9,15 +9,32 @@ a random fingerprint informative:
 * ``zp``: integers modulo a prime ``p``.  Entries are kept canonical in
   ``[0, p)`` and every operation reduces its result.
 
-Storage is a read-only numpy ``int64`` array.  The fast paths stay in numpy
-only when an a-priori magnitude bound proves that no intermediate (including
-partial sums, which grow monotonically in magnitude bound) can overflow;
-otherwise the code falls back to exact Python integers and checks every step.
+Storage is a read-only numpy ``int64`` array.  Each ``Matrix`` and ``Vector``
+also keeps its largest entry magnitude, computed on first use and never at
+construction; the objects are immutable, so one scan serves every later
+product.
+
+Every product of ``Matrix``/``Vector`` operands (``matmul``, ``mat_vec``,
+``outer`` and the verifier's fingerprint blocks) goes through one chooser,
+``_exact_dot``.  It bounds every partial sum of ``x @ y`` by
+``inner * max|x| * max|y|``, using the entries' real magnitudes in both
+rings, and picks the fastest tier that bound proves exact:
+
+* at most 2**53 and ``y`` has more than one column: float64 BLAS.  Every
+  product and partial sum is then an integer a double holds exactly, in any
+  summation order.  ``x`` is converted in 1 MiB row blocks and ``y`` once,
+  so no float64 copy of ``x`` is made, and no float64 copy is kept;
+* at most 2**63 - 1: int64 numpy, ``einsum`` over a transposed ``y`` so both
+  operands are read along rows;
+* otherwise an exact fallback: object arrays of Python integers for ``zp``,
+  and for ``int64`` a Python-integer loop that checks every product term and
+  every partial sum (in ascending inner index) and raises ``IntegerOverflow``
+  at the first one outside the 64-bit range.
 
 ``scalar_multiplies()`` exposes a process-wide count of ring multiplications
-performed by ``matmul``, ``mat_vec`` and ``outer``.  The count is derived from
-operand shapes (the schoolbook cost), not timed, so it is exact and
-deterministic regardless of which internal path ran.
+performed by products.  The count is derived from operand shapes (the
+schoolbook cost ``rows * inner * cols``), not timed, so it is exact and
+deterministic regardless of which tier ran.
 """
 
 from __future__ import annotations
@@ -42,18 +59,31 @@ INT64 = "int64"
 PRIME_FIELD = "zp"
 
 
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24, so it
+# decides primality of any 64-bit modulus without trial division.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -73,7 +103,6 @@ class RingSpec:
                 raise InvalidRing("prime-field ring needs a modulus")
             if self.modulus > INT64_MAX:
                 raise InvalidRing("modulus too large for 64-bit storage")
-            # Trial division is plenty: moduli here are small by design.
             if not _is_prime(self.modulus):
                 raise InvalidRing(f"modulus {self.modulus} is not prime")
         else:
@@ -143,28 +172,47 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
     return out
 
 
-class Matrix:
+class _Dense:
+    """Shared storage of ``Matrix`` and ``Vector``: a read-only int64 array,
+    its ring, and the largest entry magnitude once something has asked."""
+
+    __slots__ = ("ring", "_a", "_bound")
+
+    def _set(self, arr: np.ndarray, ring: RingSpec) -> None:
+        arr.flags.writeable = False
+        self.ring = ring
+        self._a = arr
+        self._bound = None
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, ring: RingSpec):
+        # Internal constructor for arrays the callee already validated.
+        obj = cls.__new__(cls)
+        obj._set(np.ascontiguousarray(arr, dtype=np.int64), ring)
+        return obj
+
+    @property
+    def data(self) -> np.ndarray:
+        """Read-only int64 view of the entries."""
+        return self._a
+
+    def _magnitude(self) -> int:
+        if self._bound is None:
+            self._bound = max(-int(self._a.min()), int(self._a.max()))
+        return self._bound
+
+    __hash__ = None
+
+
+class Matrix(_Dense):
     """Immutable dense matrix with row-major entries in a fixed ring."""
 
-    __slots__ = ("ring", "_a")
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, ring: RingSpec, data) -> None:
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrix needs at least one row and one column")
-        arr = _coerce_entries(data, (rows, cols), ring)
-        arr.flags.writeable = False
-        self.ring = ring
-        self._a = arr
-
-    @staticmethod
-    def _wrap(arr: np.ndarray, ring: RingSpec) -> "Matrix":
-        # Internal constructor for arrays the callee already validated.
-        m = Matrix.__new__(Matrix)
-        a = np.ascontiguousarray(arr, dtype=np.int64)
-        a.flags.writeable = False
-        m.ring = ring
-        m._a = a
-        return m
+        self._set(_coerce_entries(data, (rows, cols), ring), ring)
 
     @classmethod
     def from_rows(cls, rows, ring: RingSpec) -> "Matrix":
@@ -181,11 +229,6 @@ class Matrix:
     def cols(self) -> int:
         return self._a.shape[1]
 
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only (rows, cols) int64 view of the entries."""
-        return self._a
-
     def __getitem__(self, key) -> int:
         return int(self._a[key])
 
@@ -194,39 +237,20 @@ class Matrix:
             return NotImplemented
         return self.ring == other.ring and np.array_equal(self._a, other._a)
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.ring})"
 
 
-class Vector:
+class Vector(_Dense):
     """Immutable vector with entries in a fixed ring."""
 
-    __slots__ = ("ring", "_a")
+    __slots__ = ()
 
     def __init__(self, ring: RingSpec, data) -> None:
         arr = np.asarray(data)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionMismatch("vector needs a one-dimensional, nonempty sequence")
-        arr = _coerce_entries(data, (arr.size,), ring)
-        arr.flags.writeable = False
-        self.ring = ring
-        self._a = arr
-
-    @staticmethod
-    def _wrap(arr: np.ndarray, ring: RingSpec) -> "Vector":
-        v = Vector.__new__(Vector)
-        a = np.ascontiguousarray(arr, dtype=np.int64)
-        a.flags.writeable = False
-        v.ring = ring
-        v._a = a
-        return v
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only (n,) int64 view of the entries."""
-        return self._a
+        self._set(_coerce_entries(data, (arr.size,), ring), ring)
 
     def __len__(self) -> int:
         return self._a.shape[0]
@@ -238,8 +262,6 @@ class Vector:
         if not isinstance(other, Vector):
             return NotImplemented
         return self.ring == other.ring and np.array_equal(self._a, other._a)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Vector({len(self)}, {self.ring})"
@@ -264,18 +286,15 @@ def reset_scalar_multiplies() -> None:
 
 
 def scalar_multiplies() -> int:
+    """Ring multiplications counted since the last reset: ``rows * inner *
+    cols`` per product, so a verify that runs j fingerprints counts 3jn^2
+    however they were batched."""
     return _ops.multiplies
 
 
 def _same_ring(x, y) -> None:
     if x.ring != y.ring:
         raise RingMismatch(f"operands use different rings: {x.ring} vs {y.ring}")
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    return max(abs(int(arr.min())), abs(int(arr.max())))
 
 
 def _matmul_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,6 +321,52 @@ def _matmul_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+_FLOAT_EXACT = 1 << 53
+# Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
+# of a large x is ever made, and calls stay few and large.
+_FLOAT_BLOCK = 1 << 17
+
+
+def _float_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    rows, inner = x.shape
+    yf = y.astype(np.float64)
+    step = max(1, min(rows, _FLOAT_BLOCK // inner))
+    xf = np.empty((step, inner))
+    of = np.empty((step, y.shape[1]))
+    out = np.empty((rows, y.shape[1]), dtype=np.int64)
+    for i in range(0, rows, step):
+        m = min(step, rows - i)
+        np.copyto(xf[:m], x[i : i + m])
+        np.matmul(xf[:m], yf, out=of[:m])
+        out[i : i + m] = of[:m]
+    return out
+
+
+def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
+    """``x @ y`` computed exactly in ``ring``; ``x`` is 2-D, ``y`` 1-D or 2-D.
+
+    Counts ``rows * inner * cols`` scalar multiplies.  The tier is chosen
+    from ``inner * max|x| * max|y|``, a bound on every partial sum (see the
+    module docstring).
+    """
+    xa, ya = x.data, y.data
+    inner = xa.shape[1]
+    y2 = ya.reshape(inner, -1)
+    bound = inner * x._magnitude() * y._magnitude()
+    if bound <= _FLOAT_EXACT and y2.shape[1] > 1:
+        out = _float_dot(xa, y2)
+    elif bound <= INT64_MAX:
+        out = np.einsum("ik,jk->ij", xa, np.ascontiguousarray(y2.T))
+    elif ring.kind == PRIME_FIELD:
+        out = (xa.astype(object) @ y2.astype(object) % ring.modulus).astype(np.int64)
+    else:
+        out = _matmul_checked(xa, y2)
+    if ring.kind == PRIME_FIELD:
+        out %= ring.modulus
+    _ops.multiplies += out.size * inner
+    return out.reshape(xa.shape[0], *ya.shape[1:])
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Exact schoolbook product; the Theta(n^3) deterministic baseline."""
     _same_ring(a, b)
@@ -309,41 +374,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    inner = a.cols
-    ring = a.ring
-    if ring.kind == PRIME_FIELD:
-        p = ring.modulus
-        if inner * (p - 1) * (p - 1) <= INT64_MAX:
-            out = np.einsum("ik,jk->ij", a.data, np.ascontiguousarray(b.data.T)) % p
-        else:
-            out = ((a.data.astype(object) @ b.data.astype(object)) % p).astype(np.int64)
-    else:
-        if inner * _max_abs(a.data) * _max_abs(b.data) <= INT64_MAX:
-            # einsum over a transposed contiguous copy keeps both operands
-            # walking rows, which keeps the doubling ratio near the ideal 8
-            # where plain integer matmul falls off a cache cliff.
-            out = np.einsum("ik,jk->ij", a.data, np.ascontiguousarray(b.data.T))
-        else:
-            out = _matmul_checked(a.data, b.data)
-    _ops.multiplies += a.rows * inner * b.cols
-    return Matrix._wrap(out, ring)
-
-
-def _mat_vec_checked(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    rows = x.tolist()
-    rv = r.tolist()
-    out = np.empty(x.shape[0], dtype=np.int64)
-    for i, xi in enumerate(rows):
-        acc = 0
-        for a, b in zip(xi, rv):
-            term = a * b
-            if term < INT64_MIN or term > INT64_MAX:
-                raise IntegerOverflow(f"product term in row {i} leaves the 64-bit range")
-            acc += term
-            if acc < INT64_MIN or acc > INT64_MAX:
-                raise IntegerOverflow(f"partial sum in row {i} leaves the 64-bit range")
-        out[i] = acc
-    return out
+    return Matrix._wrap(_exact_dot(a, b, a.ring), a.ring)
 
 
 def mat_vec(x: Matrix, r: Vector) -> Vector:
@@ -351,20 +382,7 @@ def mat_vec(x: Matrix, r: Vector) -> Vector:
     _same_ring(x, r)
     if x.cols != len(r):
         raise DimensionMismatch(f"cannot apply {x.rows}x{x.cols} to length-{len(r)} vector")
-    ring = x.ring
-    if ring.kind == PRIME_FIELD:
-        p = ring.modulus
-        if x.cols * (p - 1) * (p - 1) <= INT64_MAX:
-            out = (x.data @ r.data) % p
-        else:
-            out = ((x.data.astype(object) @ r.data.astype(object)) % p).astype(np.int64)
-    else:
-        if x.cols * _max_abs(x.data) * _max_abs(r.data) <= INT64_MAX:
-            out = x.data @ r.data
-        else:
-            out = _mat_vec_checked(x.data, r.data)
-    _ops.multiplies += x.rows * x.cols
-    return Vector._wrap(out, ring)
+    return Vector._wrap(_exact_dot(x, r, x.ring), x.ring)
 
 
 def mats_equal(a: Matrix, b: Matrix) -> bool:
@@ -390,29 +408,20 @@ def _add_sub(a: Matrix, b: Matrix, sign: int) -> Matrix:
         raise DimensionMismatch(
             f"cannot combine {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    ring = a.ring
-    if ring.kind == PRIME_FIELD:
-        p = ring.modulus
-        if 2 * (p - 1) <= INT64_MAX:
-            out = (a.data + sign * b.data) % p
-        else:
-            out = ((a.data.astype(object) + sign * b.data.astype(object)) % p).astype(np.int64)
+    x, y = a.data, b.data
+    if a.ring.kind == PRIME_FIELD:
+        p = a.ring.modulus
+        # Both operands lie in [0, p), so x - y and x - (p - y) stay inside
+        # int64 for every 64-bit p, where x + y might not.
+        out = (x - y if sign < 0 else x - (p - y)) % p
     else:
-        if _max_abs(a.data) + _max_abs(b.data) <= INT64_MAX:
-            out = a.data + sign * b.data
-        else:
-            av = a.data.tolist()
-            bv = b.data.tolist()
-            out = np.empty((a.rows, a.cols), dtype=np.int64)
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    v = av[i][j] + sign * bv[i][j]
-                    if v < INT64_MIN or v > INT64_MAX:
-                        raise IntegerOverflow(
-                            f"entry ({i}, {j}) leaves the 64-bit range"
-                        )
-                    out[i, j] = v
-    return Matrix._wrap(out, ring)
+        out = x - y if sign < 0 else x + y
+        # numpy wraps; a result whose sign the operands' signs rule out wrapped.
+        wrapped = ((x ^ out) & ((x ^ y) if sign < 0 else (y ^ out))) < 0
+        if wrapped.any():
+            pos = tuple(int(i) for i in np.argwhere(wrapped)[0])
+            raise IntegerOverflow(f"entry {pos} leaves the 64-bit range")
+    return Matrix._wrap(out, a.ring)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -428,25 +437,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def outer(u: Vector, v: Vector) -> Matrix:
     """Rank-one product u v^T."""
     _same_ring(u, v)
-    ring = u.ring
-    if ring.kind == PRIME_FIELD:
-        p = ring.modulus
-        if (p - 1) * (p - 1) <= INT64_MAX:
-            out = (u.data[:, None] * v.data[None, :]) % p
-        else:
-            out = ((u.data.astype(object)[:, None] * v.data.astype(object)[None, :]) % p).astype(np.int64)
-    else:
-        if _max_abs(u.data) * _max_abs(v.data) <= INT64_MAX:
-            out = u.data[:, None] * v.data[None, :]
-        else:
-            uv = u.data.tolist()
-            vv = v.data.tolist()
-            out = np.empty((len(uv), len(vv)), dtype=np.int64)
-            for i, x in enumerate(uv):
-                for j, y in enumerate(vv):
-                    t = x * y
-                    if t < INT64_MIN or t > INT64_MAX:
-                        raise IntegerOverflow(f"entry ({i}, {j}) leaves the 64-bit range")
-                    out[i, j] = t
-    _ops.multiplies += len(u) * len(v)
-    return Matrix._wrap(out, ring)
+    col = Matrix._wrap(u.data.reshape(-1, 1), u.ring)
+    row = Matrix._wrap(v.data.reshape(1, -1), u.ring)
+    return Matrix._wrap(_exact_dot(col, row, u.ring), u.ring)

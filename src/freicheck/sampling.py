@@ -34,6 +34,9 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# numpy scalars built once: building them costs more than mixing a short array.
+_U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def mix64(z: int) -> int:
@@ -46,9 +49,9 @@ def mix64(z: int) -> int:
 
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorized ``mix64`` over a uint64 array, bit-identical to the scalar form."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _U_MIX_A
+    z = (z ^ (z >> _U27)) * _U_MIX_B
+    return z ^ (z >> _U31)
 
 
 class SeededRng:
@@ -84,7 +87,7 @@ def draw_words(rng: SeededRng, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be positive")
     steps = np.arange(1, count + 1, dtype=np.uint64)
-    words = mix64_np(np.uint64(rng.state) + steps * np.uint64(GOLDEN))
+    words = mix64_np(np.uint64(rng.state) + steps * _U_GOLDEN)
     rng.state = (rng.state + count * GOLDEN) & MASK64
     return words
 
@@ -192,9 +195,27 @@ def sample_vector(
         raise ValueError("need n >= 1 components")
     ring = RingSpec.int64() if ring is None else ring
     dist.validate_for_ring(ring)
-    words = draw_words(rng, n)
-    idx = np.searchsorted(dist._upper, words, side="right")
-    return Vector._wrap(dist._support_arr[idx], ring)
+    return Vector._wrap(_lookup(dist, draw_words(rng, n)), ring)
+
+
+def _lookup(dist: DiscreteDistribution, words: np.ndarray) -> np.ndarray:
+    """Support values the raw 64-bit words select through the cut points."""
+    return dist._support_arr[np.searchsorted(dist._upper, words, side="right")]
+
+
+def _sample_trial_block(
+    dist: DiscreteDistribution, n: int, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Vectors for trials start..stop-1 as an (n, stop-start) int64 array.
+
+    Column t is the vector ``sample_vector`` draws from
+    ``substream(seed, start + t)``, bit for bit; a test pins that.
+    """
+    tidx = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    subs = mix64_np(np.uint64(seed & MASK64) + tidx * _U_GOLDEN)
+    comp = np.arange(1, n + 1, dtype=np.uint64)
+    words = mix64_np(subs[:, None] + comp[None, :] * _U_GOLDEN)
+    return np.ascontiguousarray(_lookup(dist, words).T)
 
 
 def parse_dist(text: str, ring: RingSpec) -> DiscreteDistribution:

@@ -9,6 +9,18 @@ forces r_j to one fixed ring element (columns live in an integral domain), so
 an iteration wrongly accepts with probability at most the largest point mass
 of the component distribution.  Independent iterations multiply, giving the
 p_max**k certificate reported on accept.
+
+Iterations run in blocks: ``fingerprint_block`` checks w vectors at once as
+three (n x n) by (n x w) products, A(BR) against CR, through the exact
+product chooser in ``matrix``.  ``verify`` runs iteration 0 alone, so a
+wrong product that the first vector exposes costs one pass over A, B and C;
+the remaining k - 1 run in blocks of at most 2**20 / n columns.  Iteration
+j still draws its vector from substream ``(seed, j)``, and the verdict names
+the first failing column of the first failing block and that column's
+smallest differing row, so witnesses, ``witness_iteration`` and
+``mismatch_row`` are those of a one-at-a-time loop, bit for bit.  The
+multiply counter charges 3n^2 per iteration computed: 3kn^2 on accept,
+3n^2 times the end of the block holding the failing iteration on reject.
 """
 
 from __future__ import annotations
@@ -18,9 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, RingMismatch
-from .matrix import Matrix, Vector, mat_vec
-from .sampling import DiscreteDistribution, p_max, sample_vector, substream
+from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
+from .matrix import Matrix, Vector, _exact_dot
+from .sampling import DiscreteDistribution, _sample_trial_block, p_max
+
+# Entries of the (n x w) vector block per verify block: bounds the block's
+# memory at a few MiB while keeping products few and large.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +82,23 @@ def _check_inputs(a: Matrix, b: Matrix, c: Matrix) -> None:
         )
 
 
+def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
+    """The (n, w) mask of entries where A(BR) != CR, for the w columns of R.
+
+    Column t is one fingerprint iteration with vector ``R[:, t]``.  Never
+    forms AB: the cost is three (n x n) by (n x w) products, 3n^2 w scalar
+    multiplies.
+    """
+    _check_inputs(a, b, c)
+    if r.ring != a.ring:
+        raise RingMismatch(f"vector ring {r.ring} does not match matrices ({a.ring})")
+    if r.rows != a.cols:
+        raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
+    ring = a.ring
+    br = Matrix._wrap(_exact_dot(b, r, ring), ring)
+    return _exact_dot(a, br, ring) != _exact_dot(c, r, ring)
+
+
 def freivalds_iteration(
     a: Matrix, b: Matrix, c: Matrix, r: Vector
 ) -> tuple[bool, int | None]:
@@ -75,18 +108,29 @@ def freivalds_iteration(
     smallest row index i where the two sides differ.  Never forms AB: the
     cost is exactly three matrix-vector products.
     """
-    _check_inputs(a, b, c)
-    if r.ring != a.ring:
-        raise RingMismatch(f"vector ring {r.ring} does not match matrices ({a.ring})")
-    if len(r) != a.cols:
-        raise DimensionMismatch(f"vector length {len(r)} does not match n = {a.cols}")
-    br = mat_vec(b, r)
-    abr = mat_vec(a, br)
-    cr = mat_vec(c, r)
-    mism = abr.data != cr.data
-    if mism.any():
-        return False, int(np.argmax(mism))
-    return True, None
+    hit = _first_failure(a, b, c, Matrix._wrap(r.data.reshape(-1, 1), r.ring))
+    return (True, None) if hit is None else (False, hit[1])
+
+
+def _first_failure(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> tuple[int, int] | None:
+    """(column, smallest differing row) of the first failing column of R."""
+    try:
+        mism = fingerprint_block(a, b, c, r)
+    except IntegerOverflow:
+        if r.cols == 1:
+            raise
+        # One at a time, a reject in an earlier column wins over an overflow
+        # in a later one; keep that order.
+        for t in range(r.cols):
+            hit = _first_failure(a, b, c, Matrix._wrap(r.data[:, t : t + 1], r.ring))
+            if hit is not None:
+                return t, hit[1]
+        raise
+    # Column-major order: the first True is the first failing column's
+    # smallest differing row.
+    flat = mism.T.ravel()
+    first = int(np.argmax(flat))
+    return divmod(first, r.rows) if flat[first] else None
 
 
 def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:
@@ -95,22 +139,27 @@ def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:
 
     Iteration j draws its vector from substream ``(cfg.seed, j)``, so the
     verdict for any prefix of iterations is independent of how many were
-    requested.  On accept the verdict carries the p_max**k error bound; a
-    reject is unconditionally correct and carries the witness vector.
+    requested, and of how iterations are grouped into blocks.  On accept the
+    verdict carries the p_max**k error bound; a reject is unconditionally
+    correct and carries the witness vector.
     """
     _check_inputs(a, b, c)
-    cfg.distribution.validate_for_ring(a.ring)
+    dist = cfg.distribution
+    dist.validate_for_ring(a.ring)
     n = a.rows
-    for j in range(cfg.iterations):
-        rng = substream(cfg.seed, j)
-        r = sample_vector(cfg.distribution, n, rng, a.ring)
-        ok, row = freivalds_iteration(a, b, c, r)
-        if not ok:
+    width = max(1, _BLOCK_ENTRIES // n)
+    start = 0
+    while start < cfg.iterations:
+        stop = 1 if start == 0 else min(cfg.iterations, start + width)
+        r = _sample_trial_block(dist, n, cfg.seed, start, stop)
+        hit = _first_failure(a, b, c, Matrix._wrap(r, a.ring))
+        if hit is not None:
+            t, row = hit
             return Verdict(
                 accepted=False,
-                witness=r,
-                witness_iteration=j,
+                witness=Vector._wrap(r[:, t].copy(), a.ring),
+                witness_iteration=start + t,
                 mismatch_row=row,
             )
-    bound = p_max(cfg.distribution) ** cfg.iterations
-    return Verdict(accepted=True, error_bound=bound)
+        start = stop
+    return Verdict(accepted=True, error_bound=p_max(dist) ** cfg.iterations)

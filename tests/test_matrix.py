@@ -1,6 +1,8 @@
 """Exact matrix arithmetic: fixed cases first, then randomized properties."""
 
 import random
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from freicheck import (
     RingSpec,
     Vector,
     column,
+    fingerprint_block,
     identity,
     mat_add,
     mat_sub,
@@ -25,15 +28,18 @@ from freicheck import (
     matmul,
     mats_equal,
     outer,
+    parse_matrix,
     parse_ring,
     reset_scalar_multiplies,
     scalar_multiplies,
 )
+import freicheck.matrix as matrix_mod
 from util import brute_matmul, brute_mat_vec, random_matrix
 
 INT64 = RingSpec.int64()
 ZP5 = RingSpec.prime_field(5)
 INT64_MAX = (1 << 63) - 1
+INT64_MIN = -(1 << 63)
 
 
 # ---------------------------------------------------------------- rings
@@ -57,6 +63,37 @@ def test_composite_modulus_rejected():
     with pytest.raises(InvalidRing):
         RingSpec.prime_field(91)  # 7 * 13
     RingSpec.prime_field(97)  # fine
+
+
+def test_primality_matches_trial_division():
+    from freicheck.matrix import _is_prime
+
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(5000) if _is_prime(p)] == [p for p in range(5000) if trial(p)]
+
+
+def test_large_prime_header_is_accepted_quickly():
+    # 2^61 - 1 is prime; trial division would take minutes on it.
+    t0 = time.perf_counter()
+    m = parse_matrix("freimat 1\n1 2 zp 2305843009213693951\n0 2305843009213693950\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert m.ring == RingSpec.prime_field(2**61 - 1)
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        561,  # Carmichael number
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        2147483647 * 2147483629,  # two 31-bit primes, just under 2^62
+        2147483647 * 2147483659,  # two 31-bit primes, just over 2^62
+    ],
+)
+def test_pseudoprimes_and_large_composites_are_refused(composite):
+    with pytest.raises(InvalidRing):
+        RingSpec.prime_field(composite)
 
 
 # ---------------------------------------------------------------- construction
@@ -372,3 +409,175 @@ def test_numpy_and_checked_paths_agree():
             np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
         )
         assert fast.data.tolist() == checked.tolist()
+
+
+# ---------------------------------------------------------------- product tiers
+
+# (inner, max|x|, max|y|) with inner * max|x| * max|y| landing on each tier
+# boundary of the product chooser: the float64 limit 2^53 and the int64 limit.
+_TIER_CASES = [
+    (1, 441650591, 20394401),  # 2^53 - 1 = 6361 * 69431 * 20394401
+    (2, 2**26, 2**26),  # 2^53: still float64
+    (3, 107, 28059810762433),  # 2^53 + 1: int64
+    (7, 64897, 20303320287433),  # 2^63 - 1: int64, the last exact bound
+    (2, 2**31, 2**31),  # 2^63: checked fallback (int64) or object (zp)
+]
+_BIG_PRIME = RingSpec.prime_field(2**61 - 1)
+
+
+def _checked_ref(x_rows, y_rows, modulus):
+    """Python-int product; for int64, None when an elementary product or a
+    partial sum in ascending inner index leaves the 64-bit range."""
+    out = []
+    for row in x_rows:
+        out_row = []
+        for j in range(len(y_rows[0])):
+            acc = 0
+            for t, v in enumerate(row):
+                term = v * y_rows[t][j]
+                acc += term
+                if modulus is None and not (
+                    INT64_MIN <= term <= INT64_MAX and INT64_MIN <= acc <= INT64_MAX
+                ):
+                    return None
+            out_row.append(acc % modulus if modulus else acc)
+        out.append(out_row)
+    return out
+
+
+def _entries_at(rng, rows, cols, mag, ring, mode):
+    """Entries of magnitude at most ``mag`` with one entry exactly ``mag``:
+    all ``mag`` when saturated, else uniform (and signed for int64)."""
+    if mode == "saturated":
+        return [[mag] * cols for _ in range(rows)]
+    lo = 0 if ring.modulus else -mag
+    vals = [[rng.randint(lo, mag) for _ in range(cols)] for _ in range(rows)]
+    vals[rng.randrange(rows)][rng.randrange(cols)] = rng.choice([mag, -mag]) if lo else mag
+    return vals
+
+
+@contextmanager
+def _tier_spy():
+    """Names of the float64 and checked tiers as the chooser calls them."""
+    used = []
+    real_float, real_checked = matrix_mod._float_dot, matrix_mod._matmul_checked
+
+    def float_spy(*args):
+        used.append("float64")
+        return real_float(*args)
+
+    def checked_spy(*args):
+        used.append("checked")
+        return real_checked(*args)
+
+    matrix_mod._float_dot, matrix_mod._matmul_checked = float_spy, checked_spy
+    try:
+        yield used
+    finally:
+        matrix_mod._float_dot, matrix_mod._matmul_checked = real_float, real_checked
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_TIER_CASES) - 1),
+    ring=st.sampled_from([INT64, _BIG_PRIME]),
+    rows=st.integers(min_value=1, max_value=3),
+    cols=st.integers(min_value=1, max_value=3),
+    mode=st.sampled_from(["saturated", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, mode, seed):
+    inner, mx, my = _TIER_CASES[case]
+    bound = inner * mx * my
+    rng = random.Random(seed)
+    x_rows = _entries_at(rng, rows, inner, mx, ring, mode)
+    y_rows = _entries_at(rng, inner, cols, my, ring, mode)
+    x = Matrix(rows, inner, ring, x_rows)
+    y = Matrix(inner, cols, ring, y_rows)
+
+    expected = _checked_ref(x_rows, y_rows, ring.modulus)
+    with _tier_spy() as used:
+        if expected is None:
+            with pytest.raises(IntegerOverflow):
+                matmul(x, y)
+        else:
+            assert matmul(x, y).data.tolist() == expected
+    assert ("float64" in used) == (bound <= 2**53 and cols > 1)
+    assert ("checked" in used) == (bound > INT64_MAX and not ring.modulus)
+
+    expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
+    r = Vector(ring, [row[0] for row in y_rows])
+    with _tier_spy() as used:
+        if expected is None:
+            with pytest.raises(IntegerOverflow):
+                mat_vec(x, r)
+        else:
+            assert mat_vec(x, r).data.tolist() == [row[0] for row in expected]
+    assert "float64" not in used  # a single column never pays for conversion
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_TIER_CASES) - 1),
+    ring=st.sampled_from([INT64, _BIG_PRIME]),
+    cols=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from(["saturated", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_fingerprint_block_matches_python_ints_at_tier_boundaries(case, ring, cols, mode, seed):
+    # B R and C R land on the case's bound; A has unit entries, so A (B R)
+    # carries B R's magnitude into a second product.
+    n, mb, mr = _TIER_CASES[case]
+    rng = random.Random(seed)
+    unit = [0, 1] if ring.modulus else [-1, 0, 1]
+    a_rows = [[rng.choice(unit) for _ in range(n)] for _ in range(n)]
+    b_rows = _entries_at(rng, n, n, mb, ring, mode)
+    c_rows = _entries_at(rng, n, n, mb, ring, "random")
+    r_rows = _entries_at(rng, n, cols, mr, ring, mode)
+    a, b, c = (Matrix(n, n, ring, m) for m in (a_rows, b_rows, c_rows))
+    r = Matrix(n, cols, ring, r_rows)
+    br = _checked_ref(b_rows, r_rows, ring.modulus)
+    abr = None if br is None else _checked_ref(a_rows, br, ring.modulus)
+    cr = _checked_ref(c_rows, r_rows, ring.modulus)
+    if abr is None or cr is None:
+        with pytest.raises(IntegerOverflow):
+            fingerprint_block(a, b, c, r)
+    else:
+        expected = [[abr[i][t] != cr[i][t] for t in range(cols)] for i in range(n)]
+        assert fingerprint_block(a, b, c, r).tolist() == expected
+
+
+_edge_int64 = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MIN + 3),
+    st.integers(min_value=INT64_MAX - 3, max_value=INT64_MAX),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_edge_int64, _edge_int64), min_size=1, max_size=6))
+def test_add_sub_overflow_matches_python_ints(pairs):
+    a = Matrix(1, len(pairs), INT64, [[x for x, _ in pairs]])
+    b = Matrix(1, len(pairs), INT64, [[y for _, y in pairs]])
+    for op, f in ((mat_add, lambda x, y: x + y), (mat_sub, lambda x, y: x - y)):
+        exact = [f(x, y) for x, y in pairs]
+        if all(INT64_MIN <= v <= INT64_MAX for v in exact):
+            assert op(a, b).data.tolist() == [exact]
+        else:
+            with pytest.raises(IntegerOverflow):
+                op(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2**61 - 1, 2**63 - 25]),  # 2^63 - 25: the largest prime below 2^63
+    st.integers(min_value=0, max_value=2**63),
+    st.integers(min_value=0, max_value=2**63),
+)
+def test_zp_add_sub_with_moduli_near_the_int64_limit(p, x, y):
+    x, y = x % p, y % p
+    ring = RingSpec.prime_field(p)
+    a, b = Matrix(1, 1, ring, [[x]]), Matrix(1, 1, ring, [[y]])
+    assert mat_add(a, b)[0, 0] == (x + y) % p
+    assert mat_sub(a, b)[0, 0] == (x - y) % p

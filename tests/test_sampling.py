@@ -33,7 +33,7 @@ from freicheck import (
     uniform_binary,
     uniform_support,
 )
-from freicheck.sampling import draw_words
+from freicheck.sampling import _sample_trial_block, draw_words
 from util import sample_reference, splitmix_reference
 
 INT64 = RingSpec.int64()
@@ -166,6 +166,20 @@ def test_sample_vector_matches_scalar_reference(dist):
         got = sample_vector(dist, 50, SeededRng(seed)).data.tolist()
         expected = sample_reference(dist.support, dist.probs, 50, seed)
         assert got == expected
+
+
+@pytest.mark.parametrize(
+    "dist", [uniform_binary(), bernoulli(Fraction(1, 3)), uniform_support((-3, 0, 5, 11))]
+)
+def test_trial_block_columns_are_substream_vectors(dist):
+    # Column t of the block for trials start..stop-1 is the vector
+    # sample_vector draws from substream (seed, start + t), bit for bit.
+    for seed, start, stop in ((0, 0, 1), (7, 0, 9), (2**64 - 5, 3, 40)):
+        block = _sample_trial_block(dist, 13, seed, start, stop)
+        assert block.shape == (13, stop - start)
+        for t in range(stop - start):
+            expected = sample_vector(dist, 13, substream(seed, start + t))
+            assert block[:, t].tolist() == expected.data.tolist()
 
 
 def test_sample_vector_is_deterministic_and_advances_state():

@@ -1,5 +1,6 @@
 """Fingerprint verification: correctness, witnesses and determinism."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,20 +9,29 @@ import pytest
 from freicheck import (
     ConfigInvalid,
     DimensionMismatch,
+    IntegerOverflow,
     Matrix,
     RingMismatch,
     RingSpec,
     Vector,
+    Verdict,
     VerifyConfig,
     bernoulli,
+    field_uniform,
     freivalds_iteration,
     matmul,
+    p_max,
+    reset_scalar_multiplies,
     sample_vector,
+    scalar_multiplies,
     substream,
     uniform_binary,
+    uniform_support,
     verify,
 )
-from util import brute_mat_vec, random_matrix, random_unequal_triple
+from util import brute_matmul, brute_mat_vec, random_matrix, random_unequal_triple
+
+verify_mod = importlib.import_module("freicheck.verify")
 
 INT64 = RingSpec.int64()
 ZP5 = RingSpec.prime_field(5)
@@ -183,8 +193,6 @@ def test_distribution_must_fit_ring():
 def test_iteration_never_forms_the_product():
     # Cost signature: one iteration performs exactly three n^2 blocks of
     # scalar multiplies, not the n^3 a recompute would need.
-    from freicheck import reset_scalar_multiplies, scalar_multiplies
-
     rng = random.Random(31)
     n = 16
     a = random_matrix(rng, n, INT64)
@@ -194,3 +202,124 @@ def test_iteration_never_forms_the_product():
     reset_scalar_multiplies()
     freivalds_iteration(a, b, c, r)
     assert scalar_multiplies() == 3 * n * n
+
+
+# ---------------------------------------------------------------- batched iterations
+
+
+def _reference_verdict(a, b, c, cfg):
+    """The one-iteration-at-a-time loop that batched ``verify`` reproduces."""
+    for j in range(cfg.iterations):
+        r = sample_vector(cfg.distribution, a.rows, substream(cfg.seed, j), a.ring)
+        ok, row = freivalds_iteration(a, b, c, r)
+        if not ok:
+            return Verdict(False, witness=r, witness_iteration=j, mismatch_row=row)
+    return Verdict(True, error_bound=p_max(cfg.distribution) ** cfg.iterations)
+
+
+def _single_column_triple(rng, n, ring):
+    """(A, B, C) with AB - C nonzero in one column only, so most vectors of
+    a skewed distribution miss the error and the witness comes late.  The
+    column differs in a random set of rows, so the smallest one varies."""
+    a = random_matrix(rng, n, ring)
+    b = random_matrix(rng, n, ring)
+    d = brute_matmul(a.data.tolist(), b.data.tolist(), ring.modulus)
+    j = rng.randrange(n)
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        d[i][j] = (d[i][j] + 1) % ring.modulus if ring.modulus else d[i][j] + 1
+    return a, b, Matrix(n, n, ring, d)
+
+
+def _block_end(j, k, width):
+    """End of the verify block that holds iteration j >= 1."""
+    return min(k, 1 + width * ((j - 1) // width + 1))
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_verify_equals_the_sequential_loop(monkeypatch, width):
+    n = 6
+    if width is not None:
+        monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", width * n)
+    zp7 = RingSpec.prime_field(7)
+    rng = random.Random(41)
+    inside_block = 0
+    rows_seen = set()
+    for ring, dists in (
+        (INT64, [U01, bernoulli(Fraction(1, 10)), uniform_support((-2, 0, 3))]),
+        (zp7, [U01, bernoulli(Fraction(1, 10)), uniform_support((0, 2, 5)), field_uniform(zp7)]),
+    ):
+        for dist in dists:
+            a, b, c = _single_column_triple(rng, n, ring)
+            for k in (1, 2, 7, 33):
+                for seed in range(4):
+                    cfg = _cfg(k=k, seed=seed, dist=dist)
+                    got = verify(a, b, c, cfg)
+                    assert got == _reference_verdict(a, b, c, cfg)
+                    assert verify(a, b, matmul(a, b), cfg).accepted
+                    j = got.witness_iteration
+                    if j is not None:
+                        rows_seen.add(got.mismatch_row)
+                    if width is not None and j is not None and j > 1 and (j - 1) % width:
+                        inside_block += 1
+    assert len(rows_seen) > 1
+    if width is not None:
+        # Some witnesses sat behind an accepting column of their own block.
+        assert inside_block > 0
+
+
+@pytest.mark.parametrize("width", [None, 4])
+def test_multiply_counter_under_batching(monkeypatch, width):
+    # An accept counts 3kn^2.  A reject counts 3n^2 per iteration actually
+    # computed: 3n^2 when iteration 0 fails, else 3n^2 times the end of the
+    # block holding the failing iteration.
+    n, k = 8, 11
+    if width is not None:
+        monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", width * n)
+    block = width if width is not None else k
+    rng = random.Random(77)
+    a = random_matrix(rng, n, INT64)
+    b = random_matrix(rng, n, INT64)
+    c = matmul(a, b)
+    reset_scalar_multiplies()
+    assert verify(a, b, c, _cfg(k=k, seed=1)).accepted
+    assert scalar_multiplies() == 3 * k * n * n
+
+    seen = set()
+    a, b, c = _single_column_triple(rng, n, INT64)
+    for seed in range(200):
+        reset_scalar_multiplies()
+        verdict = verify(a, b, c, _cfg(k=k, seed=seed, dist=bernoulli(Fraction(1, 4))))
+        j = verdict.witness_iteration
+        if j is None:
+            assert scalar_multiplies() == 3 * k * n * n
+            continue
+        end = 1 if j == 0 else _block_end(j, k, block)
+        assert scalar_multiplies() == 3 * n * n * end
+        seen.add(end)
+    assert 1 in seen and len(seen) >= (3 if width is not None else 2)
+
+
+def test_overflow_in_a_later_column_does_not_hide_an_earlier_reject():
+    # With A = I, B r = (2^62 r_0, 0) and C r = (2^62 r_0 + r_1, 0): an
+    # iteration overflows when r_0 = 2 and rejects when r_1 != 0.  Whichever
+    # comes first in a one-at-a-time loop must decide, even when both fall
+    # in one block of verify.
+    big = 1 << 62
+    a = Matrix.from_rows([[1, 0], [0, 1]], INT64)
+    b = Matrix.from_rows([[big, 0], [0, 0]], INT64)
+    c = Matrix.from_rows([[big, 1], [0, 0]], INT64)
+    dist = uniform_support((0, 1, 2))
+    masked = 0
+    for seed in range(60):
+        cfg = _cfg(k=30, seed=seed, dist=dist)
+        try:
+            expected = _reference_verdict(a, b, c, cfg)
+        except IntegerOverflow:
+            with pytest.raises(IntegerOverflow):
+                verify(a, b, c, cfg)
+            continue
+        assert verify(a, b, c, cfg) == expected
+        j = expected.witness_iteration
+        later = (sample_vector(dist, 2, substream(seed, t))[0] for t in range(j + 1, 30))
+        masked += j >= 1 and 2 in later
+    assert masked > 0
