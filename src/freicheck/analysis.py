@@ -6,12 +6,19 @@ through E r where E = AB - C, and components of r multiplying all-zero
 columns of E cannot change E r, so enumeration runs over assignments to the
 components hitting nonzero columns and marginalizes the rest.  That reduction
 returns exactly the same probability as enumerating the full space, at a
-fraction of the cost.  Probabilities are accumulated as exact rationals; no
-floating point enters the exact path.
+fraction of the cost.  Masses are the law's integer weights, so an
+assignment's mass is a product of weights over ``total ** m``; no floating
+point enters the exact path.
 
 Empirical rates re-run the verifier's own per-iteration experiment many times
 through the verifier's ``fingerprint_block``, one trial per column of a block,
 and report a Wilson 99% confidence interval around the observed rate.
+
+``analyze_instance`` is the one analysis path, and the exact and empirical
+functions return parts of its report.  It checks every argument before any
+product (see its docstring for the order), forms AB once and E = AB - C at
+most once, and counts n**3 + 3 n**2 t scalar multiplies for t trials, with or
+without the exact probability.
 """
 
 from __future__ import annotations
@@ -116,57 +123,66 @@ class ErrorReport:
 
 
 def _exact_rank(e: Matrix) -> int:
-    """Rank by Gaussian elimination: over Q for int64, mod p for the field."""
-    p = e.ring.modulus if e.ring.kind == PRIME_FIELD else None
-    if p is None:
-        rows = [[Fraction(int(v)) for v in row] for row in e.data]
-    else:
-        rows = [[int(v) % p for v in row] for row in e.data]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
+    """Rank of E by fraction-free elimination over its nonzero rows and columns.
+
+    Over Z this is Bareiss elimination: with pivot ``piv`` and previous pivot
+    ``prev``, each lower row becomes ``(piv * row - f * top) // prev``.  By
+    Sylvester's identity every entry is then a minor of E, so the division is
+    exact and no fraction appears.  Mod p the same cross-multiplication is
+    reduced mod p and needs no division.
+    """
+    p = e.ring.modulus
+    nonzero = e.data != 0
+    rows = e.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))].tolist()
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p) if p else 1 / rows[rank][col]
-        for i in range(rank + 1, nrows):
-            if rows[i][col] == 0:
-                continue
-            factor = rows[i][col] * inv
-            if p:
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
-            else:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        piv = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if p is None:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
+            elif f:
+                rows[i] = [(piv * x - f * y) % p for x, y in zip(rows[i], top)]
+        prev = piv
         rank += 1
-        if rank == nrows:
+        if rank == len(rows):
             break
     return rank
+
+
+def _profile(d: Matrix, c: Matrix, need_e: bool) -> tuple[DifferenceProfile, Matrix | None]:
+    """Profile of E = D - C, and E itself when D != C and either the rank
+    (n <= RANK_LIMIT) or ``need_e`` asks for it."""
+    diff = d.data != c.data
+    cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
+    entries = int(diff.sum())
+    if entries == 0:
+        return DifferenceProfile(cols, 0, 0), None
+    ranked = d.rows <= RANK_LIMIT
+    e = mat_sub(d, c) if ranked or need_e else None
+    return DifferenceProfile(cols, entries, _exact_rank(e) if ranked else None), e
 
 
 def difference_profile(a: Matrix, b: Matrix, c: Matrix) -> DifferenceProfile:
     """Profile of E = AB - C; computes the product once, deterministically."""
     _check_inputs(a, b, c)
-    d = matmul(a, b)
-    diff = d.data != c.data
-    cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
-    entries = int(diff.sum())
-    if entries == 0:
-        rank = 0
-    elif d.rows <= RANK_LIMIT:
-        rank = _exact_rank(mat_sub(d, c))
-    else:
-        rank = None
-    return DifferenceProfile(cols, entries, rank)
+    return _profile(matmul(a, b), c, False)[0]
 
 
-def _max_enumerable_n(s: int, budget: int) -> int:
-    n = 0
-    space = 1
-    while space * s <= budget:
-        space *= s
-        n += 1
-    return n
+def _check_budget(n: int, s: int, budget: int) -> None:
+    if s ** n > budget:
+        most = 0
+        while s ** (most + 1) <= budget:
+            most += 1
+        raise BudgetExceeded(
+            f"enumerating {s}^{n} vectors exceeds the budget of {budget}; "
+            f"with support size {s} the largest enumerable n is {most}"
+        )
 
 
 def _digit_matrix(start: int, stop: int, m: int, s: int) -> np.ndarray:
@@ -180,38 +196,14 @@ def _digit_matrix(start: int, stop: int, m: int, s: int) -> np.ndarray:
     return digits
 
 
-def exact_false_accept_probability(
-    a: Matrix,
-    b: Matrix,
-    c: Matrix,
-    dist: DiscreteDistribution,
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Exact P[one iteration accepts] for an instance with AB != C.
-
-    Enumerates every assignment of components that multiply nonzero columns
-    of E = AB - C (the rest marginalize out) and adds the mass of each
-    accepting assignment as an exact rational.
-    """
-    _check_inputs(a, b, c)
-    dist.validate_for_ring(a.ring)
-    n = a.rows
-    s = len(dist.support)
-    if s ** n > budget:
-        raise BudgetExceeded(
-            f"enumerating {s}^{n} vectors exceeds the budget of {budget}; "
-            f"with support size {s} the largest enumerable n is "
-            f"{_max_enumerable_n(s, budget)}"
-        )
-    d = matmul(a, b)
-    _refuse_equal(mats_equal(d, c))
-    e = mat_sub(d, c)
-    p = a.ring.modulus if a.ring.kind == PRIME_FIELD else None
-
-    relevant = np.flatnonzero((e.data != 0).any(axis=0))
-    ered = e.data[:, relevant]
+def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> Fraction:
+    """P[E r = 0] by enumerating the components of r that ``cols``, the
+    nonzero columns of E, multiply; the other components marginalize out."""
+    p = e.ring.modulus
+    ered = e.data[:, list(cols)]
     ered = ered[(ered != 0).any(axis=1), :]  # all-zero rows constrain nothing
-    m = int(relevant.size)
+    m = len(cols)
+    s = len(dist.support)
 
     support = dist._support_arr
     # One accumulation bound covers every chunk; fall back to exact object
@@ -222,7 +214,7 @@ def exact_false_accept_probability(
         ered = ered.astype(object)
         support = support.astype(object)
 
-    uniform = len(set(dist.probs)) == 1
+    uniform = len(set(dist.weights)) == 1
     accept_count = 0
     hist: dict[tuple[int, ...], int] = {}
     space = s ** m
@@ -249,27 +241,13 @@ def exact_false_accept_probability(
 
     if uniform:
         return Fraction(accept_count, space)
-    common = math.lcm(*(q.denominator for q in dist.probs))
-    weights = [q.numerator * (common // q.denominator) for q in dist.probs]
     numerator = 0
     for sig, rep in hist.items():
-        mass = 1
-        for w, h in zip(weights, sig):
-            mass *= w ** h
-        numerator += rep * mass
-    return Fraction(numerator, common ** m)
-
-
-def _refuse_equal(equal: bool) -> None:
-    if equal:
-        raise InstanceActuallyEqual(
-            "product equals the claimed result; no false accept to measure"
-        )
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ConfigInvalid(f"need at least one trial, got {trials}")
+        mass = rep
+        for wt, h in zip(dist.weights, sig):
+            mass *= wt ** h
+        numerator += mass
+    return Fraction(numerator, dist.total ** m)
 
 
 def _empirical_rate(
@@ -285,50 +263,51 @@ def _empirical_rate(
     return EmpiricalRate(hits / trials, trials, wilson_interval(hits, trials))
 
 
-def empirical_false_accept_rate(
-    a: Matrix,
-    b: Matrix,
-    c: Matrix,
-    dist: DiscreteDistribution,
-    trials: int,
-    seed: int = 0,
+def analyze_instance(
+    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, exact: bool = False,
+    trials: int | None = None, seed: int = 0, budget: int = DEFAULT_BUDGET,
 ) -> ErrorReport:
-    """Measured single-iteration accept rate over seeded independent trials."""
+    """Bundle profile, optional exact probability and optional measured rate.
+
+    Every argument is checked before any product, in this order: shapes and
+    rings, ``dist`` against the ring, ``trials`` (when given), then the
+    enumeration budget (when ``exact``).  AB is formed once and E = AB - C at
+    most once; an instance with AB = C is refused once its profile is known,
+    if an exact probability or a rate was asked for.
+    """
     _check_inputs(a, b, c)
     dist.validate_for_ring(a.ring)
-    _check_trials(trials)
-    profile = difference_profile(a, b, c)
-    _refuse_equal(profile.differing_entries == 0)
+    if trials is not None and trials < 1:
+        raise ConfigInvalid(f"need at least one trial, got {trials}")
+    if exact:
+        _check_budget(a.rows, len(dist.support), budget)
+    profile, e = _profile(matmul(a, b), c, exact)
+    if (exact or trials is not None) and profile.differing_entries == 0:
+        raise InstanceActuallyEqual(
+            "product equals the claimed result; no false accept to measure"
+        )
     return ErrorReport(
-        per_iteration_bound=p_max(dist),
-        instance_profile=profile,
-        empirical=_empirical_rate(a, b, c, dist, trials, seed),
+        p_max(dist),
+        profile,
+        _exact_fap(e, profile.differing_columns, dist) if exact else None,
+        _empirical_rate(a, b, c, dist, trials, seed) if trials is not None else None,
     )
 
 
-def analyze_instance(
-    a: Matrix,
-    b: Matrix,
-    c: Matrix,
-    dist: DiscreteDistribution,
-    exact: bool = False,
-    trials: int | None = None,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+def exact_false_accept_probability(
+    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, budget: int = DEFAULT_BUDGET
+) -> Fraction:
+    """Exact P[one iteration accepts] for an instance with AB != C: the
+    ``exact_fap`` of ``analyze_instance``."""
+    return analyze_instance(a, b, c, dist, exact=True, budget=budget).exact_fap
+
+
+def empirical_false_accept_rate(
+    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, trials: int, seed: int = 0
 ) -> ErrorReport:
-    """Bundle profile, optional exact probability and optional measured rate."""
-    _check_inputs(a, b, c)
-    dist.validate_for_ring(a.ring)
-    profile = difference_profile(a, b, c)
-    exact_fap = None
-    empirical = None
-    if exact:
-        exact_fap = exact_false_accept_probability(a, b, c, dist, budget)
-    if trials is not None:
-        _check_trials(trials)
-        _refuse_equal(profile.differing_entries == 0)
-        empirical = _empirical_rate(a, b, c, dist, trials, seed)
-    return ErrorReport(p_max(dist), profile, exact_fap, empirical)
+    """Measured single-iteration accept rate over seeded independent trials:
+    ``analyze_instance`` with ``trials`` and no exact probability."""
+    return analyze_instance(a, b, c, dist, trials=trials, seed=seed)
 
 
 MODES = ("equal", "single-entry", "single-column", "rank-one", "dense-random")
@@ -372,6 +351,15 @@ def _draw_matrix(ring: RingSpec, n: int, rng: SeededRng, bound: int) -> Matrix:
     return Matrix._wrap(_draw_entries(ring, n * n, rng, bound).reshape(n, n), ring)
 
 
+def _retry(draw, accept, what: str):
+    """The first of up to 100 draws that ``accept`` takes."""
+    for _ in range(100):
+        x = draw()
+        if accept(x):
+            return x
+    raise GenerationFailed(f"could not draw {what} in 100 tries")
+
+
 def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
     """Derive (A, B, C) from the spec, deterministically in the seed.
 
@@ -386,74 +374,48 @@ def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
     d = matmul(a, b)
     rng = substream(spec.seed, 2)
 
+    def entries(count=n):
+        return lambda: _draw_entries(ring, count, rng, bound)
+
     v_support: np.ndarray | None = None
+    arr = d.data.copy()
     if spec.mode == "equal":
         c = d
     elif spec.mode == "single-entry":
         i = int(draw_words(rng, 1)[0] % np.uint64(n))
         j = int(draw_words(rng, 1)[0] % np.uint64(n))
-        for _ in range(100):
-            value = int(_draw_entries(ring, 1, rng, bound)[0])
-            if value != d[i, j]:
-                arr = d.data.copy()
-                arr[i, j] = value
-                c = Matrix._wrap(arr, ring)
-                break
-        else:
-            raise GenerationFailed("could not draw a differing entry in 100 tries")
+        arr[i, j] = _retry(entries(1), lambda x: x[0] != d[i, j], "a differing entry")[0]
+        c = Matrix._wrap(arr, ring)
     elif spec.mode == "single-column":
         j = int(draw_words(rng, 1)[0] % np.uint64(n))
-        for _ in range(100):
-            col = _draw_entries(ring, n, rng, bound)
-            if (col != d.data[:, j]).any():
-                arr = d.data.copy()
-                arr[:, j] = col
-                c = Matrix._wrap(arr, ring)
-                break
-        else:
-            raise GenerationFailed("could not draw a differing column in 100 tries")
+        arr[:, j] = _retry(entries(), lambda x: (x != d.data[:, j]).any(), "a differing column")
+        c = Matrix._wrap(arr, ring)
     elif spec.mode == "rank-one":
-        for _ in range(100):
-            u = _draw_entries(ring, n, rng, bound)
-            if (u != 0).any():
-                break
-        else:
-            raise GenerationFailed("could not draw a nonzero u in 100 tries")
-        for _ in range(100):
-            v = _draw_entries(ring, n, rng, bound)
-            if (v != 0).any():
-                break
-        else:
-            raise GenerationFailed("could not draw a nonzero v in 100 tries")
+        u = _retry(entries(), np.any, "a nonzero u")
+        v = _retry(entries(), np.any, "a nonzero v")
         c = mat_add(d, outer(Vector._wrap(u, ring), Vector._wrap(v, ring)))
         v_support = np.flatnonzero(v != 0)
     elif spec.mode == "dense-random":
-        for _ in range(100):
-            c = _draw_matrix(ring, n, rng, bound)
-            if not mats_equal(c, d):
-                break
-        else:
-            raise GenerationFailed("could not draw a matrix differing from AB in 100 tries")
+        c = _retry(
+            lambda: _draw_matrix(ring, n, rng, bound),
+            lambda m: not mats_equal(m, d),
+            "a matrix differing from AB",
+        )
     else:  # pragma: no cover - InstanceSpec already rejects unknown modes
         raise GenerationFailed(f"unhandled mode {spec.mode!r}")
 
     diff = d.data != c.data
     differing_cols = np.flatnonzero(diff.any(axis=0))
-    entries = int(diff.sum())
-    if spec.mode == "equal":
-        ok = entries == 0
-    elif spec.mode == "single-entry":
-        ok = entries == 1
-    elif spec.mode == "single-column":
-        ok = differing_cols.size == 1
-    elif spec.mode == "rank-one":
+    count = int(diff.sum())
+    ok = {
+        "equal": count == 0,
+        "single-entry": count == 1,
+        "single-column": differing_cols.size == 1,
         # u has no zero cancellations to worry about: column j of u v^T is
         # v_j u, nonzero exactly when v_j is.
-        ok = v_support is not None and np.array_equal(differing_cols, v_support)
-    else:
-        ok = differing_cols.size >= 1
+        "rank-one": v_support is not None and np.array_equal(differing_cols, v_support),
+        "dense-random": differing_cols.size >= 1,
+    }[spec.mode]
     if not ok:
-        raise GenerationFailed(
-            f"generated instance does not match mode {spec.mode!r}"
-        )
+        raise GenerationFailed(f"generated instance does not match mode {spec.mode!r}")
     return a, b, c

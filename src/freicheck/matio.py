@@ -7,10 +7,10 @@ Layout, one matrix per file:
     <row 0 entries, space separated>
     ...
 
-where ``<ring>`` is ``int64`` or ``zp <p>``.  Entries are decimal integers;
-field entries must already be reduced to [0, p), and anything else is a
-parse error rather than a silent fix-up.  Writing then reading a matrix
-reproduces it exactly.
+where ``<ring>`` is ``int64`` or ``zp <p>``.  The text is ASCII and entries
+are plain decimal integers (no ``_`` separators); field entries must already
+be reduced to [0, p), and anything else is a parse error rather than a
+silent fix-up.  Writing then reading a matrix reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ def _int_token(token: str, what: str) -> int:
 
 
 def parse_matrix(text: str) -> Matrix:
+    # int() also takes "1_000" and non-ASCII digits; one scan of the whole
+    # text refuses both, so no token pays for it.
+    if not text.isascii() or "_" in text:
+        bad = next(ch for ch in text if ch == "_" or not ch.isascii())
+        raise FormatError(f"unexpected character {bad!r}; entries are ASCII decimal integers")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -75,4 +80,8 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def read_matrix(path) -> Matrix:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"not UTF-8 text: {err.reason} at byte {err.start}") from None
+    return parse_matrix(text)

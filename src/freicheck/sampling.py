@@ -7,8 +7,10 @@ avalanche of the new state.  Substream ``j`` of a seed is keyed off output
 what lets iterations and trials be replayed or reordered without changing
 what any one of them draws.
 
-Component distributions carry exact rational masses.  Sampling maps a raw
-64-bit word through inverse-CDF cut points scaled to 2**64; flooring the cut
+Component distributions store exact masses as integer weights over one total
+(gcd 1, total the lcm of the reduced denominators, so equal laws store equal
+weights).  Sampling maps a raw 64-bit word through inverse-CDF cut points:
+cut i is ``((weights[0] + ... + weights[i]) << 64) // total``.  Flooring the cut
 points biases any single mass by less than 2**-60 for the supports used here,
 far below anything an empirical rate can resolve, and the exact analysis code
 never touches the sampler.
@@ -16,7 +18,9 @@ never touches the sampler.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,9 +98,10 @@ def draw_words(rng: SeededRng, count: int) -> np.ndarray:
 
 class DiscreteDistribution:
     """Finite law of one random component: distinct integer support values
-    with exact positive rational masses summing to one."""
+    with exact positive rational masses summing to one, kept as integer
+    ``weights`` over one ``total``."""
 
-    __slots__ = ("support", "probs", "_support_arr", "_upper")
+    __slots__ = ("support", "weights", "total", "_support_arr", "_upper")
 
     def __init__(self, support, probs) -> None:
         support = tuple(int(v) for v in support)
@@ -113,30 +118,36 @@ class DiscreteDistribution:
             raise InvalidDistribution("all masses must be positive")
         if sum(probs) != 1:
             raise InvalidDistribution(f"masses sum to {sum(probs)}, not 1")
+        total = math.lcm(*(q.denominator for q in probs))
+        self._set(support, tuple(q.numerator * (total // q.denominator) for q in probs), total)
+
+    def _set(self, support: tuple[int, ...], weights: tuple[int, ...], total: int) -> None:
         if any(v < INT64_MIN or v > INT64_MAX for v in support):
             raise InvalidDistribution("support values must fit the signed 64-bit range")
         self.support = support
-        self.probs = probs
+        self.weights = weights
+        self.total = total
         self._support_arr = np.array(support, dtype=np.int64)
         self._support_arr.flags.writeable = False
         # Inverse-CDF cut points: value i is chosen when the raw word falls in
         # [floor(F(i-1) * 2**64), floor(F(i) * 2**64)).  The last bucket is
         # implicit, so only len(support) - 1 cuts are stored.
-        acc = Fraction(0)
-        cuts = []
-        for q in probs[:-1]:
-            acc += q
-            cuts.append((acc.numerator << 64) // acc.denominator)
+        cuts = [(running << 64) // total for running in accumulate(weights[:-1])]
         self._upper = np.array(cuts, dtype=np.uint64)
         self._upper.flags.writeable = False
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The exact masses, one ``Fraction`` per support value."""
+        return tuple(Fraction(wt, self.total) for wt in self.weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return self.support == other.support and self.probs == other.probs
+        return self.support == other.support and self.weights == other.weights
 
     def __hash__(self) -> int:
-        return hash((self.support, self.probs))
+        return hash((self.support, self.weights))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{v}: {q}" for v, q in zip(self.support, self.probs))
@@ -155,7 +166,7 @@ class DiscreteDistribution:
 
 def p_max(dist: DiscreteDistribution) -> Fraction:
     """Largest point mass: the certified per-iteration false-accept bound."""
-    return max(dist.probs)
+    return Fraction(max(dist.weights), dist.total)
 
 
 def uniform_binary() -> DiscreteDistribution:
@@ -176,8 +187,12 @@ def uniform_support(values) -> DiscreteDistribution:
     values = tuple(values)
     if len(values) < 2:
         raise SupportTooSmall("uniform support needs at least two values")
-    share = Fraction(1, len(values))
-    return DiscreteDistribution(values, (share,) * len(values))
+    support = tuple(int(v) for v in values)
+    if len(set(support)) != len(support):
+        raise DuplicateSupport(f"support values must be distinct: {support}")
+    dist = DiscreteDistribution.__new__(DiscreteDistribution)
+    dist._set(support, (1,) * len(support), len(support))
+    return dist
 
 
 def field_uniform(ring: RingSpec) -> DiscreteDistribution:

@@ -11,11 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freicheck.analysis as analysis_mod
 from freicheck import (
     BudgetExceeded,
     ConfigInvalid,
+    DiscreteDistribution,
     GenerationFailed,
     InstanceActuallyEqual,
     InstanceSpec,
@@ -34,18 +37,23 @@ from freicheck import (
     matmul,
     mats_equal,
     p_max,
+    reset_scalar_multiplies,
     sample_vector,
+    scalar_multiplies,
     substream,
     uniform_binary,
     uniform_support,
     wilson_interval,
 )
-from util import brute_fap, random_unequal_triple
+from util import brute_fap, fraction_rank, random_unequal_triple
 
 INT64 = RingSpec.int64()
+ZP2 = RingSpec.prime_field(2)
 ZP3 = RingSpec.prime_field(3)
 ZP5 = RingSpec.prime_field(5)
+ZP61 = RingSpec.prime_field((1 << 61) - 1)
 U01 = uniform_binary()
+INT64_MAX = (1 << 63) - 1
 
 
 def _triple_with_error(e_rows, ring):
@@ -120,15 +128,70 @@ def test_bound_holds_with_equality_only_sometimes():
 # ---------------------------------------------------------------- oracle agreement
 
 
-@pytest.mark.parametrize("ring", [INT64, ZP3, ZP5], ids=["int64", "zp3", "zp5"])
-def test_exact_fap_matches_full_space_oracle(ring):
-    rng = random.Random(101 if ring.modulus is None else ring.modulus)
+def _wide_triple(rng, n, ring, mag):
+    """(A, B, C) whose E = AB - C has entries of size up to ``mag`` in every
+    column, with column 1 the negative of column 0 so that some r accept."""
+    e_rows = [
+        [rng.randrange(mag // 2, mag) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)
+    ]
+    e_rows[0][0] = mag - 1
+    for row in e_rows:
+        row[1] = -row[0]
+    if ring.modulus:
+        e_rows = [[v % ring.modulus for v in row] for row in e_rows]
+    return _triple_with_error(e_rows, ring)
+
+
+def _small_case(ring):
     dists = [U01, bernoulli(Fraction(1, 3)), uniform_support((0, 1, 2))]
     if ring.modulus:
         dists.append(field_uniform(ring))
+    return ring, dists, lambda rng: random_unequal_triple(rng, rng.randint(2, 4), ring), False
+
+
+NEAR_2_40 = ((1 << 40) - 1, 1 << 40, (1 << 40) + 1)
+
+
+@pytest.mark.parametrize(
+    "ring, dists, triple, wide",
+    [
+        _small_case(INT64),
+        _small_case(ZP3),
+        _small_case(ZP5),
+        (
+            ZP61,
+            [U01, bernoulli(Fraction(1, 3)), uniform_support((0, 1, 2))],
+            lambda rng: _wide_triple(rng, 5, ZP61, ZP61.modulus),
+            True,
+        ),
+        (
+            INT64,
+            [
+                uniform_support(NEAR_2_40),
+                DiscreteDistribution(NEAR_2_40, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+            ],
+            lambda rng: _wide_triple(rng, rng.randint(2, 4), INT64, 1 << 23),
+            True,
+        ),
+    ],
+    ids=["int64", "zp3", "zp5", "zp2^61-1-wide", "int64-usup-2^40"],
+)
+def test_exact_fap_matches_full_space_oracle(ring, dists, triple, wide):
+    rng = random.Random(101 if ring.modulus is None else ring.modulus)
     for trial in range(12):
-        n = rng.randint(2, 4)
-        a, b, c = random_unequal_triple(rng, n, ring)
+        a, b, c = triple(rng)
+        if wide:
+            # A = I, so E = B - C.  The instance must pass the enumeration's
+            # int64 bound m * max|E| * max|support|, so that its exact
+            # Python-integer fallback is what runs.
+            n = a.rows
+            cols = [[b[i, j] - c[i, j] for i in range(n)] for j in range(n)]
+            if ring.modulus:
+                cols = [[v % ring.modulus for v in col] for col in cols]
+            m = sum(any(col) for col in cols)
+            mag = max(abs(v) for col in cols for v in col)
+            for dist in dists:
+                assert m * mag * max(abs(v) for v in dist.support) > INT64_MAX
         for dist in dists:
             expected = brute_fap(a, b, c, dist.support, dist.probs)
             got = exact_false_accept_probability(a, b, c, dist)
@@ -378,3 +441,125 @@ def test_analyze_instance_composes_the_pieces():
     assert lo <= 0.5 <= hi
     bare = analyze_instance(a, b, c, U01)
     assert bare.exact_fap is None and bare.empirical is None
+
+
+def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
+    # One AB (n^3), one E, and 3n^2 per trial: 20,000 multiplies at n=20,
+    # t=10, with the exact probability and the rank from the same E.
+    n, t = 20, 10
+    a, b, c = generate_instance(InstanceSpec(n, INT64, "single-column", 4, entry_bound=1 << 24))
+    calls = {"matmul": 0, "mat_sub": 0}
+    for name in calls:
+        def spy(*args, _name=name, _orig=getattr(analysis_mod, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(analysis_mod, name, spy)
+    reset_scalar_multiplies()
+    report = analyze_instance(a, b, c, U01, exact=True, trials=t, seed=2)
+    assert scalar_multiplies() == n**3 + 3 * n * n * t == 20_000
+    assert calls == {"matmul": 1, "mat_sub": 1}
+    assert report.exact_fap == Fraction(1, 2)
+    assert report.instance_profile.difference_rank == 1
+
+
+def test_arguments_are_checked_before_any_product(monkeypatch):
+    # The enumeration here is 2^20 vectors; a check made after it would
+    # pay for all of them before refusing.
+    a, b, c = generate_instance(InstanceSpec(20, INT64, "dense-random", 3))
+    ran = []
+    orig = analysis_mod._digit_matrix
+    monkeypatch.setattr(analysis_mod, "_digit_matrix", lambda *args: ran.append(args) or orig(*args))
+    for kwargs, kind, message in [
+        ({"exact": True, "trials": 0}, ConfigInvalid, "need at least one trial, got 0"),
+        ({"trials": -1}, ConfigInvalid, "need at least one trial, got -1"),
+        ({"exact": True, "trials": 5, "budget": 1 << 19}, BudgetExceeded, "largest enumerable n is 19"),
+    ]:
+        reset_scalar_multiplies()
+        with pytest.raises(kind, match=message):
+            analyze_instance(a, b, c, U01, **kwargs)
+        assert scalar_multiplies() == 0
+    assert ran == []
+
+
+def test_check_order_for_inputs_with_two_faults():
+    # Order: shapes and rings, the law, trials, the budget, and only then
+    # the product (which is what shows AB = C).
+    a, b, _ = random_unequal_triple(random.Random(6), 30, INT64)
+    equal = matmul(a, b)
+    with pytest.raises(ConfigInvalid):
+        analyze_instance(a, b, equal, U01, exact=True, trials=0)
+    with pytest.raises(BudgetExceeded):
+        analyze_instance(a, b, equal, U01, exact=True, trials=5)
+    with pytest.raises(ConfigInvalid, match="not reduced"):
+        analyze_instance(*random_unequal_triple(random.Random(6), 3, ZP3), uniform_support((0, 5)), trials=0)
+
+
+@st.composite
+def _rank_case(draw):
+    ring = draw(st.sampled_from([INT64, ZP2, ZP3, ZP5, ZP61]))
+    p = ring.modulus
+    rows = draw(st.integers(min_value=1, max_value=7))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        # A product of an (rows x k) and a (k x cols) factor: rank <= k.
+        k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+        elem = st.integers(0, p - 1) if p else st.integers(-(1 << 20), 1 << 20)
+        u = draw(st.lists(st.lists(elem, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        v = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=k, max_size=k))
+        data = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+        if p:
+            data = [[x % p for x in row] for row in data]
+    else:
+        # Small entries make zero pivot-column entries common; large ones
+        # reach 2**62.
+        bound = draw(st.sampled_from([3, 1 << 62]))
+        elem = st.integers(0, p - 1) if p else st.integers(-bound, bound)
+        data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        # Copy, negate or zero some rows, so that large entries meet deficient ranks.
+        for dst, src, how in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, rows - 1), st.sampled_from("cnz")
+        ), max_size=4)):
+            row = data[src]
+            data[dst] = {"c": list(row), "n": [(-x) % p if p else -x for x in row], "z": [0] * cols}[how]
+    return ring, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_case())
+# Over Z a row whose pivot-column entry is 0 must still be scaled by the
+# pivot, or the next division by it is inexact: here rank 3 would read 2.
+@example((INT64, [[0, 1, -1], [0, 1, 0], [-2, 0, 0]]))
+def test_exact_rank_matches_fraction_elimination(case):
+    ring, data = case
+    e = Matrix(len(data), len(data[0]), ring, data)
+    assert analysis_mod._exact_rank(e) == fraction_rank(data, ring.modulus)
+
+
+def test_exact_fallback_does_not_take_a_wrapped_residual_for_zero():
+    # Both instances pass the int64 bound of the enumeration, and one r gives
+    # a residual that 64-bit arithmetic would wrap onto zero.
+    # int64: 2**23 * (2**40 + 2**40) = 2**64, never 0 over the integers.
+    a, b, c = _triple_with_error([[1 << 23, 1 << 23], [0, 0]], INT64)
+    dist = uniform_support(NEAR_2_40)
+    assert exact_false_accept_probability(a, b, c, dist) == 0
+    assert brute_fap(a, b, c, dist.support, dist.probs) == 0
+    # zp 2**61 - 1: r = (1, ..., 1) gives 4p + 8, which is 8 mod p, while
+    # 4p + 8 - 2**64 = -4p is 0 mod p.  Only r = 0 accepts.
+    p = ZP61.modulus
+    n = 5
+    e_rows = [[p - 1] * 4 + [12]] + [[0] * n for _ in range(n - 1)]
+    a, b, c = _triple_with_error(e_rows, ZP61)
+    assert exact_false_accept_probability(a, b, c, U01) == Fraction(1, 32)
+    assert brute_fap(a, b, c, U01.support, U01.probs) == Fraction(1, 32)
+
+
+def test_exact_rank_makes_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(analysis_mod, "Fraction", refuse)
+    rng = random.Random(8)
+    for ring in (INT64, ZP61):
+        a, b, c = random_unequal_triple(rng, 12, ring, bound=1 << 20)
+        assert difference_profile(a, b, c).difference_rank >= 1

@@ -294,6 +294,20 @@ def test_malformed_file_is_a_format_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"1 2\n3 \xff\n", "1 2\n3 1_000\n".encode(), "1 2\n3 \u0663\n".encode("utf-8")],
+    ids=["non-utf8", "underscore", "arabic-indic-digit"],
+)
+def test_undecodable_or_non_decimal_file_is_a_format_error(tmp_path, capsys, body):
+    # A reject exits 1; a file the strict format refuses must exit 2 instead.
+    bad = tmp_path / "bad.freimat"
+    bad.write_bytes(b"freimat 1\n2 2 int64\n" + body)
+    _expect_error(
+        capsys, "FormatError", "verify", "--a", str(bad), "--b", str(bad), "--c", str(bad)
+    )
+
+
 def test_dimension_mismatch_is_reported(tmp_path, capsys):
     from freicheck import Matrix, RingSpec
 

@@ -78,6 +78,29 @@ def test_malformed_inputs_raise_format_error(text):
         parse_matrix(text)
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["1_000", "-1_0", "\u0663", "\uff11", "1\u00a0"],
+    ids=["underscore", "negative-underscore", "arabic-indic", "fullwidth", "nbsp"],
+)
+def test_tokens_int_takes_but_the_format_refuses(token):
+    int(token)  # Python's int() parses every one of these
+    for text in (
+        f"freimat 1\n1 1 int64\n{token}\n",
+        f"freimat 1\n1 2 int64\n5 {token}\n",
+        f"freimat 1\n{token} 1 int64\n1\n",
+    ):
+        with pytest.raises(FormatError, match="unexpected character"):
+            parse_matrix(text)
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "m.freimat"
+    path.write_bytes(b"freimat 1\n1 2 int64\n1 \xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        read_matrix(path)
+
+
 @st.composite
 def _matrix(draw):
     ring = draw(st.sampled_from([INT64, ZP5, RingSpec.prime_field(101)]))

@@ -140,6 +140,39 @@ def test_field_uniform_needs_field():
     assert d.support == (0, 1, 2, 3, 4)
 
 
+def test_masses_are_canonical_integer_weights():
+    sixth = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    for dist, weights, total in [
+        (bernoulli(Fraction(1, 3)), (2, 1), 3),
+        (DiscreteDistribution((0, 1, 2), sixth), (1, 2, 3), 6),
+        (DiscreteDistribution((0, 1), (Fraction(2, 4), Fraction(3, 6))), (1, 1), 2),
+        (DiscreteDistribution((0, 1, 2), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))), (1, 1, 2), 4),
+        (uniform_support((4, -5, 6)), (1, 1, 1), 3),
+        (field_uniform(ZP5), (1,) * 5, 5),
+    ]:
+        assert (dist.weights, dist.total) == (weights, total)
+        assert dist.probs == tuple(Fraction(w, total) for w in weights)
+        assert p_max(dist) == Fraction(max(weights), total)
+    # Equal laws store equal weights, however they were built.
+    assert uniform_support((0, 1)) == uniform_binary() == bernoulli(Fraction(2, 4))
+    assert hash(uniform_support((0, 1))) == hash(uniform_binary())
+
+
+def test_field_uniform_makes_no_fraction_per_value(monkeypatch):
+    import freicheck.sampling as sampling_mod
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(sampling_mod, "Fraction", counting)
+    dist = field_uniform(RingSpec.prime_field(10007))
+    assert p_max(dist) == Fraction(1, 10007)
+    assert len(made) <= 1
+
+
 def test_validate_for_ring():
     d = uniform_support((0, 1, 7))
     d.validate_for_ring(INT64)
@@ -159,6 +192,8 @@ def test_validate_for_ring():
         uniform_support((0, 1, 2)),
         uniform_support((-3, 0, 5, 11)),
         field_uniform(ZP5),
+        DiscreteDistribution((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+        field_uniform(RingSpec.prime_field(10007)),
     ],
 )
 def test_sample_vector_matches_scalar_reference(dist):

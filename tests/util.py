@@ -73,6 +73,36 @@ def brute_fap(a: Matrix, b: Matrix, c: Matrix, support, probs) -> Fraction:
     return total
 
 
+def fraction_rank(rows, modulus=None) -> int:
+    """Rank by textbook Gaussian elimination: over Q with ``Fraction`` rows,
+    or mod ``modulus`` with inverses from Fermat's little theorem."""
+    p = modulus
+    if p is None:
+        rows = [[Fraction(int(v)) for v in row] for row in rows]
+    else:
+        rows = [[int(v) % p for v in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p) if p else 1 / rows[rank][col]
+        for i in range(rank + 1, nrows):
+            if rows[i][col] == 0:
+                continue
+            factor = rows[i][col] * inv
+            if p:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+            else:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def random_matrix(rng: random.Random, n: int, ring: RingSpec, bound: int = 9) -> Matrix:
     """Small random matrix drawn with the stdlib generator, not the library's."""
     if ring.modulus:
