@@ -6,9 +6,14 @@ through E r where E = AB - C, and components of r multiplying all-zero
 columns of E cannot change E r, so enumeration runs over assignments to the
 components hitting nonzero columns and marginalizes the rest.  That reduction
 returns exactly the same probability as enumerating the full space, at a
-fraction of the cost.  Masses are the law's integer weights, so an
-assignment's mass is a product of weights over ``total ** m``; no floating
-point enters the exact path.
+fraction of the cost.  The m remaining columns split in two, E r = E_L r_L +
+E_H r_H, and the accepting mass is a join of two tables of partial residuals
+keyed on the residual (meet in the middle), so no stored table holds more
+than s ** (m // 2) entries for support size s.  Residuals are tuples of Python
+integers (reduced mod p in Z_p), so none can overflow and nothing counts as a
+scalar multiply.  Masses are the law's integer weights, so an assignment's
+mass is a product of weights over ``total ** m``; no floating point enters the
+exact path.
 
 Empirical rates re-run the verifier's own per-iteration experiment many times
 through the verifier's ``fingerprint_block``, one trial per column of a block,
@@ -24,6 +29,7 @@ without the exact probability.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +66,6 @@ from .verify import _check_inputs, fingerprint_block
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
 
-_ENUM_CHUNK = 1 << 18
 _TRIAL_CHUNK = 1 << 14
 
 # z for a two-sided 99% normal interval, i.e. the 0.995 quantile.
@@ -155,15 +160,17 @@ def _exact_rank(e: Matrix) -> int:
     return rank
 
 
-def _profile(d: Matrix, c: Matrix, need_e: bool) -> tuple[DifferenceProfile, Matrix | None]:
-    """Profile of E = D - C, and E itself when D != C and either the rank
-    (n <= RANK_LIMIT) or ``need_e`` asks for it."""
+def _profile(
+    d: Matrix, c: Matrix, need_e: bool, ranked: bool = True
+) -> tuple[DifferenceProfile, Matrix | None]:
+    """Profile of E = D - C, with the rank when ``ranked`` and n <= RANK_LIMIT,
+    and E itself when D != C and either the rank or ``need_e`` asks for it."""
     diff = d.data != c.data
     cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
     entries = int(diff.sum())
     if entries == 0:
         return DifferenceProfile(cols, 0, 0), None
-    ranked = d.rows <= RANK_LIMIT
+    ranked = ranked and d.rows <= RANK_LIMIT
     e = mat_sub(d, c) if ranked or need_e else None
     return DifferenceProfile(cols, entries, _exact_rank(e) if ranked else None), e
 
@@ -185,68 +192,49 @@ def _check_budget(n: int, s: int, budget: int) -> None:
         )
 
 
-def _digit_matrix(start: int, stop: int, m: int, s: int) -> np.ndarray:
-    """Mixed-radix digits of start..stop-1, least significant digit first,
-    as an (m, stop-start) index array."""
-    g = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((m, stop - start), dtype=np.int64)
-    for t in range(m):
-        digits[t] = g % s
-        g = g // s
-    return digits
+def _shifted(
+    table: dict[tuple[int, ...], int], col: tuple[int, ...], dist: DiscreteDistribution, p: int | None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(res + v * col, w * weight of v)`` for every residual ``res`` of
+    weight ``w`` in ``table`` and every support value v, mod p in Z_p."""
+    for res, w in table.items():
+        for v, wt in zip(dist.support, dist.weights):
+            key = tuple(x + v * y for x, y in zip(res, col))
+            yield (key if p is None else tuple(x % p for x in key)), w * wt
+
+
+def _residual_table(
+    cols: list[tuple[int, ...]], dist: DiscreteDistribution, p: int | None, rows: int
+) -> dict[tuple[int, ...], int]:
+    """``{E_S r_S: summed weight}`` over every assignment r_S of the support
+    to the columns ``cols`` of E, built one column at a time so that equal
+    partial residuals merge."""
+    table = {(0,) * rows: 1}
+    for col in cols:
+        grown: dict[tuple[int, ...], int] = {}
+        for key, w in _shifted(table, col, dist, p):
+            grown[key] = grown.get(key, 0) + w
+        table = grown
+    return table
 
 
 def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> Fraction:
     """P[E r = 0] by enumerating the components of r that ``cols``, the
-    nonzero columns of E, multiply; the other components marginalize out."""
+    nonzero columns of E, multiply; the other components marginalize out.
+
+    With the columns split as E r = E_L r_L + E_H r_H + e r_last, r accepts
+    when E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins a table
+    of -E_L r_L over the first half of the columns with the residuals of the
+    rest, streamed one support value of the last column at a time.
+    """
     p = e.ring.modulus
     ered = e.data[:, list(cols)]
     ered = ered[(ered != 0).any(axis=1), :]  # all-zero rows constrain nothing
-    m = len(cols)
-    s = len(dist.support)
-
-    support = dist._support_arr
-    # One accumulation bound covers every chunk; fall back to exact object
-    # arithmetic if int64 cannot hold the dot products.
-    mag = max(abs(int(ered.min())), abs(int(ered.max())))
-    smag = max(abs(int(support.min())), abs(int(support.max())))
-    if m * mag * smag > INT64_MAX:
-        ered = ered.astype(object)
-        support = support.astype(object)
-
-    uniform = len(set(dist.weights)) == 1
-    accept_count = 0
-    hist: dict[tuple[int, ...], int] = {}
-    space = s ** m
-    for start in range(0, space, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, space)
-        idx = _digit_matrix(start, stop, m, s)
-        residual = ered @ support[idx]
-        if p is not None:
-            residual = residual % p
-        accepting = ~(residual != 0).any(axis=0)
-        if uniform:
-            accept_count += int(np.count_nonzero(accepting))
-            continue
-        acc_idx = idx[:, accepting]
-        if acc_idx.shape[1] == 0:
-            continue
-        # Mass of an assignment depends only on how often each support value
-        # occurs, so group accepting assignments by that count signature.
-        counts = np.stack([(acc_idx == i).sum(axis=0) for i in range(s)], axis=1)
-        signatures, reps = np.unique(counts, axis=0, return_counts=True)
-        for sig, rep in zip(signatures, reps):
-            key = tuple(int(x) for x in sig)
-            hist[key] = hist.get(key, 0) + int(rep)
-
-    if uniform:
-        return Fraction(accept_count, space)
-    numerator = 0
-    for sig, rep in hist.items():
-        mass = rep
-        for wt, h in zip(dist.weights, sig):
-            mass *= wt ** h
-        numerator += mass
+    columns = [tuple(col) for col in ered.T.tolist()]
+    m, rows, half = len(columns), len(ered), len(columns) // 2
+    low = _residual_table([tuple(-y for y in col) for col in columns[:half]], dist, p, rows)
+    high = _residual_table(columns[half:-1], dist, p, rows)
+    numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
     return Fraction(numerator, dist.total ** m)
 
 
@@ -368,6 +356,12 @@ def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
     shape is checked against the requested mode using the directly computed
     product as the oracle.
     """
+    return _generate(spec, False)[:3]
+
+
+def _generate(spec: InstanceSpec, ranked: bool) -> tuple[Matrix, Matrix, Matrix, DifferenceProfile]:
+    """``generate_instance`` plus the profile of AB - C that its mode check
+    reads, with the rank when ``ranked``; AB is formed once."""
     n, ring, bound = spec.n, spec.ring, spec.entry_bound
     a = _draw_matrix(ring, n, substream(spec.seed, 0), bound)
     b = _draw_matrix(ring, n, substream(spec.seed, 1), bound)
@@ -377,7 +371,7 @@ def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
     def entries(count=n):
         return lambda: _draw_entries(ring, count, rng, bound)
 
-    v_support: np.ndarray | None = None
+    v_support: tuple[int, ...] | None = None
     arr = d.data.copy()
     if spec.mode == "equal":
         c = d
@@ -394,7 +388,7 @@ def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
         u = _retry(entries(), np.any, "a nonzero u")
         v = _retry(entries(), np.any, "a nonzero v")
         c = mat_add(d, outer(Vector._wrap(u, ring), Vector._wrap(v, ring)))
-        v_support = np.flatnonzero(v != 0)
+        v_support = tuple(int(j) for j in np.flatnonzero(v != 0))
     elif spec.mode == "dense-random":
         c = _retry(
             lambda: _draw_matrix(ring, n, rng, bound),
@@ -404,18 +398,17 @@ def generate_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
     else:  # pragma: no cover - InstanceSpec already rejects unknown modes
         raise GenerationFailed(f"unhandled mode {spec.mode!r}")
 
-    diff = d.data != c.data
-    differing_cols = np.flatnonzero(diff.any(axis=0))
-    count = int(diff.sum())
+    profile = _profile(d, c, False, ranked)[0]
+    cols, count = profile.differing_columns, profile.differing_entries
     ok = {
         "equal": count == 0,
         "single-entry": count == 1,
-        "single-column": differing_cols.size == 1,
+        "single-column": len(cols) == 1,
         # u has no zero cancellations to worry about: column j of u v^T is
         # v_j u, nonzero exactly when v_j is.
-        "rank-one": v_support is not None and np.array_equal(differing_cols, v_support),
-        "dense-random": differing_cols.size >= 1,
+        "rank-one": cols == v_support,
+        "dense-random": len(cols) >= 1,
     }[spec.mode]
     if not ok:
         raise GenerationFailed(f"generated instance does not match mode {spec.mode!r}")
-    return a, b, c
+    return a, b, c, profile

@@ -21,12 +21,11 @@ from fractions import Fraction
 from .analysis import (
     DEFAULT_BUDGET,
     InstanceSpec,
+    _generate,
     analyze_instance,
-    difference_profile,
-    generate_instance,
 )
 from .bench import run_bench, write_csv
-from .errors import FreicheckError
+from .errors import ConfigInvalid, FreicheckError
 from .matio import read_matrix, write_matrix
 from .matrix import parse_ring
 from .sampling import p_max, parse_dist
@@ -95,7 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     ring = parse_ring(args.ring)
     spec = InstanceSpec(args.n, ring, args.mode, args.seed, args.entry_bound)
-    a, b, c = generate_instance(spec)
+    a, b, c, profile = _generate(spec, True)
     paths = {
         "a": f"{args.out}.A.freimat",
         "b": f"{args.out}.B.freimat",
@@ -104,7 +103,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     write_matrix(a, paths["a"])
     write_matrix(b, paths["b"])
     write_matrix(c, paths["c"])
-    profile = difference_profile(a, b, c)
     payload = {
         "n": spec.n,
         "ring": str(ring),
@@ -164,8 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
-        _emit_error("ConfigInvalid", f"bad size list {args.sizes!r}")
-        return 2
+        raise ConfigInvalid(f"bad size list {args.sizes!r}") from None
     dist = parse_dist(args.dist, parse_ring("int64"))
     records, ratios = run_bench(
         sizes, k=args.k, repeats=args.repeats, seed=args.seed, dist=dist

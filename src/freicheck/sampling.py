@@ -82,6 +82,13 @@ def substream(seed: int, index: int) -> SeededRng:
     return SeededRng(stream_seed(seed, index))
 
 
+def _outputs(state, start: int, stop: int) -> np.ndarray:
+    """Outputs ``start..stop-1`` of the stream in ``state``, ``mix64(state +
+    i*GOLDEN)``; a uint64 array of states gives one stream per state, along a
+    new last axis."""
+    return mix64_np(state + np.arange(start, stop, dtype=np.uint64) * _U_GOLDEN)
+
+
 def draw_words(rng: SeededRng, count: int) -> np.ndarray:
     """Next ``count`` raw outputs as a uint64 array.
 
@@ -90,8 +97,7 @@ def draw_words(rng: SeededRng, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    words = mix64_np(np.uint64(rng.state) + steps * _U_GOLDEN)
+    words = _outputs(np.uint64(rng.state), 1, count + 1)
     rng.state = (rng.state + count * GOLDEN) & MASK64
     return words
 
@@ -226,10 +232,8 @@ def _sample_trial_block(
     Column t is the vector ``sample_vector`` draws from
     ``substream(seed, start + t)``, bit for bit; a test pins that.
     """
-    tidx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    subs = mix64_np(np.uint64(seed & MASK64) + tidx * _U_GOLDEN)
-    comp = np.arange(1, n + 1, dtype=np.uint64)
-    words = mix64_np(subs[:, None] + comp[None, :] * _U_GOLDEN)
+    subs = _outputs(np.uint64(seed & MASK64), start + 1, stop + 1)
+    words = _outputs(subs[:, None], 1, n + 1)
     return np.ascontiguousarray(_lookup(dist, words).T)
 
 

@@ -2,10 +2,11 @@
 
 ``brute_fap`` in util.py enumerates the full support^n space with plain
 Python arithmetic, so every agreement below means the library's reduced,
-vectorized enumeration reproduced a value computed by a completely separate
-route.  Hand-derived expected values are frozen inline.
+meet-in-the-middle enumeration reproduced a value computed by a completely
+separate route.  Hand-derived expected values are frozen inline.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -142,6 +143,31 @@ def _wide_triple(rng, n, ring, mag):
     return _triple_with_error(e_rows, ring)
 
 
+def _sparse_triple(rng, ring, m, n=5):
+    """(A, B, C) whose E = AB - C has exactly ``m`` nonzero columns and at
+    least one all-zero row; small entries make accepting r common."""
+    elem = (lambda: rng.randrange(ring.modulus)) if ring.modulus else (lambda: rng.randint(-3, 3))
+    cols = rng.sample(range(n), m)
+    zero_rows = set(rng.sample(range(n), rng.randint(1, 2)))
+    live = [i for i in range(n) if i not in zero_rows]
+    e_rows = [[0] * n for _ in range(n)]
+    for j in cols:
+        for i in live:
+            e_rows[i][j] = elem()
+        e_rows[rng.choice(live)][j] = 1
+    a, b, c = _triple_with_error(e_rows, ring)
+    assert difference_profile(a, b, c).y_size == m
+    return a, b, c
+
+
+def _sparse_case(ring, dists):
+    ms = itertools.cycle((1, 2, 3, 4))
+    return ring, dists, lambda rng: _sparse_triple(rng, ring, next(ms)), False
+
+
+W3 = DiscreteDistribution((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+
+
 def _small_case(ring):
     dists = [U01, bernoulli(Fraction(1, 3)), uniform_support((0, 1, 2))]
     if ring.modulus:
@@ -158,6 +184,9 @@ NEAR_2_40 = ((1 << 40) - 1, 1 << 40, (1 << 40) + 1)
         _small_case(INT64),
         _small_case(ZP3),
         _small_case(ZP5),
+        _sparse_case(INT64, [U01, bernoulli(Fraction(1, 3)), uniform_support((-1, 0, 2)), W3]),
+        _sparse_case(ZP2, [U01, bernoulli(Fraction(7, 10))]),
+        _sparse_case(ZP3, [U01, W3, field_uniform(ZP3)]),
         (
             ZP61,
             [U01, bernoulli(Fraction(1, 3)), uniform_support((0, 1, 2))],
@@ -174,16 +203,19 @@ NEAR_2_40 = ((1 << 40) - 1, 1 << 40, (1 << 40) + 1)
             True,
         ),
     ],
-    ids=["int64", "zp3", "zp5", "zp2^61-1-wide", "int64-usup-2^40"],
+    ids=[
+        "int64", "zp3", "zp5", "int64-m1to4", "zp2-m1to4", "zp3-m1to4",
+        "zp2^61-1-wide", "int64-usup-2^40",
+    ],
 )
 def test_exact_fap_matches_full_space_oracle(ring, dists, triple, wide):
     rng = random.Random(101 if ring.modulus is None else ring.modulus)
     for trial in range(12):
         a, b, c = triple(rng)
         if wide:
-            # A = I, so E = B - C.  The instance must pass the enumeration's
-            # int64 bound m * max|E| * max|support|, so that its exact
-            # Python-integer fallback is what runs.
+            # A = I, so E = B - C.  Residuals reach m * max|E| * max|support|,
+            # past what int64 holds, so any 64-bit step in the enumeration
+            # would show.
             n = a.rows
             cols = [[b[i, j] - c[i, j] for i in range(n)] for j in range(n)]
             if ring.modulus:
@@ -207,14 +239,42 @@ def test_exact_fap_never_exceeds_p_max():
             assert exact_false_accept_probability(a, b, c, dist) <= p_max(dist)
 
 
-def test_enumeration_chunking_does_not_change_the_answer(monkeypatch):
-    rng = random.Random(77)
-    a, b, c = random_unequal_triple(rng, 4, INT64)
-    dist = uniform_support((0, 1, 2))
-    whole = exact_false_accept_probability(a, b, c, dist)
-    monkeypatch.setattr(analysis_mod, "_ENUM_CHUNK", 7)
-    chunked = exact_false_accept_probability(a, b, c, dist)
-    assert whole == chunked
+@pytest.mark.parametrize(
+    "n, mode, dist, expected",
+    [
+        (20, "dense-random", U01, Fraction(1, 1 << 20)),
+        (20, "rank-one", U01, None),
+        (7, "dense-random", uniform_support((0, 1, 2)), None),
+    ],
+    ids=["dense20-u01", "rank-one20-u01", "dense7-usup3"],
+)
+def test_stored_tables_hold_at_most_s_to_the_half_m(monkeypatch, n, mode, dist, expected):
+    # The two residual tables cover floor(m/2) and ceil(m/2) - 1 columns, so
+    # neither holds more than s**(m // 2) entries: 1024 at dense n=20, u01.
+    a, b, c = generate_instance(InstanceSpec(n, INT64, mode, 3, entry_bound=1 << 24))
+    sizes = []
+    orig = analysis_mod._residual_table
+
+    def spy(*args):
+        table = orig(*args)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(analysis_mod, "_residual_table", spy)
+    report = analyze_instance(a, b, c, dist, exact=True)
+    m, s = report.instance_profile.y_size, len(dist.support)
+    assert len(sizes) == 2 and max(sizes) <= s ** (m // 2)
+    if expected is not None:
+        assert (m, max(sizes)) == (n, 1024) and report.exact_fap == expected
+
+
+def test_full_rank_at_the_budget_edge():
+    # n = 24 under u01 is the largest n the default budget allows; a full
+    # rank E keeps only r = 0.
+    a, b, c = generate_instance(InstanceSpec(24, INT64, "dense-random", 5, entry_bound=1 << 24))
+    report = analyze_instance(a, b, c, U01, exact=True)
+    assert report.instance_profile.difference_rank == 24
+    assert report.exact_fap == Fraction(1, 1 << 24)
 
 
 # ---------------------------------------------------------------- preconditions
@@ -402,6 +462,17 @@ def test_generation_modes_meet_their_contracts():
                 assert check(difference_profile(a, b, c)), (mode, ring, seed)
 
 
+def test_generation_computes_no_rank(monkeypatch):
+    # The mode check reads which columns and entries differ; the rank is
+    # left to the callers that report it.
+    def refuse(*args):
+        raise AssertionError("generate_instance computed a rank")
+
+    monkeypatch.setattr(analysis_mod, "_exact_rank", refuse)
+    for mode in ("equal", "single-entry", "single-column", "rank-one", "dense-random"):
+        generate_instance(InstanceSpec(6, INT64, mode, 1))
+
+
 def test_generation_seed_changes_the_instance():
     a1, _, _ = generate_instance(InstanceSpec(5, INT64, "dense-random", 0))
     a2, _, _ = generate_instance(InstanceSpec(5, INT64, "dense-random", 1))
@@ -464,12 +535,12 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
 
 
 def test_arguments_are_checked_before_any_product(monkeypatch):
-    # The enumeration here is 2^20 vectors; a check made after it would
-    # pay for all of them before refusing.
+    # The enumeration here covers 2^20 vectors; a check made after it would
+    # pay for its residual tables before refusing.
     a, b, c = generate_instance(InstanceSpec(20, INT64, "dense-random", 3))
     ran = []
-    orig = analysis_mod._digit_matrix
-    monkeypatch.setattr(analysis_mod, "_digit_matrix", lambda *args: ran.append(args) or orig(*args))
+    orig = analysis_mod._residual_table
+    monkeypatch.setattr(analysis_mod, "_residual_table", lambda *args: ran.append(args) or orig(*args))
     for kwargs, kind, message in [
         ({"exact": True, "trials": 0}, ConfigInvalid, "need at least one trial, got 0"),
         ({"trials": -1}, ConfigInvalid, "need at least one trial, got -1"),
@@ -537,8 +608,8 @@ def test_exact_rank_matches_fraction_elimination(case):
 
 
 def test_exact_fallback_does_not_take_a_wrapped_residual_for_zero():
-    # Both instances pass the int64 bound of the enumeration, and one r gives
-    # a residual that 64-bit arithmetic would wrap onto zero.
+    # In both instances one r gives a residual that 64-bit arithmetic would
+    # wrap onto zero; the enumeration must keep it on Python integers.
     # int64: 2**23 * (2**40 + 2**40) = 2**64, never 0 over the integers.
     a, b, c = _triple_with_error([[1 << 23, 1 << 23], [0, 0]], INT64)
     dist = uniform_support(NEAR_2_40)

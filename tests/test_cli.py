@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from freicheck import matmul, read_matrix, write_matrix
+from freicheck import matmul, read_matrix, reset_scalar_multiplies, scalar_multiplies, write_matrix
 from freicheck.cli import main
 
 
@@ -66,6 +66,20 @@ def test_gen_is_deterministic(tmp_path, capsys):
     _, second = _gen(capsys, tmp_path, "dense-random", seed=11)
     assert first == second
     assert (tmp_path / "dense-random.A.freimat").read_bytes() == bytes_first
+
+
+@pytest.mark.parametrize(
+    "mode", ["equal", "single-entry", "single-column", "rank-one", "dense-random"]
+)
+def test_gen_forms_the_product_once(tmp_path, capsys, mode):
+    # One AB (n^3) serves the corruption, the mode check and the profile;
+    # rank-one adds the n^2 of its outer product.
+    reset_scalar_multiplies()
+    _, payload = _gen(capsys, tmp_path, mode, n=32)
+    assert scalar_multiplies() == 32**3 + (32**2 if mode == "rank-one" else 0)
+    if mode == "dense-random":
+        assert scalar_multiplies() == 32_768
+    assert payload["profile"]["rank"] is not None
 
 
 # ---------------------------------------------------------------- verify
@@ -265,6 +279,15 @@ def test_bench_is_deterministic_modulo_wall_times(tmp_path, capsys):
         return doc
 
     assert strip(out1) == strip(out2)
+
+
+def test_bench_bad_size_list_is_a_config_error(capsys):
+    code, out, err = _run(capsys, "bench", "--sizes", "8,x")
+    assert (code, out) == (2, "")
+    assert err == (
+        '{\n  "error": {\n    "kind": "ConfigInvalid",\n'
+        '    "message": "bad size list \'8,x\'"\n  }\n}\n'
+    )
 
 
 # ---------------------------------------------------------------- errors
