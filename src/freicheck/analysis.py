@@ -268,7 +268,7 @@ def analyze_instance(
     if trials is not None and trials < 1:
         raise ConfigInvalid(f"need at least one trial, got {trials}")
     if exact:
-        _check_budget(a.rows, len(dist.support), budget)
+        _check_budget(a.rows, len(dist), budget)
     profile, e = _profile(matmul(a, b), c, exact)
     if (exact or trials is not None) and profile.differing_entries == 0:
         raise InstanceActuallyEqual(

@@ -7,26 +7,90 @@ Layout, one matrix per file:
     <row 0 entries, space separated>
     ...
 
-where ``<ring>`` is ``int64`` or ``zp <p>``.  The text is ASCII and entries
-are plain decimal integers (no ``_`` separators); field entries must already
-be reduced to [0, p), and anything else is a parse error rather than a
-silent fix-up.  Writing then reading a matrix reproduces it exactly.
+where ``<ring>`` is ``int64`` or ``zp <p>``.  Writing then reading a matrix
+reproduces it exactly.  The parser accepts exactly this grammar and raises
+``FormatError`` on anything else:
+
+* The text is ASCII and holds no ``_``.
+* Lines end at ``\\n``, ``\\r``, ``\\r\\n`` (one break), ``\\x0b``, ``\\x0c``,
+  ``\\x1c``, ``\\x1d`` or ``\\x1e``: the ASCII breaks of ``str.splitlines``.
+  Within a line, runs of space, ``\\t`` or ``\\x1f`` separate tokens, the
+  rest of ASCII whitespace for ``str.split``.
+* Trailing lines that hold only separators are ignored.  A blank line
+  anywhere else counts as a line.
+* The first line is ``freimat 1``, and the second ``<rows> <cols> <ring>``,
+  either with surrounding separators.  Then come exactly ``rows`` lines of
+  exactly ``cols`` entries.
+* An entry is ``[+-]?[0-9]+``: an optional sign, then decimal digits, with
+  leading zeros allowed (``+5``, ``-0`` and ``007`` are 5, 0 and 7).  Its
+  value must lie in [-2**63, 2**63 - 1], checked exactly however many digits
+  it has; a ``zp <p>`` entry must lie in [0, p), and an unreduced one is an
+  error, not a silent fix-up.
+
+A malformed body is reported at its first faulty row; in that row a wrong
+entry count comes before a bad entry, and bad entries anywhere come before
+out-of-range values.  The body is converted with numpy over the raw bytes,
+in blocks of whole lines of about 256 KiB: per-byte arrays are uint8 or
+bool, and only per-token arrays are int64.
+
+The writer emits the canonical form: entries in plain decimal, one space
+between them, and ``\\n`` after every line.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError, InvalidEntry, InvalidRing
-from .matrix import Matrix, parse_ring
+from .matrix import INT64_MAX, INT64_MIN, Matrix, parse_ring
 
 MAGIC = "freimat 1"
+
+# Byte tests on uint8 arrays, where subtraction wraps around.  ASCII
+# whitespace, which str.split() separates on, is 9-13 and 28-32; the line
+# breaks of str.splitlines() among it are 10-13 and 28-30.
+def _space(c: np.ndarray) -> np.ndarray:
+    return ((c - 9) < 5) | ((c - 28) < 5)
+
+
+def _line_break(c: np.ndarray) -> np.ndarray:
+    return ((c - 10) < 4) | ((c - 28) < 3)
+
+
+def _digit(c: np.ndarray) -> np.ndarray:
+    return (c - 48) < 10
+
+
+_WHITESPACE = bytes([*range(9, 14), *range(28, 33)])
+_BLOCK = 1 << 18
+# Up to 18 digits an entry is below 10**18 < 2**63, so place sums in int64
+# are exact; longer ones go through int() and an exact range check.
+_SHORT = 18
+# An entry |v| has one digit more than the powers 10, 100, ... at most |v|.
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 
 def format_matrix(m: Matrix) -> str:
     head = f"{MAGIC}\n{m.rows} {m.cols} {m.ring}\n"
-    body = "\n".join(" ".join(str(int(v)) for v in row) for row in m.data)
-    return head + body + "\n"
+    v = m.data.ravel()
+    neg = v < 0
+    mag = np.abs(v).view(np.uint64)  # abs wraps INT64_MIN onto itself: 2**63
+    width = neg + 2  # sign, first digit, then a space or a newline
+    for power in _POW10[_POW10 <= mag.max()]:
+        width += mag >= power
+    ends = np.cumsum(width)  # one past each entry's space or newline
+    out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+    out[ends[m.cols - 1 :: m.cols] - 1] = ord("\n")
+    out[(ends - width)[neg]] = ord("-")
+    pos = ends - 2  # each entry's last digit
+    while pos.size:
+        rest = mag // 10
+        out[pos] = mag - rest * 10 + ord("0")
+        more = rest != 0
+        mag, pos = rest[more], pos[more] - 1
+    return head + out.tobytes().decode("ascii")
 
 
 def write_matrix(m: Matrix, path) -> None:
@@ -40,20 +104,104 @@ def _int_token(token: str, what: str) -> int:
         raise FormatError(f"bad {what} {token!r}") from None
 
 
-def parse_matrix(text: str) -> Matrix:
-    # int() also takes "1_000" and non-ASCII digits; one scan of the whole
-    # text refuses both, so no token pays for it.
-    if not text.isascii() or "_" in text:
-        bad = next(ch for ch in text if ch == "_" or not ch.isascii())
-        raise FormatError(f"unexpected character {bad!r}; entries are ASCII decimal integers")
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != MAGIC:
+def _ascii(text: str | bytes) -> bytes:
+    """``text`` as ASCII bytes, refusing non-UTF-8 bytes, non-ASCII text and
+    ``_``: int() takes ``1_000`` and non-ASCII digits, the format does not."""
+    binary = isinstance(text, bytes)
+    if text.isascii() and (b"_" if binary else "_") not in text:
+        return text if binary else text.encode("ascii")
+    if binary:
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"not UTF-8 text: {err.reason} at byte {err.start}") from None
+    bad = next(ch for ch in text if ch == "_" or not ch.isascii())
+    raise FormatError(f"unexpected character {bad!r}; entries are ASCII decimal integers")
+
+
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """Where the lines of ``buf`` end: every line-break byte but the LF of a
+    CRLF, which then leads the next line as whitespace."""
+    ends = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, buf.size, _BLOCK):
+        ends.append(np.flatnonzero(_line_break(buf[lo : lo + _BLOCK])) + lo)
+    ends = np.concatenate(ends)
+    crlf = (buf[ends] == ord("\n")) & (buf[ends - 1] == ord("\r")) & (ends > 0)
+    return ends[~crlf]
+
+
+def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, cols: int):
+    """Entries of the whole lines in ``raw[lo:hi]``, which begin at ``starts``
+    and are body rows ``row0``, ``row0 + 1``, ...: the int64 values in row
+    order, and ``{index in the matrix: value}`` for those outside int64."""
+    seg = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
+    ink = ~_space(seg)
+    edges = np.flatnonzero(np.diff(ink, prepend=False, append=False))
+    tok_lo, tok_hi = edges[0::2].copy(), edges[1::2].copy()
+    starts = starts - lo
+    counts = np.diff(np.searchsorted(tok_lo, starts), append=tok_lo.size)
+    first = seg[tok_lo]
+    signed = (first == ord("+")) | (first == ord("-"))
+    led = ~_digit(first)  # tokens led by a sign or another byte
+    bad = (led & ~signed) | (signed & (tok_hi - tok_lo == 1))
+    # Past its first byte a token holds only digits.
+    digit = _digit(seg)
+    if np.count_nonzero(ink) - np.count_nonzero(digit) != np.count_nonzero(led):
+        inner = ink & ~digit
+        inner[tok_lo] = False
+        bad[np.searchsorted(tok_lo, np.flatnonzero(inner), side="right") - 1] = True
+    wrong_count = np.flatnonzero(counts != cols)
+    bad_tok = np.flatnonzero(bad)
+    if wrong_count.size or bad_tok.size:
+        tok_row = np.searchsorted(starts, tok_lo[bad_tok[:1]], side="right") - 1
+        if wrong_count.size and (not bad_tok.size or wrong_count[0] <= tok_row[0]):
+            i = int(wrong_count[0])
+            raise FormatError(f"row {row0 + i} has {counts[i]} entries, expected {cols}")
+        t = int(bad_tok[0])
+        token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
+        raise FormatError(f"bad entry at row {row0 + int(tok_row[0])} {token!r}")
+
+    digits = tok_hi - tok_lo - signed
+    # Sum the digits by place, right to left.  A place left of a token's
+    # first digit reads its sign or the byte before the token, a separator
+    # or the zero appended past the block: each worth 0.
+    worth = np.zeros(seg.size + 1, dtype=np.uint8)
+    np.subtract(seg, ord("0"), out=worth[:-1])
+    worth[:-1] *= digit
+    last, floor = tok_hi - 1, tok_lo - 1
+    val = np.zeros(tok_lo.size, dtype=np.int64)
+    for k in range(min(int(digits.max()), _SHORT)):
+        val += np.multiply(worth[np.maximum(last - k, floor)], 10**k, dtype=np.int64)
+    val *= 1 - 2 * (first == ord("-")).view(np.int8)  # -1 where a '-' leads
+    wide = {}
+    for t in np.flatnonzero(digits > _SHORT).tolist():
+        v = int(raw[lo + tok_lo[t] : lo + tok_hi[t]])
+        if INT64_MIN <= v <= INT64_MAX:
+            val[t] = v
+        else:
+            wide[row0 * cols + t] = v
+    return val, wide
+
+
+def parse_matrix(text: str | bytes) -> Matrix:
+    """Parse ``freimat`` text, given as a string or as the file's bytes."""
+    raw = _ascii(text)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = _line_ends(buf)
+    starts = np.concatenate(([0], ends + 1))
+    stops = np.append(ends, buf.size)
+    # Lines up to the one holding the last byte that is not whitespace.
+    last = len(raw.rstrip(_WHITESPACE)) - 1
+    nlines = int(np.searchsorted(ends, last)) + 1 if last >= 0 else 0
+
+    def line(i: int) -> str:
+        return raw[starts[i] : stops[i]].decode("ascii")
+
+    if nlines == 0 or line(0).strip() != MAGIC:
         raise FormatError(f"missing {MAGIC!r} header line")
-    if len(lines) < 2:
+    if nlines < 2:
         raise FormatError("missing dimension line")
-    tokens = lines[1].split()
+    tokens = line(1).split()
     if len(tokens) < 3:
         raise FormatError("dimension line must read '<rows> <cols> <ring>'")
     rows = _int_token(tokens[0], "row count")
@@ -64,15 +212,25 @@ def parse_matrix(text: str) -> Matrix:
         ring = parse_ring(" ".join(tokens[2:]))
     except InvalidRing as err:
         raise FormatError(str(err)) from err
-    body = lines[2:]
-    if len(body) != rows:
-        raise FormatError(f"expected {rows} rows of entries, found {len(body)}")
-    data = []
-    for i, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != cols:
-            raise FormatError(f"row {i} has {len(tokens)} entries, expected {cols}")
-        data.append([_int_token(t, f"entry at row {i}") for t in tokens])
+    if nlines - 2 != rows:
+        raise FormatError(f"expected {rows} rows of entries, found {nlines - 2}")
+
+    blocks, wide = [], {}
+    i = 2
+    while i < nlines:
+        j = max(i + 1, min(nlines, int(np.searchsorted(starts, starts[i] + _BLOCK))))
+        val, out = _parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols)
+        blocks.append(val)
+        wide.update(out)
+        i = j
+    data = np.concatenate(blocks).reshape(rows, cols)
+    if wide:
+        # Matrix refuses the values outside int64; it words the message from
+        # nested lists of Python integers, so hand it those.
+        data = data.astype(object)
+        for t, v in wide.items():
+            data.flat[t] = v
+        data = data.tolist()
     try:
         return Matrix(rows, cols, ring, data)
     except InvalidEntry as err:
@@ -80,8 +238,4 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def read_matrix(path) -> Matrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"not UTF-8 text: {err.reason} at byte {err.start}") from None
-    return parse_matrix(text)
+    return parse_matrix(Path(path).read_bytes())

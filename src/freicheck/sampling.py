@@ -13,7 +13,9 @@ weights).  Sampling maps a raw 64-bit word through inverse-CDF cut points:
 cut i is ``((weights[0] + ... + weights[i]) << 64) // total``.  Flooring the cut
 points biases any single mass by less than 2**-60 for the supports used here,
 far below anything an empirical rate can resolve, and the exact analysis code
-never touches the sampler.
+never touches the sampler.  The uniform law on Z_p (``field_uniform``) stores
+p alone and draws through the closed form of that lookup, so it costs the
+same for any prime.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 # numpy scalars built once: building them costs more than mixing a short array.
 _U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
-_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_U27, _U30, _U31, _U32 = np.uint64(27), np.uint64(30), np.uint64(31), np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def mix64(z: int) -> int:
@@ -107,7 +110,7 @@ class DiscreteDistribution:
     with exact positive rational masses summing to one, kept as integer
     ``weights`` over one ``total``."""
 
-    __slots__ = ("support", "weights", "total", "_support_arr", "_upper")
+    __slots__ = ("support", "weights", "total", "_heaviest", "_support_arr", "_upper")
 
     def __init__(self, support, probs) -> None:
         support = tuple(int(v) for v in support)
@@ -133,6 +136,7 @@ class DiscreteDistribution:
         self.support = support
         self.weights = weights
         self.total = total
+        self._heaviest = max(weights)
         self._support_arr = np.array(support, dtype=np.int64)
         self._support_arr.flags.writeable = False
         # Inverse-CDF cut points: value i is chosen when the raw word falls in
@@ -141,6 +145,10 @@ class DiscreteDistribution:
         cuts = [(running << 64) // total for running in accumulate(weights[:-1])]
         self._upper = np.array(cuts, dtype=np.uint64)
         self._upper.flags.writeable = False
+
+    def __len__(self) -> int:
+        """Number of support values."""
+        return len(self.support)
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
@@ -169,10 +177,51 @@ class DiscreteDistribution:
                     f"support values {bad} are not reduced elements of {ring}"
                 )
 
+    def _draw(self, words: np.ndarray) -> np.ndarray:
+        """Support values the raw 64-bit words select through the cut points."""
+        return self._support_arr[np.searchsorted(self._upper, words, side="right")]
+
+
+class _FieldUniform(DiscreteDistribution):
+    """Uniform law on Z_p, stored as p alone, so building it costs O(1) for
+    any prime.  Support and weights are built only when read (the exact
+    enumeration reads them, after its budget check).  A word w selects
+    ((w + 1) * p - 1) >> 64: the value whose cut points, i * 2**64 // p,
+    bracket it, so the draws equal those of the general law."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int) -> None:
+        self.total = p
+        self._heaviest = 1
+
+    support = property(lambda self: tuple(range(self.total)))
+    weights = property(lambda self: (1,) * self.total)
+
+    def __len__(self) -> int:
+        return self.total
+
+    def validate_for_ring(self, ring: RingSpec) -> None:
+        if ring.kind == PRIME_FIELD and ring.modulus < self.total:
+            bad = list(range(ring.modulus, self.total))
+            raise ConfigInvalid(f"support values {bad} are not reduced elements of {ring}")
+
+    def _draw(self, words: np.ndarray) -> np.ndarray:
+        # (w + 1) * p - 1 = w * p + (p - 1); its high word from 32-bit limbs.
+        p = self.total
+        w_hi, w_lo = words >> _U32, words & _LOW32
+        p_hi, p_lo = np.uint64(p >> 32), np.uint64(p & 0xFFFFFFFF)
+        ll, lh, hl = w_lo * p_lo, w_lo * p_hi, w_hi * p_lo
+        mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)  # < 3 * 2**32
+        low = (mid << _U32) | (ll & _LOW32)  # w * p mod 2**64
+        high = w_hi * p_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+        carry = low + np.uint64(p - 1) < low
+        return (high + carry).astype(np.int64)
+
 
 def p_max(dist: DiscreteDistribution) -> Fraction:
     """Largest point mass: the certified per-iteration false-accept bound."""
-    return Fraction(max(dist.weights), dist.total)
+    return Fraction(dist._heaviest, dist.total)
 
 
 def uniform_binary() -> DiscreteDistribution:
@@ -205,7 +254,7 @@ def field_uniform(ring: RingSpec) -> DiscreteDistribution:
     """Uniform law over all of Z_p; only meaningful for prime-field rings."""
     if ring.kind != PRIME_FIELD:
         raise InvalidRing("full-field sampling needs a prime-field ring")
-    return uniform_support(range(ring.modulus))
+    return _FieldUniform(ring.modulus)
 
 
 def sample_vector(
@@ -216,12 +265,7 @@ def sample_vector(
         raise ValueError("need n >= 1 components")
     ring = RingSpec.int64() if ring is None else ring
     dist.validate_for_ring(ring)
-    return Vector._wrap(_lookup(dist, draw_words(rng, n)), ring)
-
-
-def _lookup(dist: DiscreteDistribution, words: np.ndarray) -> np.ndarray:
-    """Support values the raw 64-bit words select through the cut points."""
-    return dist._support_arr[np.searchsorted(dist._upper, words, side="right")]
+    return Vector._wrap(dist._draw(draw_words(rng, n)), ring)
 
 
 def _sample_trial_block(
@@ -234,7 +278,7 @@ def _sample_trial_block(
     """
     subs = _outputs(np.uint64(seed & MASK64), start + 1, stop + 1)
     words = _outputs(subs[:, None], 1, n + 1)
-    return np.ascontiguousarray(_lookup(dist, words).T)
+    return np.ascontiguousarray(dist._draw(words).T)
 
 
 def parse_dist(text: str, ring: RingSpec) -> DiscreteDistribution:

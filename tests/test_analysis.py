@@ -303,6 +303,24 @@ def test_budget_is_enforced_on_the_full_space():
     assert exact_false_accept_probability(a, b, c, U01, budget=1 << 30) == Fraction(1, 2)
 
 
+def test_budget_refuses_a_large_field_before_its_support_is_built(monkeypatch):
+    ring = RingSpec.prime_field(2**31 - 1)
+    dist = field_uniform(ring)
+
+    def built(self):
+        raise AssertionError("the support of Z_p was built")
+
+    monkeypatch.setattr(type(dist), "support", property(built))
+    monkeypatch.setattr(type(dist), "weights", property(built))
+    a = Matrix(2, 2, ring, [[1, 0], [0, 1]])
+    c = Matrix(2, 2, ring, [[1, 0], [0, 2]])
+    with pytest.raises(BudgetExceeded, match="largest enumerable n is 0"):
+        analyze_instance(a, a, c, dist, exact=True)
+    # The sampler needs neither: a measured rate runs at this size.
+    rate = analyze_instance(a, a, c, dist, trials=50).empirical
+    assert rate.trials == 50
+
+
 def test_trials_must_be_positive():
     a, b, c = random_unequal_triple(random.Random(2), 3, INT64)
     with pytest.raises(ConfigInvalid):

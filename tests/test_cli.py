@@ -368,6 +368,18 @@ def test_equal_instance_analyze_error(tmp_path, capsys):
     )
 
 
+def test_field_dist_over_a_31_bit_prime(tmp_path, capsys):
+    # The law over Z_p is stored as p alone, so a 31-bit field is usable.
+    _, payload = _gen(capsys, tmp_path, "equal", n=8, ring="zp 2147483647", seed=2)
+    files = payload["files"]
+    argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"]]
+    code, out, err = _run(capsys, *argv, "--dist", "field", "-k", "3", "--seed", "4")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["outcome"] == "accept"
+    assert doc["p_max"] == "1/2147483647"
+
+
 def test_field_dist_on_int64_error(tmp_path, capsys):
     prefix, payload = _gen(capsys, tmp_path, "single-entry")
     files = payload["files"]

@@ -1,9 +1,16 @@
-"""Matrix file format: golden files, round-trips and strict parsing."""
+"""Matrix file format: golden files, round-trips and strict parsing.
+
+The numpy parser and writer are checked against ``reference_parse`` and
+``reference_format`` in ``tests/util.py``: the per-token ``str`` versions
+that define the grammar, the messages and the canonical output.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import reference_format, reference_parse
 
+import freicheck.matio as matio
 from freicheck import (
     FormatError,
     Matrix,
@@ -17,6 +24,7 @@ from freicheck import (
 
 INT64 = RingSpec.int64()
 ZP5 = RingSpec.prime_field(5)
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 GOLDEN_INT64 = "freimat 1\n2 2 int64\n1 2\n3 4\n"
 GOLDEN_ZP5 = "freimat 1\n2 3 zp 5\n0 4 1\n2 2 3\n"
@@ -47,6 +55,27 @@ def test_file_round_trip(tmp_path):
 
 def test_trailing_newlines_are_tolerated():
     assert mats_equal(parse_matrix(GOLDEN_INT64 + "\n\n"), parse_matrix(GOLDEN_INT64))
+    assert mats_equal(parse_matrix(GOLDEN_INT64 + " \t\n\x1f\r\n  "), parse_matrix(GOLDEN_INT64))
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("freimat 1\n1 3 int64\n+5 -0 007\n", [[5, 0, 7]]),
+        ("freimat 1\r\n2 2 int64\r\n1 2\r\n3 4\r\n", [[1, 2], [3, 4]]),
+        ("freimat 1\r2 2 int64\r1 2\r3 4\r", [[1, 2], [3, 4]]),
+        ("freimat 1\x0b2 2 int64\x0c1\t2\x1c3\x1f4\x1e", [[1, 2], [3, 4]]),
+        ("freimat 1\n1 1 int64\n00000000000000000001\n", [[1]]),
+        ("freimat 1\n1 1 int64\n-0009223372036854775808\n", [[INT64_MIN]]),
+        ("freimat 1\n1 1 int64\n+09223372036854775807\n", [[INT64_MAX]]),
+        ("freimat 1\n1 1 zp 5\n+0004\n", [[4]]),
+    ],
+    ids=["sign-and-leading-zeros", "crlf", "cr-only", "other-breaks", "20-digit-one",
+         "22-digit-int64-min", "21-digit-int64-max", "zp-leading-zeros"],
+)
+def test_golden_parse_of_accepted_forms(text, rows):
+    assert parse_matrix(text).data.tolist() == rows
+    assert parse_matrix(text.encode("ascii")).data.tolist() == rows
 
 
 @pytest.mark.parametrize(
@@ -71,11 +100,25 @@ def test_trailing_newlines_are_tolerated():
         "freimat 1\n1 1 zp 5\n-1\n",
         "freimat 1\n1 1 int64\n9223372036854775808\n",  # int64 max + 1
         "freimat 1\n2 2 int64\n1 2\n\n3 4\n",  # interior blank line
+        "freimat 1\n1 1 int64\n-\n",  # lone sign
+        "freimat 1\n1 1 int64\n+\n",
+        "freimat 1\n1 1 int64\n+-1\n",
+        "freimat 1\n1 1 int64\n--1\n",
+        "freimat 1\n1 1 int64\n1-2\n",
+        "freimat 1\n1 1 int64\n+9223372036854775808\n",  # 2**63, 19 to 22 digits
+        "freimat 1\n1 1 int64\n0009223372036854775808\n",
+        "freimat 1\n1 1 int64\n-9223372036854775809\n",  # -2**63 - 1
+        "freimat 1\n1 1 int64\n-009223372036854775809\n",
+        "freimat 1\n1 2 int64\n-1 9223372036854775808\n",
+        "freimat 1\n1 1 zp 5\n9223372036854775807\n",  # in int64, unreduced
+        "freimat 1\r\n1 1 zp 5\r\n7\r\n",
     ],
 )
 def test_malformed_inputs_raise_format_error(text):
     with pytest.raises(FormatError):
         parse_matrix(text)
+    with pytest.raises(FormatError):
+        parse_matrix(text.encode("ascii"))
 
 
 @pytest.mark.parametrize(
@@ -122,3 +165,181 @@ def test_text_round_trip_is_exact(m):
     assert again.ring == m.ring
     # and the serialized form is stable
     assert format_matrix(again) == format_matrix(m)
+
+
+# ------------------------------------------------ differential: parser
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except FormatError as err:
+        return str(err)
+    return (m.ring, m.data.tolist())
+
+
+def _agree(text, block=None):
+    """The parser gives the reference's matrix or the reference's message,
+    on str and on bytes, with the body walked in blocks of ``block`` bytes."""
+    expected = _outcome(reference_parse, text)
+    saved = matio._BLOCK
+    matio._BLOCK = block or saved
+    try:
+        assert _outcome(parse_matrix, text) == expected
+        assert _outcome(parse_matrix, text.encode("ascii")) == expected
+    finally:
+        matio._BLOCK = saved
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "{c}freimat 1\n1 1 int64\n1\n",
+        "freimat{c}1\n1 1 int64\n1\n",
+        "freimat 1{c}1 1 int64\n1\n",
+        "freimat 1\n1 1{c}int64\n1\n",
+        "freimat 1\n1 2 int64\n1{c}2\n",
+        "freimat 1\n1 1 int64\n{c}1\n",
+        "freimat 1\n1 1 int64\n1{c}",
+        "freimat 1\n2 1 int64\n1\n{c}2\n",
+    ],
+)
+def test_every_ascii_byte_is_classed_as_the_reference_does(template):
+    for code in range(128):
+        if chr(code) != "_":
+            _agree(template.format(c=chr(code)))
+
+
+_SEPS = [" ", "\t", "\x1f", "  ", " \t\x1f"]
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_PIECES = list("0123456789+-ab.") + _SEPS + _BREAKS
+_ODD_TOKENS = [
+    "x", "1.5", "-", "+", "+-1", "--1", "1-2", "007", "-0", "+5", "1a", "",
+    "99999999999999999999", "9223372036854775808", "-9223372036854775809",
+    "00000000000000000001", "18446744073709551616", "-1", "5", "101",
+]
+_RINGS = [INT64, ZP5, RingSpec.prime_field(101), RingSpec.prime_field((1 << 61) - 1)]
+
+
+@st.composite
+def _entry_token(draw, ring):
+    if ring.modulus:
+        value = draw(st.integers(0, ring.modulus - 1) | st.sampled_from([0, ring.modulus - 1]))
+    else:
+        value = draw(
+            st.integers(-999, 999)
+            | st.integers(INT64_MIN, INT64_MAX)
+            | st.sampled_from([INT64_MIN, INT64_MAX, 10**18, -(10**18) + 1])
+        )
+    token = str(value)
+    if draw(st.booleans()):
+        sign = "-" if token.startswith("-") else draw(st.sampled_from(["", "+"]))
+        token = sign + "0" * draw(st.integers(0, 3)) + token.lstrip("-")
+    return token
+
+
+@st.composite
+def _mutated_files(draw):
+    """A valid file's lines of tokens, then up to three edits: a dropped,
+    repeated, blank, split or joined line, or a dropped, extra or odd token."""
+    ring = draw(st.sampled_from(_RINGS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [["freimat", "1"], [str(rows), str(cols), *str(ring).split()]]
+    lines += [[draw(_entry_token(ring)) for _ in range(cols)] for _ in range(rows)]
+    odd = st.sampled_from(_ODD_TOKENS) | _entry_token(ring)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1) | st.integers(min(2, len(lines) - 1), len(lines) - 1))
+        line = lines[i]
+        j = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["drop", "repeat", "blank", "split", "join", "untoken", "token"])
+                    | st.just("replace"))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, list(line))
+        elif edit == "blank":
+            lines.insert(i, [])
+        elif edit == "split":
+            lines[i : i + 1] = [line[:j], line[j:]]
+        elif edit == "join" and i + 1 < len(lines):
+            lines[i : i + 2] = [line + lines[i + 1]]
+        elif edit == "untoken" and line:
+            del line[min(j, len(line) - 1)]
+        elif edit == "token":
+            line.insert(j, draw(odd))
+        elif edit == "replace" and line:
+            line[min(j, len(line) - 1)] = draw(odd)
+        if not lines:
+            lines = [[]]
+    text = ""
+    for line in lines:
+        pad = st.sampled_from([""] + _SEPS)
+        sep = draw(st.sampled_from(_SEPS)) if line[:1] != ["freimat"] and draw(st.booleans()) else " "
+        text += draw(pad) + sep.join(line) + draw(pad) + draw(st.sampled_from(_BREAKS))
+    if draw(st.booleans()):
+        text = text[:-1]  # no final break (or half a CRLF)
+    tail = st.lists(st.sampled_from(_SEPS + _BREAKS), max_size=4)
+    return text + "".join(draw(tail))
+
+
+@st.composite
+def _noise_texts(draw):
+    """ASCII noise from digits, signs, letters, '.', separators and breaks,
+    after a valid header or none."""
+    head = draw(st.sampled_from(["", "freimat 1\n", "freimat 1\n1 1 int64\n", "freimat 1\r\n2 2 zp 5\r\n"]))
+    return head + "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=40)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_mutated_files(), _noise_texts()), st.sampled_from([None, 1, 5, 16]))
+def test_parser_agrees_with_reference(text, block):
+    _agree(text, block)
+
+
+def test_blocks_of_whole_lines_keep_row_numbers():
+    # The body spans many blocks; faults in a late block report their row.
+    rows = [[str(i * 7 + j - 20) for j in range(5)] for i in range(40)]
+    good = "freimat 1\n40 5 int64\n" + "\n".join(" ".join(r) for r in rows) + "\n"
+    assert " 17 " in good and " 192 " in good
+    for block in (1, 30, 200, 1 << 18):
+        _agree(good, block)
+        for fault in ("x", "99999999999999999999", "-", "9223372036854775808", ""):
+            _agree(good.replace(" 192 ", f" {fault} "), block)  # row 30
+        # Two values past int64, in rows 5 and 30: the one reported is the
+        # first in row order.
+        wide = good.replace(" 17 ", " 9223372036854775809 ").replace(" 192 ", " -9223372036854775810 ")
+        _agree(wide, block)
+
+
+# ------------------------------------------------ differential: writer
+
+_EDGES = sorted(
+    {INT64_MIN, INT64_MIN + 1, INT64_MAX, 0}
+    | {s * 10**k for k in range(19) for s in (1, -1)}
+    | {s * (10**k - 1) for k in range(1, 19) for s in (1, -1)}
+)
+
+
+@st.composite
+def _edge_matrix(draw):
+    ring = draw(st.sampled_from(_RINGS + [RingSpec.prime_field(9223372036854775783)]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if ring.modulus:
+        edges = [v for v in _EDGES if 0 <= v < ring.modulus] + [ring.modulus - 1]
+        elem = st.sampled_from(edges) | st.integers(0, ring.modulus - 1)
+    else:
+        elem = st.sampled_from(_EDGES) | st.integers(INT64_MIN, INT64_MAX)
+    data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Matrix(rows, cols, ring, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_matrix())
+def test_writer_matches_reference(m):
+    assert format_matrix(m) == reference_format(m)
+
+
+def test_writer_edge_values_in_one_row():
+    m = Matrix(1, len(_EDGES), INT64, _EDGES)
+    assert format_matrix(m) == reference_format(m)
+    assert mats_equal(parse_matrix(format_matrix(m)), m)

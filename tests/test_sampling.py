@@ -5,6 +5,7 @@ are pinned bit-for-bit to the scalar path, and sampled frequencies are
 checked against the exact masses.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from util import sample_reference, splitmix_reference
 
 INT64 = RingSpec.int64()
 ZP5 = RingSpec.prime_field(5)
+MASK64 = (1 << 64) - 1
 
 # Frozen reference outputs of the pinned generator.
 SEED0_STREAM = [
@@ -171,6 +173,62 @@ def test_field_uniform_makes_no_fraction_per_value(monkeypatch):
     dist = field_uniform(RingSpec.prime_field(10007))
     assert p_max(dist) == Fraction(1, 10007)
     assert len(made) <= 1
+
+
+# The general law over range(p) draws through the cut points (i << 64) // p;
+# field_uniform stores p alone and draws ((w + 1) * p - 1) >> 64.
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10007, 65537])
+def test_field_draw_equals_the_cut_point_lookup(p):
+    general = uniform_support(range(p))
+    words = {0, MASK64, 1, MASK64 - 1}
+    for cut in general._upper.tolist():
+        words |= {cut - 1, cut, cut + 1}
+    words = np.array(sorted(words), dtype=np.uint64)
+    rand = np.random.default_rng(p).integers(0, MASK64, 10_000, dtype=np.uint64, endpoint=True)
+    for w in (words, rand, rand.reshape(100, 100)):
+        assert np.array_equal(field_uniform(RingSpec.prime_field(p))._draw(w), general._draw(w))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 9223372036854775783])
+def test_field_draw_matches_the_closed_form_on_python_ints(p):
+    words = np.random.default_rng(1).integers(0, MASK64, 2000, dtype=np.uint64, endpoint=True)
+    words[:4] = [0, 1, MASK64 - 1, MASK64]
+    got = field_uniform(RingSpec.prime_field(p))._draw(words).tolist()
+    assert got == [((w + 1) * p - 1) >> 64 for w in words.tolist()]
+
+
+def test_field_sampler_is_bit_identical_to_the_general_law():
+    ring = RingSpec.prime_field(10007)
+    field, general = field_uniform(ring), uniform_support(range(10007))
+    assert field == general and len(field) == 10007
+    for seed in (0, 5, 2**64 - 1):
+        assert sample_vector(field, 300, SeededRng(seed), ring) == sample_vector(general, 300, SeededRng(seed), ring)
+        assert np.array_equal(
+            _sample_trial_block(field, 17, seed, 3, 40), _sample_trial_block(general, 17, seed, 3, 40)
+        )
+
+
+def test_field_uniform_over_a_31_bit_prime_builds_in_constant_time():
+    ring = RingSpec.prime_field(2**31 - 1)
+    start = time.perf_counter()
+    dist = field_uniform(ring)
+    bound, size = p_max(dist), len(dist)
+    dist.validate_for_ring(ring)
+    assert time.perf_counter() - start < 0.010
+    assert (bound, size) == (Fraction(1, 2**31 - 1), 2**31 - 1)
+    words = draw_words(SeededRng(9), 1000).tolist()
+    got = sample_vector(dist, 1000, SeededRng(9), ring).data.tolist()
+    assert got == [((w + 1) * (2**31 - 1) - 1) >> 64 for w in words]
+
+
+def test_field_law_on_a_smaller_field_names_the_unreduced_values():
+    with pytest.raises(ConfigInvalid) as field_err:
+        field_uniform(RingSpec.prime_field(7)).validate_for_ring(ZP5)
+    with pytest.raises(ConfigInvalid) as general_err:
+        uniform_support(range(7)).validate_for_ring(ZP5)
+    assert str(field_err.value) == str(general_err.value)
+    field_uniform(ZP5).validate_for_ring(RingSpec.prime_field(7))
+    field_uniform(ZP5).validate_for_ring(INT64)
 
 
 def test_validate_for_ring():

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from freicheck import Matrix, RingSpec, Vector
+from freicheck import FormatError, InvalidEntry, InvalidRing, Matrix, RingSpec, Vector, parse_ring
 
 MASK64 = (1 << 64) - 1
 
@@ -101,6 +101,60 @@ def fraction_rank(rows, modulus=None) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def reference_format(m: Matrix) -> str:
+    """``freimat`` text written one ``str(int(v))`` at a time."""
+    head = f"freimat 1\n{m.rows} {m.cols} {m.ring}\n"
+    body = "\n".join(" ".join(str(int(v)) for v in row) for row in m.data)
+    return head + body + "\n"
+
+
+def _reference_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"bad {what} {token!r}") from None
+
+
+def reference_parse(text: str) -> Matrix:
+    """``freimat`` parser on ``str.splitlines``, ``str.split`` and one
+    ``int()`` per token: the grammar and messages the library must match.
+    Entry range and reduction checks are ``Matrix``'s, shared by both."""
+    if not text.isascii() or "_" in text:
+        bad = next(ch for ch in text if ch == "_" or not ch.isascii())
+        raise FormatError(f"unexpected character {bad!r}; entries are ASCII decimal integers")
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or lines[0].strip() != "freimat 1":
+        raise FormatError("missing 'freimat 1' header line")
+    if len(lines) < 2:
+        raise FormatError("missing dimension line")
+    tokens = lines[1].split()
+    if len(tokens) < 3:
+        raise FormatError("dimension line must read '<rows> <cols> <ring>'")
+    rows = _reference_int(tokens[0], "row count")
+    cols = _reference_int(tokens[1], "column count")
+    if rows < 1 or cols < 1:
+        raise FormatError("matrix needs at least one row and one column")
+    try:
+        ring = parse_ring(" ".join(tokens[2:]))
+    except InvalidRing as err:
+        raise FormatError(str(err)) from err
+    body = lines[2:]
+    if len(body) != rows:
+        raise FormatError(f"expected {rows} rows of entries, found {len(body)}")
+    data = []
+    for i, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise FormatError(f"row {i} has {len(tokens)} entries, expected {cols}")
+        data.append([_reference_int(t, f"entry at row {i}") for t in tokens])
+    try:
+        return Matrix(rows, cols, ring, data)
+    except InvalidEntry as err:
+        raise FormatError(str(err)) from err
 
 
 def random_matrix(rng: random.Random, n: int, ring: RingSpec, bound: int = 9) -> Matrix:
