@@ -14,6 +14,7 @@ usage errors, which argparse also exits with 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -188,6 +189,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freicheck",
@@ -259,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the parser is built on the first call only."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -272,3 +275,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

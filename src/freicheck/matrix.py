@@ -26,10 +26,34 @@ rings, and picks the fastest tier that bound proves exact:
   so no float64 copy of ``x`` is made, and no float64 copy is kept;
 * at most 2**63 - 1: int64 numpy, ``einsum`` over a transposed ``y`` so both
   operands are read along rows;
-* otherwise an exact fallback: object arrays of Python integers for ``zp``,
-  and for ``int64`` a Python-integer loop that checks every product term and
-  every partial sum (in ascending inner index) and raises ``IntegerOverflow``
-  at the first one outside the 64-bit range.
+* otherwise limbs on float64 BLAS, for both rings.  ``y`` is split into
+  b-bit limbs, and ``x`` into a-bit limbs only when ``max|x|`` alone leaves
+  no room (p near 2**61, int64 entries near 2**62); the split with the
+  fewest limb products is taken among those with
+  ``inner * max|x limb| * (2**b - 1) <= 2**53``, so every limb product is
+  exact.  For p = 2**31 - 1 at n = 1024 that is three 12-bit limbs of
+  ``y``; for p = 2**61 - 1, three limbs on each side.  ``y``'s limbs go as
+  extra columns of one BLAS call per limb of ``x``, and each block of
+  ``x``'s rows is split as it is converted.  The limb products are
+  recombined by Horner steps: mod p in uint64, shifting by at most
+  ``64 - bitlen(p)`` bits at a time so no step leaves 64 bits for any p
+  below 2**63; in ``int64`` by wrapping shift-adds, exact wherever the true
+  entry fits.
+
+The ``int64`` overflow rule is that of checking every product term and
+every partial sum, in ascending inner index, entry by entry in row-major
+order: the first one outside the 64-bit range raises ``IntegerOverflow``
+naming its kind and entry.  The limb tier applies it through a certificate,
+``sum_k |x_ik| |y_kj|`` computed by one float64 BLAS product with its
+rounding error bounded: an entry whose certificate is provably at most
+2**63 - 1 cannot overflow, and only the others are checked term by term in
+Python integers.  The two lower tiers cannot overflow at all.
+
+Products on float64 BLAS run on one OpenBLAS thread: n-by-w fingerprint
+blocks are memory-bound and gain little from a second thread, which, for
+about the first second of a process, can share a CPU with the main thread
+and slow every call many times over.  The count is set through numpy's
+bundled OpenBLAS and restored after each product; it is process-global.
 
 ``scalar_multiplies()`` exposes a process-wide count of ring multiplications
 performed by products.  The count is derived from operand shapes (the
@@ -39,6 +63,8 @@ deterministic regardless of which tier ran.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +177,11 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
             raise InvalidEntry("entry exceeds the signed 64-bit range")
         out = arr.astype(np.int64, copy=True)
     else:
-        # Mixed, object or non-integer input: vet each value exactly.
+        # Mixed, object or non-integer input: vet each value exactly.  A value
+        # past 64 bits makes numpy guess float64 for the whole list, so vet
+        # the caller's own values, not that guess.
+        if arr.dtype != object:
+            arr = np.array(data, dtype=object)
         vals = []
         for v in arr.ravel().tolist():
             if isinstance(v, bool) or not isinstance(v, int):
@@ -297,49 +327,168 @@ def _same_ring(x, y) -> None:
         raise RingMismatch(f"operands use different rings: {x.ring} vs {y.ring}")
 
 
-def _matmul_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Exact fallback: Python integers, checking each elementary product and
-    # each partial sum (accumulated in ascending inner index) against int64.
-    rows = a.tolist()
-    cols = b.T.tolist()
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i, ai in enumerate(rows):
-        for j, bj in enumerate(cols):
-            acc = 0
-            for x, y in zip(ai, bj):
-                term = x * y
-                if term < INT64_MIN or term > INT64_MAX:
-                    raise IntegerOverflow(
-                        f"product term at entry ({i}, {j}) leaves the 64-bit range"
-                    )
-                acc += term
-                if acc < INT64_MIN or acc > INT64_MAX:
-                    raise IntegerOverflow(
-                        f"partial sum at entry ({i}, {j}) leaves the 64-bit range"
-                    )
-            out[i, j] = acc
-    return out
-
-
 _FLOAT_EXACT = 1 << 53
 # Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
 # of a large x is ever made, and calls stay few and large.
 _FLOAT_BLOCK = 1 << 17
 
 
-def _float_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+@functools.cache
+def _blas_thread_calls():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None when numpy links a BLAS that does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64, split=None) -> np.ndarray:
+    """``x @ y`` on float64 BLAS, as ``dtype``; exact when every partial sum
+    is an integer of magnitude at most 2**53.
+
+    With ``split = (width, count, signed)`` it multiplies each of the
+    ``count`` limbs of ``x`` (see ``_limbs``) by ``y`` instead and returns
+    the ``(count, rows, cols)`` stack; each block of rows is split where it
+    is converted, so no limb of a large ``x`` is stored whole.
+
+    The BLAS calls run on one OpenBLAS thread, and the caller's count is
+    restored afterwards (a no-op without numpy's bundled OpenBLAS).  The
+    count is process-global: BLAS calls that other threads of the process
+    make meanwhile also run on one thread.
+    """
     rows, inner = x.shape
+    width, count, signed = split or (64, 1, False)
     yf = y.astype(np.float64)
     step = max(1, min(rows, _FLOAT_BLOCK // inner))
     xf = np.empty((step, inner))
     of = np.empty((step, y.shape[1]))
-    out = np.empty((rows, y.shape[1]), dtype=np.int64)
-    for i in range(0, rows, step):
-        m = min(step, rows - i)
-        np.copyto(xf[:m], x[i : i + m])
-        np.matmul(xf[:m], yf, out=of[:m])
-        out[i : i + m] = of[:m]
-    return out
+    out = np.empty((count, rows, y.shape[1]), dtype=dtype)
+    threads = _blas_thread_calls()
+    before = threads[0]() if threads else 1
+    if before != 1:
+        threads[1](1)
+    try:
+        for i in range(0, rows, step):
+            m = min(step, rows - i)
+            block = x[i : i + m]
+            limbs = _limbs(block, width, count, signed) if count > 1 else [block]
+            for limb, part in zip(limbs, out):
+                np.copyto(xf[:m], limb)
+                np.matmul(xf[:m], yf, out=of[:m])
+                part[i : i + m] = of[:m]
+    finally:
+        if before != 1:
+            threads[1](before)
+    return out if split else out[0]
+
+
+def _magnitudes(v: np.ndarray) -> np.ndarray:
+    # abs wraps INT64_MIN onto itself, which reads as 2**63 in uint64.
+    return np.abs(v).view(np.uint64)
+
+
+def _limbs(v: np.ndarray, width: int, count: int, signed: bool):
+    """Yield the ``count`` limbs of ``v``, low first: ``v`` is the sum of
+    ``limb[l] << (width * l)``, and each limb has ``v``'s sign (``v`` is
+    nonnegative unless ``signed``) and a magnitude below ``2**width``."""
+    mag = _magnitudes(v) if signed else v.view(np.uint64)
+    mask = np.uint64((1 << width) - 1)
+    negative = v < 0 if signed else None
+    for l in range(count):
+        limb = ((mag >> np.uint64(width * l)) & mask).view(np.int64)
+        if signed:
+            np.negative(limb, out=limb, where=negative)
+        yield limb
+
+
+def _limb_plan(inner: int, mx: int, my: int) -> tuple[int, int, int, int]:
+    """``(nx, a, ny, b)``: split x into nx limbs of a bits (one limb is x
+    itself) and y into ny limbs of b bits, with the fewest limb products
+    for which ``inner * max|x limb| * (2**b - 1) <= 2**53``."""
+    best = None
+    for nx in range(1, mx.bit_length() + 1):
+        a = -(-mx.bit_length() // nx)
+        top = mx if nx == 1 else (1 << a) - 1
+        b = (_FLOAT_EXACT // (inner * top) + 1).bit_length() - 1
+        if b:
+            ny = -(-my.bit_length() // b)
+            if best is None or nx * ny < best[0] * best[2]:
+                best = (nx, a, ny, b)
+    return best
+
+
+def _shift_add(acc: np.ndarray, shift: int, add: np.ndarray, p: int | None) -> np.ndarray:
+    """``acc * 2**shift + add`` on int64 arrays: wrapping for ``p`` None,
+    else mod p for ``acc`` in [0, p) and ``add`` in [0, 2**63).
+
+    Mod p the shift goes in steps of ``64 - bitlen(p)`` bits, so every
+    intermediate stays below 2**64 in uint64 for every p below 2**63.
+    """
+    u = acc.view(np.uint64)
+    if p is None:
+        return ((u << np.uint64(shift)) + add.view(np.uint64)).view(np.int64)
+    pu, step = np.uint64(p), 64 - p.bit_length()
+    while shift:
+        s = min(step, shift)
+        u = (u << np.uint64(s)) % pu
+        shift -= s
+    return ((u + add.view(np.uint64)) % pu).view(np.int64)
+
+
+def _check_entry(xi: list, yj: list, i: int, j: int) -> None:
+    # Python integers, checking each elementary product and each partial
+    # sum (accumulated in ascending inner index) against int64.
+    acc = 0
+    for u, v in zip(xi, yj):
+        term = u * v
+        if term < INT64_MIN or term > INT64_MAX:
+            raise IntegerOverflow(f"product term at entry ({i}, {j}) leaves the 64-bit range")
+        acc += term
+        if acc < INT64_MIN or acc > INT64_MAX:
+            raise IntegerOverflow(f"partial sum at entry ({i}, {j}) leaves the 64-bit range")
+
+
+def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ``IntegerOverflow`` at the first entry of ``x @ y``, in
+    row-major order, with a product term or an ascending partial sum
+    outside int64.
+
+    The certificate ``c = sum_k |x_ik| |y_kj|`` bounds every term and
+    partial sum of its entry.  Computed on float64 BLAS, in any summation
+    order, it reads at least ``(1 - g) c`` with ``g < 2 (inner + 2) 2**-53``
+    (rounded inputs, products and sums), so an entry whose certificate reads
+    at most ``2**63 - (inner + 2) 2**11`` has ``c < 2**63`` and fits; only
+    the others run the exact check.
+    """
+    inner = x.shape[1]
+    cert = _float_dot(_magnitudes(x), _magnitudes(y), np.float64)
+    for i, j in np.argwhere(cert > float((1 << 63) - (inner + 2) * (1 << 11))).tolist():
+        _check_entry(x[i].tolist(), y[:, j].tolist(), i, j)
+
+
+def _limb_dot(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None) -> np.ndarray:
+    """``x @ y`` exactly, reduced mod ``p`` or, for ``p`` None, in int64
+    with ``_check_int64``'s overflow rule, from limb products on float64
+    BLAS; ``mx``, ``my`` bound the operands' magnitudes."""
+    if p is None:
+        _check_int64(x, y)
+    (rows, inner), cols = x.shape, y.shape[1]
+    nx, a, ny, b = _limb_plan(inner, mx, my)
+    ys = np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
+    acc = None
+    for prod in _float_dot(x, ys, split=(a, nx, p is None))[::-1]:
+        prod = prod.reshape(rows, ny, cols)
+        r = prod[:, -1] % p if p else prod[:, -1]
+        for m in range(ny - 2, -1, -1):
+            r = _shift_add(r, b, prod[:, m], p)
+        acc = r if acc is None else _shift_add(acc, a, r, p)
+    return acc
 
 
 def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
@@ -352,15 +501,14 @@ def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     xa, ya = x.data, y.data
     inner = xa.shape[1]
     y2 = ya.reshape(inner, -1)
-    bound = inner * x._magnitude() * y._magnitude()
+    mx, my = x._magnitude(), y._magnitude()
+    bound = inner * mx * my
     if bound <= _FLOAT_EXACT and y2.shape[1] > 1:
         out = _float_dot(xa, y2)
     elif bound <= INT64_MAX:
         out = np.einsum("ik,jk->ij", xa, np.ascontiguousarray(y2.T))
-    elif ring.kind == PRIME_FIELD:
-        out = (xa.astype(object) @ y2.astype(object) % ring.modulus).astype(np.int64)
     else:
-        out = _matmul_checked(xa, y2)
+        out = _limb_dot(xa, y2, mx, my, ring.modulus)
     if ring.kind == PRIME_FIELD:
         out %= ring.modulus
     _ops.multiplies += out.size * inner

@@ -1,13 +1,19 @@
 """Command-line behaviour: exit codes, JSON schemas, determinism, errors.
 
 All invocations run in-process through ``main(argv)`` so exit codes and
-streams can be asserted directly.
+streams can be asserted directly, except the one check of the
+``python -m freicheck.cli`` entry point.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freicheck
 from freicheck import matmul, read_matrix, reset_scalar_multiplies, scalar_multiplies, write_matrix
 from freicheck.cli import main
 
@@ -482,6 +488,23 @@ def test_gen_composite_modulus_error(tmp_path, capsys):
         "--out",
         str(tmp_path / "x"),
     )
+
+
+def test_module_entry_point_exit_codes(tmp_path, capsys):
+    # ``python -m freicheck.cli`` runs main: 0 on accept, 1 on reject.
+    src = str(Path(freicheck.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for mode, code in (("equal", 0), ("single-column", 1)):
+        _, payload = _gen(capsys, tmp_path, mode, n=16, ring="zp 2147483647", seed=5)
+        files = payload["files"]
+        argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "10"]
+        res = subprocess.run(
+            [sys.executable, "-m", "freicheck.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (res.returncode, res.stderr) == (code, "")
+        assert json.loads(res.stdout)["outcome"] == ("accept", "reject")[code]
 
 
 def test_usage_error_exits_2(capsys):

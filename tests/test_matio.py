@@ -13,6 +13,7 @@ from util import reference_format, reference_parse
 import freicheck.matio as matio
 from freicheck import (
     FormatError,
+    InvalidEntry,
     Matrix,
     RingSpec,
     format_matrix,
@@ -119,6 +120,24 @@ def test_malformed_inputs_raise_format_error(text):
         parse_matrix(text)
     with pytest.raises(FormatError):
         parse_matrix(text.encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "row, value",
+    [
+        ("1 9223372036854775808", "9223372036854775808"),
+        ("-1 9223372036854775808", "9223372036854775808"),
+        ("7 -9223372036854775809", "-9223372036854775809"),
+    ],
+)
+def test_out_of_range_entry_is_named(row, value):
+    # Beside a small entry, a value past int64 must be the one named, not
+    # the small entry as numpy's float64 guess for the row would print it.
+    message = f"entry {value} outside the signed 64-bit range"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_matrix(f"freimat 1\n1 2 int64\n{row}\n")
+    with pytest.raises(InvalidEntry, match=f"^{message}$"):
+        Matrix(1, 2, INT64, [[int(v) for v in row.split()]])
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,8 @@ def test_matmul_overflow_reports_instead_of_wrapping():
 
 def test_matmul_checked_path_matches_exact_arithmetic():
     # Every true result fits, but the magnitude guard cannot prove it, so
-    # the checked path runs; it must match plain Python integer arithmetic.
+    # the limb tier runs, and its term-by-term check for the entries over
+    # their certificate; it must match plain Python integer arithmetic.
     big = 1 << 31
     a_rows = [[big, -big], [big, big - 1]]
     b_rows = [[big, 1], [big, 1]]
@@ -396,19 +397,19 @@ def test_mat_vec_matches_brute_force(pair):
 
 
 def test_numpy_and_checked_paths_agree():
-    # Same inputs through both int64 code paths must match exactly.
+    # Same inputs through the chooser's int64 tier and the limb tier must
+    # match exact arithmetic.  Bounds far past the entries force the limb
+    # tier to split both operands.
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 6)
         a_rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
         b_rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
         fast = matmul(Matrix(n, n, INT64, a_rows), Matrix(n, n, INT64, b_rows))
-        from freicheck.matrix import _matmul_checked
-
-        checked = _matmul_checked(
-            np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
+        limbs = matrix_mod._limb_dot(
+            np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64), 2**40, 2**40, None
         )
-        assert fast.data.tolist() == checked.tolist()
+        assert fast.data.tolist() == limbs.tolist() == brute_matmul(a_rows, b_rows)
 
 
 # ---------------------------------------------------------------- product tiers
@@ -420,7 +421,7 @@ _TIER_CASES = [
     (2, 2**26, 2**26),  # 2^53: still float64
     (3, 107, 28059810762433),  # 2^53 + 1: int64
     (7, 64897, 20303320287433),  # 2^63 - 1: int64, the last exact bound
-    (2, 2**31, 2**31),  # 2^63: checked fallback (int64) or object (zp)
+    (2, 2**31, 2**31),  # 2^63: limbs
 ]
 _BIG_PRIME = RingSpec.prime_field(2**61 - 1)
 
@@ -458,23 +459,24 @@ def _entries_at(rng, rows, cols, mag, ring, mode):
 
 @contextmanager
 def _tier_spy():
-    """Names of the float64 and checked tiers as the chooser calls them."""
+    """Names of the float64 and limb tiers as the chooser calls them; the
+    limb tier runs its products through the float64 one."""
     used = []
-    real_float, real_checked = matrix_mod._float_dot, matrix_mod._matmul_checked
+    real_float, real_limbs = matrix_mod._float_dot, matrix_mod._limb_dot
 
-    def float_spy(*args):
+    def float_spy(*args, **kwargs):
         used.append("float64")
-        return real_float(*args)
+        return real_float(*args, **kwargs)
 
-    def checked_spy(*args):
-        used.append("checked")
-        return real_checked(*args)
+    def limb_spy(*args):
+        used.append("limbs")
+        return real_limbs(*args)
 
-    matrix_mod._float_dot, matrix_mod._matmul_checked = float_spy, checked_spy
+    matrix_mod._float_dot, matrix_mod._limb_dot = float_spy, limb_spy
     try:
         yield used
     finally:
-        matrix_mod._float_dot, matrix_mod._matmul_checked = real_float, real_checked
+        matrix_mod._float_dot, matrix_mod._limb_dot = real_float, real_limbs
 
 
 @settings(max_examples=120, deadline=None)
@@ -502,8 +504,8 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
                 matmul(x, y)
         else:
             assert matmul(x, y).data.tolist() == expected
-    assert ("float64" in used) == (bound <= 2**53 and cols > 1)
-    assert ("checked" in used) == (bound > INT64_MAX and not ring.modulus)
+    assert ("float64" in used) == (bound <= 2**53 and cols > 1 or bound > INT64_MAX)
+    assert ("limbs" in used) == (bound > INT64_MAX)
 
     expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
     r = Vector(ring, [row[0] for row in y_rows])
@@ -513,7 +515,9 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
                 mat_vec(x, r)
         else:
             assert mat_vec(x, r).data.tolist() == [row[0] for row in expected]
-    assert "float64" not in used  # a single column never pays for conversion
+    # A single column pays for conversion only when it needs limbs.
+    vbound = inner * mx * max(abs(row[0]) for row in y_rows)
+    assert ("float64" in used) == ("limbs" in used) == (vbound > INT64_MAX)
 
 
 @settings(max_examples=80, deadline=None)
@@ -545,6 +549,141 @@ def test_fingerprint_block_matches_python_ints_at_tier_boundaries(case, ring, co
     else:
         expected = [[abr[i][t] != cr[i][t] for t in range(cols)] for i in range(n)]
         assert fingerprint_block(a, b, c, r).tolist() == expected
+
+
+# ---------------------------------------------------------------- limb tier
+
+_P31, _P61, _P63 = 2**31 - 1, 2**61 - 1, 2**63 - 25
+# (inner, max|x|, max|y|, limb width b, landing): inner * max|x| * (2^b - 1)
+# lands on 2^53 - 1 and on 2^53, and in the last case b + 1 would land on
+# 2^53 + 1 = 3 * 3002399751580331, a product float64 rounds.
+_LIMB_CASES = [
+    (1, 1, 2**63 - 1, 53, 2**53 - 1),
+    (2, 2**52, 1, 1, 2**53),
+    (1, 3002399751580331, 3, 1, 2**53 + 1),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_LIMB_CASES) - 1),
+    ring=st.sampled_from([INT64, RingSpec.prime_field(_P61), RingSpec.prime_field(_P63)]),
+    rows=st.integers(min_value=1, max_value=3),
+    cols=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_limb_products_at_the_float64_limit(case, ring, rows, cols, seed):
+    inner, mx, my, width, landing = _LIMB_CASES[case]
+    # The largest 2^e - 1 the ring holds: all its full b-bit limbs are 2^b - 1.
+    my = min(my, (1 << ((ring.modulus or 2**63).bit_length() - 1)) - 1)
+    nx, _, _, b = matrix_mod._limb_plan(inner, mx, my)
+    assert (nx, b) == (1, width)
+    assert landing in (inner * mx * ((1 << b) - 1), inner * mx * ((1 << (b + 1)) - 1))
+    rng = random.Random(seed)
+    sign = (lambda: rng.choice([-1, 1])) if ring == INT64 else (lambda: 1)
+    x_rows = [[sign() * mx for _ in range(inner)] for _ in range(rows)]
+    y_rows = [[sign() * my for _ in range(cols)] for _ in range(inner)]
+    got = matrix_mod._limb_dot(
+        np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64), mx, my, ring.modulus
+    )
+    assert got.tolist() == _checked_ref(x_rows, y_rows, ring.modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inner=st.integers(min_value=1, max_value=2**20),
+    mx=st.integers(min_value=1, max_value=2**63),
+    my=st.integers(min_value=1, max_value=2**63),
+)
+def test_limb_plan_keeps_every_limb_product_exact(inner, mx, my):
+    # The widest y limbs x's limbs allow, and enough limbs to cover both.
+    nx, a, ny, b = matrix_mod._limb_plan(inner, mx, my)
+    top = mx if nx == 1 else (1 << a) - 1
+    assert nx * a >= mx.bit_length() and ny * b >= my.bit_length()
+    assert inner * top * ((1 << b) - 1) <= 2**53 < inner * top * ((1 << (b + 1)) - 1)
+
+
+def _near(p):
+    return st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=p - 4, max_value=p - 1),
+        st.integers(min_value=0, max_value=p - 1),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([_P31, _P61, _P63]), st.data())
+def test_products_match_python_ints_near_large_moduli(p, data):
+    ring = RingSpec.prime_field(p)
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=4))
+
+    def draw(rows, width):
+        row = st.lists(_near(p), min_size=width, max_size=width)
+        return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+    a_rows, b_rows, c_rows, r_rows = draw(n, n), draw(n, n), draw(n, n), draw(n, cols)
+    a, b, c = (Matrix(n, n, ring, m) for m in (a_rows, b_rows, c_rows))
+    assert matmul(a, b).data.tolist() == brute_matmul(a_rows, b_rows, p)
+    r = [row[0] for row in r_rows]
+    assert mat_vec(a, Vector(ring, r)).data.tolist() == brute_mat_vec(a_rows, r, p)
+    abr = brute_matmul(a_rows, brute_matmul(b_rows, r_rows, p), p)
+    cr = brute_matmul(c_rows, r_rows, p)
+    expected = [[abr[i][t] != cr[i][t] for t in range(cols)] for i in range(n)]
+    assert fingerprint_block(a, b, c, Matrix(n, cols, ring, r_rows)).tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from([2**63 - 1, 2**63]),
+    inner=st.integers(min_value=2, max_value=5),
+    rows=st.integers(min_value=1, max_value=3),
+    cols=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_int64_certificates_at_the_int64_limit(target, inner, rows, cols, seed):
+    # Every entry's sum of |x_ik| |y_kj| is exactly ``target``: y is +-1 and
+    # each row of x splits ``target`` into random magnitudes with random signs.
+    rng = random.Random(seed)
+    y_rows = [[rng.choice([-1, 1]) for _ in range(cols)] for _ in range(inner)]
+    x_rows = []
+    for _ in range(rows):
+        parts = [target // inner] * inner
+        parts[0] += target - sum(parts)
+        for _ in range(inner):
+            u, v = rng.randrange(inner), rng.randrange(inner)
+            d = rng.randint(0, min(parts[u], INT64_MAX - parts[v]))
+            parts[u] -= d
+            parts[v] += d
+        x_rows.append([rng.choice([-1, 1]) * v for v in parts])
+    expected = _checked_ref(x_rows, y_rows, None)
+    x, y = Matrix(rows, inner, INT64, x_rows), Matrix(inner, cols, INT64, y_rows)
+    if expected is None:
+        with pytest.raises(IntegerOverflow):
+            matmul(x, y)
+    else:
+        assert matmul(x, y).data.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=4),
+    cols=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_partial_sum_overflow_raises_even_when_the_entry_fits(rows, cols, data):
+    # Row i's entries climb past 2^63 - 1 and come back to 2^62, which fits;
+    # the ascending partial-sum rule still refuses them, and names the first
+    # in row-major order even when a later row fails too.
+    big = 1 << 62
+    bad = data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1), min_size=1))
+    x_rows = [[big, big, -big] if i in bad else [1, 2, 3] for i in range(rows)]
+    y_rows = [[1] * cols for _ in range(3)]
+    x, y = Matrix(rows, 3, INT64, x_rows), Matrix(3, cols, INT64, y_rows)
+    with pytest.raises(IntegerOverflow, match=rf"^partial sum at entry \({min(bad)}, 0\) "):
+        matmul(x, y)
+    with pytest.raises(IntegerOverflow, match=rf"^partial sum at entry \({min(bad)}, 0\) "):
+        mat_vec(x, Vector(INT64, [1, 1, 1]))
 
 
 _edge_int64 = st.one_of(
