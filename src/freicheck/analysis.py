@@ -15,9 +15,9 @@ scalar multiply.  Masses are the law's integer weights, so an assignment's
 mass is a product of weights over ``total ** m``; no floating point enters the
 exact path.
 
-Empirical rates re-run the verifier's own per-iteration experiment many times
-through the verifier's ``fingerprint_block``, one trial per column of a block,
-and report a Wilson 99% confidence interval around the observed rate.
+Empirical rates are the verifier's own experiment repeated: trial t is
+iteration t of ``verify`` with the same seed, run by the same trial engine
+in the same blocks, and the rate comes with a Wilson 99% confidence interval.
 
 ``analyze_instance`` is the one analysis path, and the exact and empirical
 functions return parts of its report.  It checks every argument before any
@@ -56,17 +56,14 @@ from .matrix import (
 from .sampling import (
     DiscreteDistribution,
     SeededRng,
-    _sample_trial_block,
     draw_words,
     p_max,
     substream,
 )
-from .verify import _check_inputs, fingerprint_block
+from .verify import _check_inputs, _trials
 
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
-
-_TRIAL_CHUNK = 1 << 14
 
 # z for a two-sided 99% normal interval, i.e. the 0.995 quantile.
 Z99 = 2.5758293035489004
@@ -241,13 +238,8 @@ def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> 
 def _empirical_rate(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, trials: int, seed: int
 ) -> EmpiricalRate:
-    # Trial t is the verifier's iteration with the vector of substream
-    # (seed, t), run _TRIAL_CHUNK at a time through the verifier's own block.
-    hits = 0
-    for start in range(0, trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, trials)
-        r = Matrix._wrap(_sample_trial_block(dist, a.rows, seed, start, stop), a.ring)
-        hits += int(np.count_nonzero(~fingerprint_block(a, b, c, r).any(axis=0)))
+    blocks = _trials(a, b, c, dist, seed, trials)
+    hits = sum(int(np.count_nonzero(~mask.any(axis=0))) for _, _, mask in blocks)
     return EmpiricalRate(hits / trials, trials, wilson_interval(hits, trials))
 
 

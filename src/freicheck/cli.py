@@ -8,7 +8,8 @@ All regular output is JSON on stdout with sorted keys, so identical inputs
 produce byte-identical output.  Failures print a single JSON object
 ``{"error": {"kind": ..., "message": ...}}`` on stderr.  Exit codes: 0 for
 accept/success, 1 for a verification reject, 2 for any error (including
-usage errors, which argparse also exits with 2).
+usage errors, which argparse also exits with 2).  A reader that closes
+stdout early is not an error: the exit code stays that of the outcome.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,7 +44,12 @@ def _dump(payload) -> str:
 
 
 def _emit(payload) -> None:
-    print(_dump(payload))
+    try:
+        print(_dump(payload), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early; the exit code still carries the
+        # outcome.  Point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_error(kind: str, message: str) -> None:

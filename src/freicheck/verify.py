@@ -10,21 +10,26 @@ an iteration wrongly accepts with probability at most the largest point mass
 of the component distribution.  Independent iterations multiply, giving the
 p_max**k certificate reported on accept.
 
-Iterations run in blocks: ``fingerprint_block`` checks w vectors at once as
-three (n x n) by (n x w) products, A(BR) against CR, through the exact
-product chooser in ``matrix``.  ``verify`` runs iteration 0 alone, so a
-wrong product that the first vector exposes costs one pass over A, B and C;
-the remaining k - 1 run in blocks of at most 2**20 / n columns.  Iteration
-j still draws its vector from substream ``(seed, j)``, and the verdict names
-the first failing column of the first failing block and that column's
-smallest differing row, so witnesses, ``witness_iteration`` and
-``mismatch_row`` are those of a one-at-a-time loop, bit for bit.  The
-multiply counter charges 3n^2 per iteration computed: 3kn^2 on accept,
-3n^2 times the end of the block holding the failing iteration on reject.
+One trial engine, ``_trials``, runs every iteration: ``fingerprint_block``
+checks w vectors at once as three (n x n) by (n x w) products, A(BR)
+against CR, through the exact product chooser in ``matrix``.  Trial 0 runs
+alone, so a wrong product that the first vector exposes costs one pass over
+A, B and C; later trials run in blocks of at most 2**20 / n columns, each
+drawn only when reached, so memory does not grow with k.  Trial j
+draws its vector from substream ``(seed, j)``.  A block that overflows is
+run again one trial at a time, so an overflow raises the one-column error
+of the first overflowing trial after every earlier trial.  ``verify`` stops
+at the first failing column and names its smallest differing row: the
+witness, ``witness_iteration`` and ``mismatch_row`` of a one-at-a-time
+loop, bit for bit.  The empirical rate in ``analysis`` counts the passing
+columns of the same engine.  The multiply counter charges 3n^2 per trial
+computed: 3kn^2 on accept, 3n^2 times the end of the block holding the
+failing iteration on reject.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,29 +113,34 @@ def freivalds_iteration(
     smallest row index i where the two sides differ.  Never forms AB: the
     cost is exactly three matrix-vector products.
     """
-    hit = _first_failure(a, b, c, Matrix._wrap(r.data.reshape(-1, 1), r.ring))
-    return (True, None) if hit is None else (False, hit[1])
+    mask = fingerprint_block(a, b, c, Matrix._wrap(r.data.reshape(-1, 1), r.ring))[:, 0]
+    row = int(np.argmax(mask))
+    return (False, row) if mask[row] else (True, None)
 
 
-def _first_failure(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> tuple[int, int] | None:
-    """(column, smallest differing row) of the first failing column of R."""
-    try:
-        mism = fingerprint_block(a, b, c, r)
-    except IntegerOverflow:
-        if r.cols == 1:
-            raise
-        # One at a time, a reject in an earlier column wins over an overflow
-        # in a later one; keep that order.
-        for t in range(r.cols):
-            hit = _first_failure(a, b, c, Matrix._wrap(r.data[:, t : t + 1], r.ring))
-            if hit is not None:
-                return t, hit[1]
-        raise
-    # Column-major order: the first True is the first failing column's
-    # smallest differing row.
-    flat = mism.T.ravel()
-    first = int(np.argmax(flat))
-    return divmod(first, r.rows) if flat[first] else None
+def _trials(
+    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, stop: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(first trial, R, mask)`` for consecutive blocks of trials 0..stop-1:
+    column t of R is trial ``first + t``, and ``mask`` is R's
+    ``fingerprint_block``.  The module docstring gives the block schedule
+    and the overflow rule that every caller shares.
+    """
+    n, ring = a.rows, a.ring
+    width = max(1, _BLOCK_ENTRIES // n)
+    start, single_until = 0, 1
+    while start < stop:
+        end = start + 1 if start < single_until else min(stop, start + width)
+        r = _sample_trial_block(dist, n, seed, start, end)
+        try:
+            mask = fingerprint_block(a, b, c, Matrix._wrap(r, ring))
+        except IntegerOverflow:
+            if end - start == 1:
+                raise
+            single_until = end
+            continue
+        yield start, r, mask
+        start = end
 
 
 def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:
@@ -146,20 +156,17 @@ def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:
     _check_inputs(a, b, c)
     dist = cfg.distribution
     dist.validate_for_ring(a.ring)
-    n = a.rows
-    width = max(1, _BLOCK_ENTRIES // n)
-    start = 0
-    while start < cfg.iterations:
-        stop = 1 if start == 0 else min(cfg.iterations, start + width)
-        r = _sample_trial_block(dist, n, cfg.seed, start, stop)
-        hit = _first_failure(a, b, c, Matrix._wrap(r, a.ring))
-        if hit is not None:
-            t, row = hit
+    for start, r, mask in _trials(a, b, c, dist, cfg.seed, cfg.iterations):
+        # Column-major order: the first True is the first failing column's
+        # smallest differing row.
+        flat = mask.T.ravel()
+        first = int(np.argmax(flat))
+        if flat[first]:
+            t, row = divmod(first, a.rows)
             return Verdict(
                 accepted=False,
                 witness=Vector._wrap(r[:, t].copy(), a.ring),
                 witness_iteration=start + t,
                 mismatch_row=row,
             )
-        start = stop
     return Verdict(accepted=True, error_bound=p_max(dist) ** cfg.iterations)

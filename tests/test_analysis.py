@@ -6,6 +6,7 @@ meet-in-the-middle enumeration reproduced a value computed by a completely
 separate route.  Hand-derived expected values are frozen inline.
 """
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from freicheck import (
     GenerationFailed,
     InstanceActuallyEqual,
     InstanceSpec,
+    IntegerOverflow,
     Matrix,
     RingSpec,
     Vector,
@@ -47,6 +49,8 @@ from freicheck import (
     wilson_interval,
 )
 from util import brute_fap, fraction_rank, random_unequal_triple
+
+verify_mod = importlib.import_module("freicheck.verify")
 
 INT64 = RingSpec.int64()
 ZP2 = RingSpec.prime_field(2)
@@ -349,9 +353,48 @@ def test_empirical_trials_match_the_per_iteration_experiment():
 def test_trial_chunking_does_not_change_the_answer(monkeypatch):
     a, b, c = random_unequal_triple(random.Random(3), 4, INT64)
     whole = empirical_false_accept_rate(a, b, c, U01, 1000, seed=9)
-    monkeypatch.setattr(analysis_mod, "_TRIAL_CHUNK", 64)
+    monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", 64 * 4)
     chunked = empirical_false_accept_rate(a, b, c, U01, 1000, seed=9)
     assert whole == chunked
+
+
+def test_empirical_blocks_stay_within_the_block_bound(monkeypatch):
+    # The trials run in verify's blocks, so no R holds more than
+    # _BLOCK_ENTRIES entries however many trials are asked for.
+    n, trials = 256, 5000
+    a, b, c = random_unequal_triple(random.Random(5), n, INT64)
+    sizes = []
+    block = verify_mod.fingerprint_block
+
+    def spy(a, b, c, r):
+        sizes.append((r.rows, r.cols))
+        return block(a, b, c, r)
+
+    monkeypatch.setattr(verify_mod, "fingerprint_block", spy)
+    empirical_false_accept_rate(a, b, c, U01, trials, seed=3)
+    assert sum(cols for _, cols in sizes) == trials
+    assert all(rows * cols <= verify_mod._BLOCK_ENTRIES for rows, cols in sizes)
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_empirical_overflow_names_the_first_overflowing_trial(monkeypatch, width):
+    # A(Br) = (2^62 (r_0 + r_1), r_1) leaves int64 exactly when r = (1, 1);
+    # AB itself fits.  The error must be the one-column error of the first
+    # such trial, as freivalds_iteration raises it, not an entry of a block.
+    if width is not None:
+        monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", width * 2)
+    big = 1 << 62
+    a = Matrix.from_rows([[big, 0], [0, 1]], INT64)
+    b = Matrix.from_rows([[1, 1], [0, 1]], INT64)
+    c = Matrix.from_rows([[big, big], [0, 2]], INT64)
+    vectors = [sample_vector(U01, 2, substream(1, t), INT64) for t in range(9)]
+    assert [list(v.data) for v in vectors].index([1, 1]) == 8
+    with pytest.raises(IntegerOverflow) as single:
+        freivalds_iteration(a, b, c, vectors[8])
+    with pytest.raises(IntegerOverflow) as measured:
+        empirical_false_accept_rate(a, b, c, U01, 1000, seed=1)
+    assert str(measured.value) == str(single.value)
+    assert "(0, 0)" in str(measured.value)
 
 
 def test_empirical_interval_contains_exact_value():

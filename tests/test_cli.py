@@ -1,8 +1,8 @@
 """Command-line behaviour: exit codes, JSON schemas, determinism, errors.
 
 All invocations run in-process through ``main(argv)`` so exit codes and
-streams can be asserted directly, except the one check of the
-``python -m freicheck.cli`` entry point.
+streams can be asserted directly, except the checks of the
+``python -m freicheck.cli`` entry point and of a closed stdout.
 """
 
 import json
@@ -490,21 +490,47 @@ def test_gen_composite_modulus_error(tmp_path, capsys):
     )
 
 
+def _module_cli(*argv, unbuffered=False, **kwargs):
+    """Run ``python -m freicheck.cli`` on ``argv`` in a fresh interpreter,
+    with stdout block-buffered as usual for a pipe unless ``unbuffered``."""
+    src = str(Path(freicheck.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "freicheck.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs,
+    )
+
+
 def test_module_entry_point_exit_codes(tmp_path, capsys):
     # ``python -m freicheck.cli`` runs main: 0 on accept, 1 on reject.
-    src = str(Path(freicheck.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     for mode, code in (("equal", 0), ("single-column", 1)):
         _, payload = _gen(capsys, tmp_path, mode, n=16, ring="zp 2147483647", seed=5)
         files = payload["files"]
         argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "10"]
-        res = subprocess.run(
-            [sys.executable, "-m", "freicheck.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        res = _module_cli(*argv, stdout=subprocess.PIPE)
         assert (res.returncode, res.stderr) == (code, "")
         assert json.loads(res.stdout)["outcome"] == ("accept", "reject")[code]
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path, capsys):
+    # A reader that is already gone (``| head -c 0``) is not an input error:
+    # the exit code is still the verdict's and stderr stays empty, with no
+    # "Exception ignored" line from the flush at interpreter exit.
+    for mode, code in (("equal", 0), ("single-column", 1)):
+        _, payload = _gen(capsys, tmp_path, mode, n=16, seed=5)
+        files = payload["files"]
+        argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"]]
+        for unbuffered in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                res = _module_cli(*argv, unbuffered=unbuffered, stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (res.returncode, res.stderr) == (code, "")
 
 
 def test_usage_error_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,21 @@ def test_multiply_counter_under_batching(monkeypatch, width):
         assert scalar_multiplies() == 3 * n * n * end
         seen.add(end)
     assert 1 in seen and len(seen) >= (3 if width is not None else 2)
+
+
+def test_trials_are_drawn_only_when_reached():
+    # k is a CLI flag: a huge k must not build a schedule or draw vectors
+    # past the first reject.  With one nonzero entry of E at column j and
+    # r_j in {1, 2}, iteration 0 always rejects.
+    n = 4
+    a = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], INT64)
+    b = Matrix.from_rows([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]], INT64)
+    c = Matrix.from_rows([[2, 0, 0, 0], [0, 3, 9, 0], [0, 0, 5, 0], [0, 0, 0, 7]], INT64)
+    start = time.perf_counter()
+    verdict = verify(a, b, c, _cfg(k=10**15, seed=4, dist=uniform_support((1, 2))))
+    assert time.perf_counter() - start < 0.5
+    assert (verdict.accepted, verdict.witness_iteration, verdict.mismatch_row) == (False, 0, 1)
+    assert len(verdict.witness) == n
 
 
 def test_overflow_in_a_later_column_does_not_hide_an_earlier_reject():
