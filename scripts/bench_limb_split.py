@@ -1,13 +1,18 @@
-"""Timings of exact products past the float64 range, written to BENCH_limb_split.json.
+"""Timings of exact products past the float64 range, as JSON.
 
     python scripts/bench_limb_split.py [--parent SRC] [--repeats R] [--out FILE]
+
+``BENCH_wide_products.json`` at the repo root was written by this script,
+and ``BENCH_limb_split.json`` by its earlier form without ``wide_products``.
 
 Instances are generated once, with the freicheck in this checkout's ``src``,
 and saved as ``.npz`` files.  Every measurement then runs in a fresh
 interpreter against one source tree: this checkout's ``src`` and, with
 ``--parent``, another tree's ``src`` (say, the parent commit's).  Both time
 the same inputs, and a slow tree never pays to generate them.  A time is the
-median of R runs after one warm-up run.
+median of R runs after one warm-up run.  With ``--parent`` each tree runs in
+two interpreters, in the order change, parent, parent, change, and keeps
+the lower of its two times, so neither tree always runs first.
 
 Rows:
 
@@ -17,11 +22,15 @@ Rows:
   below 2^28 in magnitude, whose bound n * 2^56 passes 2^63;
 * ``threads``: the n = 1024 float64 recompute ``a @ b`` on 1 and 2 OpenBLAS
   threads, timed alternately after 2 s of warm-up;
-* ``einsum_vs_limbs``: the int64 ``einsum`` tier against the limb tier on
-  products whose bound lies in (2^53, 2^63 - 1], where the chooser picks
-  ``einsum``.
+* ``wide_products``: ``_exact_dot`` on n x n by n x w products whose bound
+  lies in (2^53, 2^63 - 1], int64 and Z_p for the largest prime below 2^26,
+  with the tier it picks;
+* ``einsum_vs_limbs``: the same products on the int64 ``einsum`` tier and on
+  the limb tier, whatever the chooser picks.  This is the table the
+  chooser's ``einsum`` size limit is read from.
 
-The last two need the limb tier, so they are measured on this checkout only.
+``threads`` and ``einsum_vs_limbs`` need the limb tier, so they are measured
+on this checkout only.
 """
 
 from __future__ import annotations
@@ -44,7 +53,12 @@ P31, P61 = 2**31 - 1, 2**61 - 1
 P26 = 67108859  # the largest prime below 2^26: 1024 p^2 lies in (2^53, 2^63)
 VERIFY = [("int64", None), ("zp", P31), ("zp", P61)]
 MATMUL = [("zp", P31, None), ("zp", P61, None), ("int64", None, 2**28 - 1)]
-EINSUM_SHAPES = [(64, 1), (64, 19), (64, 4000), (1024, 1), (1024, 10), (1024, 100)]
+EINSUM_SHAPES = [
+    (64, 1), (64, 19), (64, 64), (64, 128), (64, 4000),
+    (256, 4), (256, 8),
+    (1024, 1), (1024, 2), (1024, 3), (1024, 10), (1024, 100),
+]
+WIDE_RINGS = [("int64", None), ("zp", P26)]
 
 
 def _median_ms(fn, repeats: int) -> float:
@@ -77,6 +91,22 @@ def generate(data: Path) -> None:
     for kind, p, bound in MATMUL:
         a, b, c = fc.generate_instance(spec(256, _ring(fc, kind, p), "equal", 2, bound or 256))
         np.savez(data / f"matmul_{_name(kind, p)}_{bound}.npz", a=a.data, b=b.data, c=c.data)
+    rng = np.random.default_rng(7)
+    for kind, p in WIDE_RINGS:
+        for n, w in EINSUM_SHAPES:
+            if p:
+                x = rng.integers(0, p, size=(n, n), dtype=np.int64)
+                y = rng.integers(0, p, size=(n, w), dtype=np.int64)
+            else:
+                mag = 2**24 if n <= 256 else 2**22
+                x = rng.integers(-mag, mag + 1, size=(n, n), dtype=np.int64)
+                y = rng.integers(-mag, mag + 1, size=(n, w), dtype=np.int64)
+            np.savez(data / f"wide_{_name(kind, p)}_{n}_{w}.npz", x=x, y=y)
+
+
+def _wide(data: Path, kind: str, p: int | None, n: int, w: int):
+    arrays = np.load(data / f"wide_{_name(kind, p)}_{n}_{w}.npz")
+    return arrays["x"], arrays["y"]
 
 
 def measure(data: Path, repeats: int) -> dict:
@@ -104,9 +134,46 @@ def measure(data: Path, repeats: int) -> dict:
         assert fc.mats_equal(fc.matmul(a, b), c)
         label = _name(kind, p) + (f" entries < 2^{bound.bit_length()}" if bound else "")
         out["matmul"][label] = _median_ms(lambda: fc.matmul(a, b), repeats)
+    out["wide_products"] = _wide_products(fc, matrix, data, repeats)
     if hasattr(matrix, "_limb_dot"):
         out["threads"] = _threads(matrix, data, repeats)
-        out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, repeats)
+        out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
+    return out
+
+
+def _tier_of(matrix, call) -> str:
+    """The tier ``_exact_dot`` runs ``call`` on: limbs, float64 or einsum."""
+    used = []
+    real = {name: getattr(matrix, name) for name in ("_float_dot", "_limb_dot")}
+
+    def spy(name):
+        def run(*args, **kwargs):
+            used.append(name)
+            return real[name](*args, **kwargs)
+
+        return run
+
+    for name in real:
+        setattr(matrix, name, spy(name))
+    try:
+        call()
+    finally:
+        for name, fn in real.items():
+            setattr(matrix, name, fn)
+    return "limbs" if "_limb_dot" in used else "float64" if used else "einsum"
+
+
+def _wide_products(fc, matrix, data: Path, repeats: int) -> dict:
+    out = {}
+    for kind, p in WIDE_RINGS:
+        ring = _ring(fc, kind, p)
+        for n, w in EINSUM_SHAPES:
+            xa, ya = _wide(data, kind, p, n, w)
+            x, y = fc.Matrix(n, n, ring, xa), fc.Matrix(n, w, ring, ya)
+            out[f"{_name(kind, p)} n={n} w={w}"] = {
+                "tier": _tier_of(matrix, lambda: matrix._exact_dot(x, y, ring)),
+                "ms": _median_ms(lambda: matrix._exact_dot(x, y, ring), repeats),
+            }
     return out
 
 
@@ -136,18 +203,11 @@ def _threads(matrix, data: Path, repeats: int) -> dict:
     return {f"{t} threads": round(statistics.median(v) * 1e3, 3) for t, v in times.items()}
 
 
-def _einsum_vs_limbs(matrix, repeats: int) -> list[dict]:
-    rng = np.random.default_rng(7)
+def _einsum_vs_limbs(matrix, data: Path, repeats: int) -> list[dict]:
     rows = []
-    for ring, p in (("int64", None), (f"zp {P26}", P26)):
+    for kind, p in WIDE_RINGS:
         for n, w in EINSUM_SHAPES:
-            if p:
-                x = rng.integers(0, p, size=(n, n), dtype=np.int64)
-                y = rng.integers(0, p, size=(n, w), dtype=np.int64)
-            else:
-                mag = 2**24 if n == 64 else 2**22
-                x = rng.integers(-mag, mag + 1, size=(n, n), dtype=np.int64)
-                y = rng.integers(-mag, mag + 1, size=(n, w), dtype=np.int64)
+            x, y = _wide(data, kind, p, n, w)
             mx, my = int(np.abs(x).max()), int(np.abs(y).max())
             bound = n * mx * my
             assert matrix._FLOAT_EXACT < bound <= matrix.INT64_MAX
@@ -162,9 +222,10 @@ def _einsum_vs_limbs(matrix, repeats: int) -> list[dict]:
             assert np.array_equal(einsum(), limbs())
             rows.append(
                 {
-                    "ring": ring,
+                    "ring": _name(kind, p),
                     "n": n,
                     "w": w,
+                    "macs_log2": round(float(np.log2(n * n * w)), 2),
                     "bound_log2": round(float(np.log2(float(bound))), 2),
                     "einsum_ms": _median_ms(einsum, repeats),
                     "limbs_ms": _median_ms(limbs, repeats),
@@ -178,6 +239,19 @@ def _child(src: Path, data: Path, repeats: int) -> dict:
     cmd = [sys.executable, __file__, "--child", str(data), "--repeats", str(repeats)]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(res.stdout)
+
+
+def _lower(a, b):
+    """Two runs of one tree merged: the lower of each time, other fields
+    (tiers, shapes) as they are, which both runs share."""
+    if isinstance(a, dict):
+        return {k: _lower(v, b[k]) for k, v in a.items()}
+    if isinstance(a, list):
+        return [_lower(u, v) for u, v in zip(a, b)]
+    if isinstance(a, float):
+        return min(a, b)
+    assert a == b, (a, b)
+    return a
 
 
 def _machine() -> dict:
@@ -199,7 +273,7 @@ def _machine() -> dict:
 
 
 def _ratios(parent: dict, change: dict) -> dict:
-    return {
+    doc = {
         section: {
             key: {"parent_ms": parent[section][key], "change_ms": ms,
                   "speedup": round(parent[section][key] / ms, 1)}
@@ -207,6 +281,13 @@ def _ratios(parent: dict, change: dict) -> dict:
         }
         for section in ("verify", "matmul")
     }
+    doc["wide_products"] = {
+        key: {"parent_tier": parent["wide_products"][key]["tier"], "change_tier": row["tier"],
+              "parent_ms": parent["wide_products"][key]["ms"], "change_ms": row["ms"],
+              "speedup": round(parent["wide_products"][key]["ms"] / row["ms"], 2)}
+        for key, row in change["wide_products"].items()
+    }
+    return doc
 
 
 def main() -> None:
@@ -223,11 +304,15 @@ def main() -> None:
         data = Path(tmp)
         generate(data)
         change = _child(HERE_SRC, data, args.repeats)
-        parent = _child(args.parent.resolve(), data, args.repeats) if args.parent else None
+        parent = None
+        if args.parent:
+            parent = _child(args.parent.resolve(), data, args.repeats)
+            parent = _lower(parent, _child(args.parent.resolve(), data, args.repeats))
+            change = _lower(change, _child(HERE_SRC, data, args.repeats))
     doc = {
-        "change": "one limb-split float64 BLAS tier for Z_p and past-2^63 int64 products",
-        "command": "python scripts/bench_limb_split.py --parent <parent src> "
-        f"--repeats {args.repeats} --out BENCH_limb_split.json",
+        "command": "python scripts/bench_limb_split.py"
+        + (" --parent <parent src>" if parent else "")
+        + f" --repeats {args.repeats}" + (f" --out {args.out.name}" if args.out else ""),
         "machine": _machine(),
         "repeats": args.repeats,
         "change_only": {k: change[k] for k in ("threads", "einsum_vs_limbs")},
@@ -235,7 +320,7 @@ def main() -> None:
     if parent:
         doc.update(_ratios(parent, change))
     else:
-        doc.update({k: change[k] for k in ("verify", "matmul")})
+        doc.update({k: change[k] for k in ("verify", "matmul", "wide_products")})
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

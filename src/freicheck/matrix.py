@@ -22,32 +22,38 @@ rings, and picks the fastest tier that bound proves exact:
 
 * at most 2**53 and ``y`` has more than one column: float64 BLAS.  Every
   product and partial sum is then an integer a double holds exactly, in any
-  summation order.  ``x`` is converted in 1 MiB row blocks and ``y`` once,
-  so no float64 copy of ``x`` is made, and no float64 copy is kept;
-* at most 2**63 - 1: int64 numpy, ``einsum`` over a transposed ``y`` so both
-  operands are read along rows;
-* otherwise limbs on float64 BLAS, for both rings.  ``y`` is split into
-  b-bit limbs, and ``x`` into a-bit limbs only when ``max|x|`` alone leaves
-  no room (p near 2**61, int64 entries near 2**62); the split with the
-  fewest limb products is taken among those with
-  ``inner * max|x limb| * (2**b - 1) <= 2**53``, so every limb product is
-  exact.  For p = 2**31 - 1 at n = 1024 that is three 12-bit limbs of
-  ``y``; for p = 2**61 - 1, three limbs on each side.  ``y``'s limbs go as
-  extra columns of one BLAS call per limb of ``x``, and each block of
-  ``x``'s rows is split as it is converted.  The limb products are
-  recombined by Horner steps: mod p in uint64, shifting by at most
-  ``64 - bitlen(p)`` bits at a time so no step leaves 64 bits for any p
-  below 2**63; in ``int64`` by wrapping shift-adds, exact wherever the true
-  entry fits.
+  summation order.  The larger operand is streamed in 1 MiB pieces (row
+  blocks of ``x``, or column tiles of ``y`` when ``y`` has more entries)
+  and the other is converted once, so no float64 copy of the larger
+  operand is made, and no float64 copy is kept;
+* at most 2**63 - 1, and ``y`` has one column or the product has at most
+  ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy, ``einsum`` over a
+  transposed ``y`` so both operands are read along rows.  Larger products
+  in this range run faster on limbs;
+* otherwise limbs on float64 BLAS, for both rings.  ``x`` is split into
+  a-bit limbs and ``y`` into b-bit limbs; among the splits with
+  ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
+  product is exact, the one with the fewest limb products is taken, and
+  on a tie the one that splits the operand with fewer entries further.
+  For p = 2**31 - 1 at n = 1024 that is three 12-bit limbs of ``y`` and
+  ``x`` whole; for p = 2**61 - 1, three limbs on each side; for a 64 x 64
+  ``x`` with entries up to 2**24 against a 64 x 3999 block, two limbs of
+  ``x`` and ``y`` whole.  ``y``'s limbs go as extra columns of one BLAS
+  call per limb of ``x``, and ``x`` is split block by block as it is
+  converted.  The limb products are recombined by Horner steps: mod p in
+  uint64, shifting by at most ``64 - bitlen(p)`` bits at a time so no step
+  leaves 64 bits for any p below 2**63; in ``int64`` by wrapping
+  shift-adds, exact wherever the true entry fits.
 
 The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
 order: the first one outside the 64-bit range raises ``IntegerOverflow``
-naming its kind and entry.  The limb tier applies it through a certificate,
+naming its kind and entry.  The bound rules it out below 2**63, on every
+tier.  Past that, the limb tier applies it through a certificate,
 ``sum_k |x_ik| |y_kj|`` computed by one float64 BLAS product with its
 rounding error bounded: an entry whose certificate is provably at most
 2**63 - 1 cannot overflow, and only the others are checked term by term in
-Python integers.  The two lower tiers cannot overflow at all.
+Python integers.
 
 Products on float64 BLAS run on one OpenBLAS thread: n-by-w fingerprint
 blocks are memory-bound and gain little from a second thread, which, for
@@ -328,6 +334,9 @@ def _same_ring(x, y) -> None:
 
 
 _FLOAT_EXACT = 1 << 53
+# Multiply-adds up to which int64 ``einsum`` beats the limb tier on a
+# product past 2**53 (scripts/bench_limb_split.py, BENCH_wide_products.json).
+_EINSUM_MACS = 1 << 18
 # Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
 # of a large x is ever made, and calls stay few and large.
 _FLOAT_BLOCK = 1 << 17
@@ -352,36 +361,58 @@ def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64, split=None) -> np.n
     """``x @ y`` on float64 BLAS, as ``dtype``; exact when every partial sum
     is an integer of magnitude at most 2**53.
 
+    The larger operand is streamed in pieces of about ``_FLOAT_BLOCK``
+    entries and the other is converted whole, once: row blocks of ``x``
+    against all of ``y``, or, when ``y`` has more entries, column tiles of
+    ``y`` against all of ``x``.  Each piece and its product then stay in
+    cache, and no float64 copy of the larger operand is made or kept.
+
     With ``split = (width, count, signed)`` it multiplies each of the
     ``count`` limbs of ``x`` (see ``_limbs``) by ``y`` instead and returns
-    the ``(count, rows, cols)`` stack; each block of rows is split where it
-    is converted, so no limb of a large ``x`` is stored whole.
+    the ``(count, rows, cols)`` stack.  Each block of ``x``, and each of its
+    limbs, is converted once, so no limb of a large ``x`` is stored whole.
 
     The BLAS calls run on one OpenBLAS thread, and the caller's count is
     restored afterwards (a no-op without numpy's bundled OpenBLAS).  The
     count is process-global: BLAS calls that other threads of the process
     make meanwhile also run on one thread.
     """
-    rows, inner = x.shape
+    (rows, inner), cols = x.shape, y.shape[1]
     width, count, signed = split or (64, 1, False)
-    yf = y.astype(np.float64)
-    step = max(1, min(rows, _FLOAT_BLOCK // inner))
-    xf = np.empty((step, inner))
-    of = np.empty((step, y.shape[1]))
-    out = np.empty((count, rows, y.shape[1]), dtype=dtype)
+    by_cols = cols > rows
+    step = max(1, min(cols if by_cols else rows, _FLOAT_BLOCK // inner))
+    # Every temporary is allocated before ``out``: freed, they then lie below
+    # it in the heap, and the next call reuses their pages instead of
+    # faulting in fresh ones, which nearly doubled an n = 512 product on a
+    # 2-vCPU Xeon VM.
+    if by_cols:
+        xs = [limb.astype(np.float64) for limb in _limbs(x, width, count, signed)]
+    else:
+        yf = y.astype(np.float64)
+    piece = np.empty(step * inner)
+    prod = np.empty(step * (rows if by_cols else cols))
+    out = np.empty((count, rows, cols), dtype=dtype)
     threads = _blas_thread_calls()
     before = threads[0]() if threads else 1
     if before != 1:
         threads[1](1)
     try:
-        for i in range(0, rows, step):
-            m = min(step, rows - i)
-            block = x[i : i + m]
-            limbs = _limbs(block, width, count, signed) if count > 1 else [block]
-            for limb, part in zip(limbs, out):
-                np.copyto(xf[:m], limb)
-                np.matmul(xf[:m], yf, out=of[:m])
-                part[i : i + m] = of[:m]
+        if by_cols:
+            for j in range(0, cols, step):
+                m = min(step, cols - j)
+                tile, of = piece[: inner * m].reshape(inner, m), prod[: rows * m].reshape(rows, m)
+                np.copyto(tile, y[:, j : j + m])
+                for xf, part in zip(xs, out):
+                    np.matmul(xf, tile, out=of)
+                    part[:, j : j + m] = of
+        else:
+            for i in range(0, rows, step):
+                m = min(step, rows - i)
+                block, of = piece[: m * inner].reshape(m, inner), prod[: m * cols].reshape(m, cols)
+                for limb, part in zip(_limbs(x[i : i + m], width, count, signed), out):
+                    np.copyto(block, limb)
+                    np.matmul(block, yf, out=of)
+                    part[i : i + m] = of
     finally:
         if before != 1:
             threads[1](before)
@@ -396,7 +427,11 @@ def _magnitudes(v: np.ndarray) -> np.ndarray:
 def _limbs(v: np.ndarray, width: int, count: int, signed: bool):
     """Yield the ``count`` limbs of ``v``, low first: ``v`` is the sum of
     ``limb[l] << (width * l)``, and each limb has ``v``'s sign (``v`` is
-    nonnegative unless ``signed``) and a magnitude below ``2**width``."""
+    nonnegative unless ``signed``) and a magnitude below ``2**width``.  A
+    single limb is ``v`` itself."""
+    if count == 1:
+        yield v
+        return
     mag = _magnitudes(v) if signed else v.view(np.uint64)
     mask = np.uint64((1 << width) - 1)
     negative = v < 0 if signed else None
@@ -407,19 +442,24 @@ def _limbs(v: np.ndarray, width: int, count: int, signed: bool):
         yield limb
 
 
-def _limb_plan(inner: int, mx: int, my: int) -> tuple[int, int, int, int]:
-    """``(nx, a, ny, b)``: split x into nx limbs of a bits (one limb is x
-    itself) and y into ny limbs of b bits, with the fewest limb products
-    for which ``inner * max|x limb| * (2**b - 1) <= 2**53``."""
-    best = None
+def _limb_plan(rows: int, inner: int, cols: int, mx: int, my: int) -> tuple[int, int, int, int]:
+    """``(nx, a, ny, b)`` for a ``rows x inner`` x and an ``inner x cols``
+    y: split x into nx limbs of a bits (one limb is x itself) and y into ny
+    limbs of b bits, with the fewest limb products for which
+    ``inner * max|x limb| * (2**b - 1) <= 2**53``.  Among plans with as few
+    products, the one converting the fewest limb entries,
+    ``inner * (rows * nx + cols * ny)``, wins: the operand with fewer
+    entries is the one split further."""
+    best, key = None, None
     for nx in range(1, mx.bit_length() + 1):
         a = -(-mx.bit_length() // nx)
         top = mx if nx == 1 else (1 << a) - 1
         b = (_FLOAT_EXACT // (inner * top) + 1).bit_length() - 1
         if b:
             ny = -(-my.bit_length() // b)
-            if best is None or nx * ny < best[0] * best[2]:
-                best = (nx, a, ny, b)
+            cost = (nx * ny, rows * nx + cols * ny)
+            if key is None or cost < key:
+                best, key = (nx, a, ny, b), cost
     return best
 
 
@@ -475,12 +515,16 @@ def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
 def _limb_dot(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None) -> np.ndarray:
     """``x @ y`` exactly, reduced mod ``p`` or, for ``p`` None, in int64
     with ``_check_int64``'s overflow rule, from limb products on float64
-    BLAS; ``mx``, ``my`` bound the operands' magnitudes."""
-    if p is None:
-        _check_int64(x, y)
+    BLAS; ``mx``, ``my`` bound the operands' magnitudes.
+
+    An int64 product runs ``_check_int64`` only when ``inner * mx * my``
+    passes 2**63 - 1; below that the bound already proves that no term or
+    partial sum leaves int64."""
     (rows, inner), cols = x.shape, y.shape[1]
-    nx, a, ny, b = _limb_plan(inner, mx, my)
-    ys = np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
+    if p is None and inner * mx * my > INT64_MAX:
+        _check_int64(x, y)
+    nx, a, ny, b = _limb_plan(rows, inner, cols, mx, my)
+    ys = y if ny == 1 else np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
     acc = None
     for prod in _float_dot(x, ys, split=(a, nx, p is None))[::-1]:
         prod = prod.reshape(rows, ny, cols)
@@ -499,20 +543,21 @@ def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     module docstring).
     """
     xa, ya = x.data, y.data
-    inner = xa.shape[1]
+    rows, inner = xa.shape
     y2 = ya.reshape(inner, -1)
+    cols = y2.shape[1]
     mx, my = x._magnitude(), y._magnitude()
     bound = inner * mx * my
-    if bound <= _FLOAT_EXACT and y2.shape[1] > 1:
+    if bound <= _FLOAT_EXACT and cols > 1:
         out = _float_dot(xa, y2)
-    elif bound <= INT64_MAX:
+    elif bound <= INT64_MAX and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
         out = np.einsum("ik,jk->ij", xa, np.ascontiguousarray(y2.T))
     else:
         out = _limb_dot(xa, y2, mx, my, ring.modulus)
     if ring.kind == PRIME_FIELD:
         out %= ring.modulus
     _ops.multiplies += out.size * inner
-    return out.reshape(xa.shape[0], *ya.shape[1:])
+    return out.reshape(rows, *ya.shape[1:])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -277,8 +277,9 @@ def _sample_trial_block(
     ``substream(seed, start + t)``, bit for bit; a test pins that.
     """
     subs = _outputs(np.uint64(seed & MASK64), start + 1, stop + 1)
-    words = _outputs(subs[:, None], 1, n + 1)
-    return np.ascontiguousarray(dist._draw(words).T)
+    # Row i, column t: output i + 1 of substream start + t.
+    words = np.arange(1, n + 1, dtype=np.uint64)[:, None] * _U_GOLDEN + subs
+    return dist._draw(mix64_np(words))
 
 
 def parse_dist(text: str, ring: RingSpec) -> DiscreteDistribution:

@@ -1,8 +1,10 @@
 """Exact matrix arithmetic: fixed cases first, then randomized properties."""
 
+import math
 import random
 import time
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -459,24 +461,30 @@ def _entries_at(rng, rows, cols, mag, ring, mode):
 
 @contextmanager
 def _tier_spy():
-    """Names of the float64 and limb tiers as the chooser calls them; the
-    limb tier runs its products through the float64 one."""
+    """Names of the float64 and limb tiers as the chooser calls them, and
+    "check" for each int64 overflow check; the limb tier and the check run
+    their products through the float64 tier."""
     used = []
-    real_float, real_limbs = matrix_mod._float_dot, matrix_mod._limb_dot
+    real = matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64
 
-    def float_spy(*args, **kwargs):
-        used.append("float64")
-        return real_float(*args, **kwargs)
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            used.append(name)
+            return fn(*args, **kwargs)
 
-    def limb_spy(*args):
-        used.append("limbs")
-        return real_limbs(*args)
+        return call
 
-    matrix_mod._float_dot, matrix_mod._limb_dot = float_spy, limb_spy
+    matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64 = (
+        spy(name, fn) for name, fn in zip(("float64", "limbs", "check"), real)
+    )
     try:
         yield used
     finally:
-        matrix_mod._float_dot, matrix_mod._limb_dot = real_float, real_limbs
+        matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64 = real
+
+
+def _tier(used):
+    return "limbs" if "limbs" in used else "float64" if "float64" in used else "einsum"
 
 
 @settings(max_examples=120, deadline=None)
@@ -504,8 +512,13 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
                 matmul(x, y)
         else:
             assert matmul(x, y).data.tolist() == expected
-    assert ("float64" in used) == (bound <= 2**53 and cols > 1 or bound > INT64_MAX)
-    assert ("limbs" in used) == (bound > INT64_MAX)
+    # Past 2^53, einsum keeps a product only while it is small.
+    small = rows * inner * cols <= matrix_mod._EINSUM_MACS
+    assert ("float64" in used) == (
+        bound <= 2**53 and cols > 1 or bound > INT64_MAX or (bound > 2**53 and not small)
+    )
+    assert ("limbs" in used) == (bound > INT64_MAX or (bound > 2**53 and not small))
+    assert ("check" in used) == (ring == INT64 and bound > INT64_MAX)
 
     expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
     r = Vector(ring, [row[0] for row in y_rows])
@@ -518,6 +531,7 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
     # A single column pays for conversion only when it needs limbs.
     vbound = inner * mx * max(abs(row[0]) for row in y_rows)
     assert ("float64" in used) == ("limbs" in used) == (vbound > INT64_MAX)
+    assert ("check" in used) == (ring == INT64 and vbound > INT64_MAX)
 
 
 @settings(max_examples=80, deadline=None)
@@ -576,7 +590,9 @@ def test_limb_products_at_the_float64_limit(case, ring, rows, cols, seed):
     inner, mx, my, width, landing = _LIMB_CASES[case]
     # The largest 2^e - 1 the ring holds: all its full b-bit limbs are 2^b - 1.
     my = min(my, (1 << ((ring.modulus or 2**63).bit_length() - 1)) - 1)
-    nx, _, _, b = matrix_mod._limb_plan(inner, mx, my)
+    # x has at least as many entries as y, so a tie between plans leaves x whole.
+    rows = max(rows, cols)
+    nx, _, _, b = matrix_mod._limb_plan(rows, inner, cols, mx, my)
     assert (nx, b) == (1, width)
     assert landing in (inner * mx * ((1 << b) - 1), inner * mx * ((1 << (b + 1)) - 1))
     rng = random.Random(seed)
@@ -589,18 +605,133 @@ def test_limb_products_at_the_float64_limit(case, ring, rows, cols, seed):
     assert got.tolist() == _checked_ref(x_rows, y_rows, ring.modulus)
 
 
+_shapes = st.integers(min_value=1, max_value=2**20)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    inner=st.integers(min_value=1, max_value=2**20),
+    rows=_shapes,
+    inner=_shapes,
+    cols=_shapes,
     mx=st.integers(min_value=1, max_value=2**63),
     my=st.integers(min_value=1, max_value=2**63),
 )
-def test_limb_plan_keeps_every_limb_product_exact(inner, mx, my):
+def test_limb_plan_keeps_every_limb_product_exact(rows, inner, cols, mx, my):
     # The widest y limbs x's limbs allow, and enough limbs to cover both.
-    nx, a, ny, b = matrix_mod._limb_plan(inner, mx, my)
+    nx, a, ny, b = matrix_mod._limb_plan(rows, inner, cols, mx, my)
     top = mx if nx == 1 else (1 << a) - 1
     assert nx * a >= mx.bit_length() and ny * b >= my.bit_length()
     assert inner * top * ((1 << b) - 1) <= 2**53 < inner * top * ((1 << (b + 1)) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=_shapes,
+    inner=_shapes,
+    cols=_shapes,
+    mx=st.integers(min_value=1, max_value=2**63),
+    my=st.integers(min_value=1, max_value=2**63),
+)
+def test_limb_plan_ties_split_the_operand_with_fewer_entries(rows, inner, cols, mx, my):
+    # The shape never costs a limb product; among the cheapest plans, the
+    # operand with fewer entries is split at least as far as when it has more.
+    nx, _, ny, _ = matrix_mod._limb_plan(rows, inner, cols, mx, my)
+    nx_t, _, ny_t, _ = matrix_mod._limb_plan(cols, inner, rows, mx, my)
+    assert nx * ny == nx_t * ny_t
+    if rows < cols:
+        assert nx >= nx_t and ny <= ny_t
+
+
+def test_limb_plan_splits_a_small_x_against_a_wide_block():
+    # A (BR) in the empirical rate at n = 64, entries up to 2^24: two 13-bit
+    # limbs of the 64 x 64 A against BR whole, not BR in two 23-bit limbs.
+    assert matrix_mod._limb_plan(64, 64, 3999, 2**24, 2**30) == (2, 13, 1, 34)
+    assert matrix_mod._limb_plan(3999, 64, 64, 2**24, 2**30) == (1, 25, 2, 23)
+    assert matrix_mod._limb_plan(64, 64, 64, 2**24, 2**30) == (1, 25, 2, 23)
+
+
+_P26 = 67108859  # the largest prime below 2^26: 64 p^2 lies in (2^53, 2^63)
+
+
+@pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(_P26)])
+def test_wide_products_past_2_53_take_limbs_without_the_overflow_check(ring):
+    # Bounds in (2^53, 2^63 - 1] at n = 64: one-column and 19-column products
+    # stay on einsum, a 3999-column block takes limbs, and no int64 product
+    # below 2^63 pays for the overflow check.
+    n, p = 64, ring.modulus
+    rng = np.random.default_rng(8)
+    lo, mx, my = (0, p - 1, p - 1) if p else (-(2**24), 2**24, 2**30)
+    xa = rng.integers(lo, mx, size=(n, n), endpoint=True)
+    xa[0, 0] = mx
+    x = Matrix(n, n, ring, xa)
+    for w, tier in ((1, "einsum"), (19, "einsum"), (3999, "limbs")):
+        ya = rng.integers(-my if not p else 0, my, size=(n, w), endpoint=True)
+        ya[0, 0] = my
+        assert 2**53 < n * mx * my <= INT64_MAX
+        expected = np.einsum("ik,kj->ij", xa, ya)
+        expected = expected % p if p else expected
+        with _tier_spy() as used:
+            got = matmul(x, Matrix(n, w, ring, ya))
+        assert _tier(used) == tier and "check" not in used
+        assert np.array_equal(got.data, expected)
+        if w == 1:
+            with _tier_spy() as used:
+                got = mat_vec(x, Vector(ring, ya[:, 0]))
+            assert _tier(used) == "einsum"
+            assert np.array_equal(got.data, expected[:, 0])
+
+
+def test_int64_products_past_2_63_still_run_the_overflow_check():
+    # One large entry on each side lifts the bound past 2^63 while every
+    # true entry fits: the check runs, finds nothing, and the limbs agree.
+    n, w = 64, 3999
+    rng = np.random.default_rng(9)
+    xa = rng.integers(-(2**20), 2**20, size=(n, n), endpoint=True)
+    ya = rng.integers(-(2**20), 2**20, size=(n, w), endpoint=True)
+    xa[5, 7], ya[3, 11] = 2**40, -(2**30)
+    with _tier_spy() as used:
+        got = matmul(Matrix(n, n, INT64, xa), Matrix(n, w, INT64, ya))
+    assert _tier(used) == "limbs" and "check" in used
+    assert np.array_equal(got.data, np.einsum("ik,kj->ij", xa, ya))
+    ya[7, 0] = 2**30
+    with pytest.raises(IntegerOverflow, match=r"^product term at entry \(5, 0\) "):
+        matmul(Matrix(n, n, INT64, xa), Matrix(n, w, INT64, ya))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=9),
+    inner=st.integers(min_value=1, max_value=4),
+    cols=st.integers(min_value=1, max_value=9),
+    block=st.integers(min_value=1, max_value=12),
+    ring=st.sampled_from([INT64, RingSpec.prime_field(_P26), RingSpec.prime_field(_P61)]),
+    mag=st.sampled_from([2**20, 2**40, 2**62]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_streamed_products_match_python_ints(rows, inner, cols, block, ring, mag, seed):
+    # A tiny _FLOAT_BLOCK makes both streaming directions (row blocks of x
+    # when y has no more entries, column tiles of y otherwise) end on
+    # partial pieces, for plain float64 products and for limb products.
+    rng = random.Random(seed)
+    p = ring.modulus
+    fmag = math.isqrt(2**53 // inner)
+    fx = [[rng.randint(-fmag, fmag) for _ in range(inner)] for _ in range(rows)]
+    fy = [[rng.randint(-fmag, fmag) for _ in range(cols)] for _ in range(inner)]
+    top = min(mag, p - 1) if p else mag
+    lo = 0 if p else -top
+    x_rows = [[rng.randint(lo, top) for _ in range(inner)] for _ in range(rows)]
+    y_rows = [[rng.randint(lo, top) for _ in range(cols)] for _ in range(inner)]
+    x, y = np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64)
+    mx, my = int(np.abs(x).max()) or 1, int(np.abs(y).max()) or 1
+    expected = _checked_ref(x_rows, y_rows, p)
+    with patch.object(matrix_mod, "_FLOAT_BLOCK", block):
+        got = matrix_mod._float_dot(np.array(fx, dtype=np.int64), np.array(fy, dtype=np.int64))
+        assert got.tolist() == brute_matmul(fx, fy)
+        if expected is None:
+            with pytest.raises(IntegerOverflow):
+                matrix_mod._limb_dot(x, y, mx, my, p)
+        else:
+            assert matrix_mod._limb_dot(x, y, mx, my, p).tolist() == expected
 
 
 def _near(p):
