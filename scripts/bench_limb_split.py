@@ -2,8 +2,9 @@
 
     python scripts/bench_limb_split.py [--parent SRC] [--repeats R] [--out FILE]
 
-``BENCH_wide_products.json`` at the repo root was written by this script,
-and ``BENCH_limb_split.json`` by its earlier form without ``wide_products``.
+``BENCH_row_streaming.json`` and ``BENCH_wide_products.json`` at the repo
+root were written by this script, and ``BENCH_limb_split.json`` by its
+earlier form without ``wide_products``.
 
 Instances are generated once, with the freicheck in this checkout's ``src``,
 and saved as ``.npz`` files.  Every measurement then runs in a fresh
@@ -24,7 +25,9 @@ Rows:
   threads, timed alternately after 2 s of warm-up;
 * ``wide_products``: ``_exact_dot`` on n x n by n x w products whose bound
   lies in (2^53, 2^63 - 1], int64 and Z_p for the largest prime below 2^26,
-  with the tier it picks;
+  with the tier it picks.  At n = 64, w = 2047 is the second trial block of
+  a k = 2048 verify, within the 2^17 entries ``verify`` allows a block
+  wider than tall; w = 4000 is wider than any block it makes;
 * ``einsum_vs_limbs``: the same products on the int64 ``einsum`` tier and on
   the limb tier, whatever the chooser picks.  This is the table the
   chooser's ``einsum`` size limit is read from.
@@ -54,7 +57,7 @@ P26 = 67108859  # the largest prime below 2^26: 1024 p^2 lies in (2^53, 2^63)
 VERIFY = [("int64", None), ("zp", P31), ("zp", P61)]
 MATMUL = [("zp", P31, None), ("zp", P61, None), ("int64", None, 2**28 - 1)]
 EINSUM_SHAPES = [
-    (64, 1), (64, 19), (64, 64), (64, 128), (64, 4000),
+    (64, 1), (64, 19), (64, 64), (64, 128), (64, 2047), (64, 4000),
     (256, 4), (256, 8),
     (1024, 1), (1024, 2), (1024, 3), (1024, 10), (1024, 100),
 ]

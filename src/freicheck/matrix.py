@@ -22,10 +22,11 @@ rings, and picks the fastest tier that bound proves exact:
 
 * at most 2**53 and ``y`` has more than one column: float64 BLAS.  Every
   product and partial sum is then an integer a double holds exactly, in any
-  summation order.  The larger operand is streamed in 1 MiB pieces (row
-  blocks of ``x``, or column tiles of ``y`` when ``y`` has more entries)
-  and the other is converted once, so no float64 copy of the larger
-  operand is made, and no float64 copy is kept;
+  summation order.  ``x`` is streamed in 1 MiB row blocks and ``y`` is
+  converted once, so no float64 copy of ``x`` is made, and no float64 copy
+  is kept.  In the package only blocks of trial vectors have more columns
+  than rows, and ``verify`` keeps each of those within 1 MiB, so ``y``
+  stays in cache too;
 * at most 2**63 - 1, and ``y`` has one column or the product has at most
   ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy, ``einsum`` over a
   transposed ``y`` so both operands are read along rows.  Larger products
@@ -361,16 +362,17 @@ def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64, split=None) -> np.n
     """``x @ y`` on float64 BLAS, as ``dtype``; exact when every partial sum
     is an integer of magnitude at most 2**53.
 
-    The larger operand is streamed in pieces of about ``_FLOAT_BLOCK``
-    entries and the other is converted whole, once: row blocks of ``x``
-    against all of ``y``, or, when ``y`` has more entries, column tiles of
-    ``y`` against all of ``x``.  Each piece and its product then stay in
-    cache, and no float64 copy of the larger operand is made or kept.
+    ``x`` is streamed in row blocks of about ``_FLOAT_BLOCK`` entries
+    against ``y``, converted whole, once.  Each block and its product then
+    stay in cache, and no float64 copy of ``x`` is made or kept.  The
+    package's wide ``y`` are blocks of trial vectors, which ``verify``
+    bounds to ``_FLOAT_BLOCK`` entries (times their limb count) whenever
+    they have more columns than rows.
 
     With ``split = (width, count, signed)`` it multiplies each of the
     ``count`` limbs of ``x`` (see ``_limbs``) by ``y`` instead and returns
-    the ``(count, rows, cols)`` stack.  Each block of ``x``, and each of its
-    limbs, is converted once, so no limb of a large ``x`` is stored whole.
+    the ``(count, rows, cols)`` stack.  Each block of ``x`` is split as it
+    is converted, so no limb of a large ``x`` is stored whole.
 
     The BLAS calls run on one OpenBLAS thread, and the caller's count is
     restored afterwards (a no-op without numpy's bundled OpenBLAS).  The
@@ -379,40 +381,26 @@ def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64, split=None) -> np.n
     """
     (rows, inner), cols = x.shape, y.shape[1]
     width, count, signed = split or (64, 1, False)
-    by_cols = cols > rows
-    step = max(1, min(cols if by_cols else rows, _FLOAT_BLOCK // inner))
+    step = max(1, min(rows, _FLOAT_BLOCK // inner))
     # Every temporary is allocated before ``out``: freed, they then lie below
     # it in the heap, and the next call reuses their pages instead of
     # faulting in fresh ones, which nearly doubled an n = 512 product on a
     # 2-vCPU Xeon VM.
-    if by_cols:
-        xs = [limb.astype(np.float64) for limb in _limbs(x, width, count, signed)]
-    else:
-        yf = y.astype(np.float64)
-    piece = np.empty(step * inner)
-    prod = np.empty(step * (rows if by_cols else cols))
+    yf = y.astype(np.float64)
+    xf = np.empty((step, inner))
+    of = np.empty((step, cols))
     out = np.empty((count, rows, cols), dtype=dtype)
     threads = _blas_thread_calls()
     before = threads[0]() if threads else 1
     if before != 1:
         threads[1](1)
     try:
-        if by_cols:
-            for j in range(0, cols, step):
-                m = min(step, cols - j)
-                tile, of = piece[: inner * m].reshape(inner, m), prod[: rows * m].reshape(rows, m)
-                np.copyto(tile, y[:, j : j + m])
-                for xf, part in zip(xs, out):
-                    np.matmul(xf, tile, out=of)
-                    part[:, j : j + m] = of
-        else:
-            for i in range(0, rows, step):
-                m = min(step, rows - i)
-                block, of = piece[: m * inner].reshape(m, inner), prod[: m * cols].reshape(m, cols)
-                for limb, part in zip(_limbs(x[i : i + m], width, count, signed), out):
-                    np.copyto(block, limb)
-                    np.matmul(block, yf, out=of)
-                    part[i : i + m] = of
+        for i in range(0, rows, step):
+            m = min(step, rows - i)
+            for limb, part in zip(_limbs(x[i : i + m], width, count, signed), out):
+                np.copyto(xf[:m], limb)
+                np.matmul(xf[:m], yf, out=of[:m])
+                part[i : i + m] = of[:m]
     finally:
         if before != 1:
             threads[1](before)
@@ -547,15 +535,16 @@ def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     y2 = ya.reshape(inner, -1)
     cols = y2.shape[1]
     mx, my = x._magnitude(), y._magnitude()
-    bound = inner * mx * my
+    bound, p = inner * mx * my, ring.modulus
     if bound <= _FLOAT_EXACT and cols > 1:
         out = _float_dot(xa, y2)
     elif bound <= INT64_MAX and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
         out = np.einsum("ik,jk->ij", xa, np.ascontiguousarray(y2.T))
     else:
-        out = _limb_dot(xa, y2, mx, my, ring.modulus)
-    if ring.kind == PRIME_FIELD:
-        out %= ring.modulus
+        # Already reduced mod p.
+        out, p = _limb_dot(xa, y2, mx, my, p), None
+    if p:
+        out %= p
     _ops.multiplies += out.size * inner
     return out.reshape(rows, *ya.shape[1:])
 

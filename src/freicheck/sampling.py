@@ -46,23 +46,15 @@ _U27, _U30, _U31, _U32 = np.uint64(27), np.uint64(30), np.uint64(31), np.uint64(
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 output function: avalanche one 64-bit word."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
-    return z ^ (z >> 31)
-
-
 def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64`` over a uint64 array, bit-identical to the scalar form."""
+    """SplitMix64 output function over a uint64 array: avalanche each word."""
     z = (z ^ (z >> _U30)) * _U_MIX_A
     z = (z ^ (z >> _U27)) * _U_MIX_B
     return z ^ (z >> _U31)
 
 
 class SeededRng:
-    """SplitMix64 stream; output ``i`` (counting from 1) is ``mix64(seed + i*GOLDEN)``."""
+    """SplitMix64 stream; output ``i``, counting from 1, avalanches ``seed + i*GOLDEN``."""
 
     __slots__ = ("state",)
 
@@ -70,15 +62,16 @@ class SeededRng:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
+        word = int(_outputs(np.uint64(self.state), 1, 2)[0])
         self.state = (self.state + GOLDEN) & MASK64
-        return mix64(self.state)
+        return word
 
 
 def stream_seed(seed: int, index: int) -> int:
     """Seed of substream ``index``: output ``index + 1`` of the parent stream."""
     if index < 0:
         raise ValueError("substream index must be nonnegative")
-    return mix64((seed + (index + 1) * GOLDEN) & MASK64)
+    return int(_outputs(np.uint64((seed + index * GOLDEN) & MASK64), 1, 2)[0])
 
 
 def substream(seed: int, index: int) -> SeededRng:
@@ -86,7 +79,7 @@ def substream(seed: int, index: int) -> SeededRng:
 
 
 def _outputs(state, start: int, stop: int) -> np.ndarray:
-    """Outputs ``start..stop-1`` of the stream in ``state``, ``mix64(state +
+    """Outputs ``start..stop-1`` of the stream in ``state``, ``mix64_np(state +
     i*GOLDEN)``; a uint64 array of states gives one stream per state, along a
     new last axis."""
     return mix64_np(state + np.arange(start, stop, dtype=np.uint64) * _U_GOLDEN)

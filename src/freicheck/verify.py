@@ -14,11 +14,17 @@ One trial engine, ``_trials``, runs every iteration: ``fingerprint_block``
 checks w vectors at once as three (n x n) by (n x w) products, A(BR)
 against CR, through the exact product chooser in ``matrix``.  Trial 0 runs
 alone, so a wrong product that the first vector exposes costs one pass over
-A, B and C; later trials run in blocks of at most 2**20 / n columns, each
-drawn only when reached, so memory does not grow with k.  Trial j
-draws its vector from substream ``(seed, j)``.  A block that overflows is
-run again one trial at a time, so an overflow raises the one-column error
-of the first overflowing trial after every earlier trial.  ``verify`` stops
+A, B and C; later trials run in blocks of
+``min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))`` columns, at
+least one, each drawn only when reached, so memory does not grow with k.
+A block holds at most 2**20 entries, and one wider than it is tall at most
+``_FLOAT_BLOCK`` (2**17, 1 MiB as float64): ``matrix`` streams every
+product in one direction, row blocks of the left operand against the whole
+block, and that bound keeps the block in cache.  From n = 1024 up the
+width is 2**20 // n.  Trial j draws its vector from substream
+``(seed, j)``, so the width moves no draw.  A block that overflows is run
+again one trial at a time, so an overflow raises the one-column error of
+the first overflowing trial after every earlier trial.  ``verify`` stops
 at the first failing column and names its smallest differing row: the
 witness, ``witness_iteration`` and ``mismatch_row`` of a one-at-a-time
 loop, bit for bit.  The empirical rate in ``analysis`` counts the passing
@@ -35,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import matrix
 from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
 from .matrix import Matrix, Vector, _exact_dot
 from .sampling import DiscreteDistribution, _sample_trial_block, p_max
@@ -127,7 +134,7 @@ def _trials(
     and the overflow rule that every caller shares.
     """
     n, ring = a.rows, a.ring
-    width = max(1, _BLOCK_ENTRIES // n)
+    width = max(1, min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n)))
     start, single_until = 0, 1
     while start < stop:
         end = start + 1 if start < single_until else min(stop, start + width)

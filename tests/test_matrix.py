@@ -709,9 +709,9 @@ def test_int64_products_past_2_63_still_run_the_overflow_check():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_streamed_products_match_python_ints(rows, inner, cols, block, ring, mag, seed):
-    # A tiny _FLOAT_BLOCK makes both streaming directions (row blocks of x
-    # when y has no more entries, column tiles of y otherwise) end on
-    # partial pieces, for plain float64 products and for limb products.
+    # A tiny _FLOAT_BLOCK makes the row blocks of x end on partial pieces,
+    # for plain float64 products and for limb products, with y narrower
+    # than x is tall and wider.
     rng = random.Random(seed)
     p = ring.modulus
     fmag = math.isqrt(2**53 // inner)

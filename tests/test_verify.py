@@ -32,6 +32,7 @@ from freicheck import (
 )
 from util import brute_matmul, brute_mat_vec, random_matrix, random_unequal_triple
 
+matrix_mod = importlib.import_module("freicheck.matrix")
 verify_mod = importlib.import_module("freicheck.verify")
 
 INT64 = RingSpec.int64()
@@ -298,6 +299,33 @@ def test_multiply_counter_under_batching(monkeypatch, width):
         assert scalar_multiplies() == 3 * n * n * end
         seen.add(end)
     assert 1 in seen and len(seen) >= (3 if width is not None else 2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 11, 12, 16, 40])
+def test_trial_blocks_wider_than_tall_fit_one_float_block(monkeypatch, n):
+    # Patched small, sqrt(_FLOAT_BLOCK) ~ 11.3 puts n = 11 and 12 on either
+    # side of the crossover, and _BLOCK_ENTRIES // n < n from n = 33 on.  No
+    # block may pass _BLOCK_ENTRIES entries, and one wider than it is tall
+    # must fit one _FLOAT_BLOCK, which matrix streams against whole.
+    monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", 1 << 7)
+    rng = random.Random(n)
+    a, b = random_matrix(rng, n, INT64), random_matrix(rng, n, INT64)
+    sizes = []
+    block = verify_mod.fingerprint_block
+
+    def spy(a, b, c, r):
+        sizes.append((r.rows, r.cols))
+        return block(a, b, c, r)
+
+    monkeypatch.setattr(verify_mod, "fingerprint_block", spy)
+    k = 300
+    assert verify(a, b, matmul(a, b), _cfg(k=k)).accepted
+    assert sum(w for _, w in sizes) == k
+    for rows, w in sizes:
+        assert rows == n and n * w <= 1 << 10
+        assert w <= n or n * w <= 1 << 7, (n, w)
+    assert max(w for _, w in sizes) > 1
 
 
 def test_trials_are_drawn_only_when_reached():
