@@ -1,24 +1,37 @@
 """Timings of exact products past the float64 range, as JSON.
 
-    python scripts/bench_limb_split.py [--parent SRC] [--repeats R] [--out FILE]
+    python scripts/bench_limb_split.py [--parent SRC] [--pairs P] [--repeats R] [--out FILE]
 
-``BENCH_row_streaming.json`` and ``BENCH_wide_products.json`` at the repo
-root were written by this script, and ``BENCH_limb_split.json`` by its
-earlier form without ``wide_products``.
+``BENCH_early_reject.json`` at the repo root was written by this script
+with ``--parent``, ``BENCH_row_streaming.json`` and
+``BENCH_wide_products.json`` by its earlier form, which kept the lower of
+two runs per tree, and ``BENCH_limb_split.json`` by a form without
+``wide_products``.
 
 Instances are generated once, with the freicheck in this checkout's ``src``,
 and saved as ``.npz`` files.  Every measurement then runs in a fresh
 interpreter against one source tree: this checkout's ``src`` and, with
 ``--parent``, another tree's ``src`` (say, the parent commit's).  Both time
 the same inputs, and a slow tree never pays to generate them.  A time is the
-median of R runs after one warm-up run.  With ``--parent`` each tree runs in
-two interpreters, in the order change, parent, parent, change, and keeps
-the lower of its two times, so neither tree always runs first.
+median of R runs after one warm-up run.
+
+Without ``--parent`` one interpreter runs and its times are printed.  With
+``--parent`` P pairs of interpreters run (5 by default), one per tree,
+alternating which tree runs first.  Each row of ``verify``,
+``verify_reject``, ``matmul`` and ``wide_products`` then reports, per tree,
+the median and quartiles of its P times, and the change's speed-up as the
+ratio of the medians.  A row whose two quartile ranges overlap is marked
+``"unresolved"``: fresh interpreters on a shared machine differ by tens of
+percent, and such a row shows no difference either way.  The change-only
+sections hold the medians over the change's P interpreters.
 
 Rows:
 
 * ``verify``: n = 1024, k = 10, an equal instance (every fingerprint runs),
   u01 law in every ring and the field law in Z_p;
+* ``verify_reject``: n = 1024, k = 10, a dense-random instance, int64 and
+  Z_p for p = 2^31 - 1, u01 law: rejected by trial 0, which reads all of B
+  and the rows of A and C that the verifier needs;
 * ``matmul``: n = 256, Z_p for p = 2^31 - 1 and 2^61 - 1, and int64 entries
   below 2^28 in magnitude, whose bound n * 2^56 passes 2^63;
 * ``threads``: the n = 1024 float64 recompute ``a @ b`` on 1 and 2 OpenBLAS
@@ -55,6 +68,7 @@ HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 P31, P61 = 2**31 - 1, 2**61 - 1
 P26 = 67108859  # the largest prime below 2^26: 1024 p^2 lies in (2^53, 2^63)
 VERIFY = [("int64", None), ("zp", P31), ("zp", P61)]
+REJECT = [("int64", None), ("zp", P31)]
 MATMUL = [("zp", P31, None), ("zp", P61, None), ("int64", None, 2**28 - 1)]
 EINSUM_SHAPES = [
     (64, 1), (64, 19), (64, 64), (64, 128), (64, 2047), (64, 4000),
@@ -91,6 +105,9 @@ def generate(data: Path) -> None:
     for kind, p in VERIFY:
         a, b, c = fc.generate_instance(spec(1024, _ring(fc, kind, p), "equal", 1))
         np.savez(data / f"verify_{_name(kind, p)}.npz", a=a.data, b=b.data, c=c.data)
+    for kind, p in REJECT:
+        a, b, c = fc.generate_instance(spec(1024, _ring(fc, kind, p), "dense-random", 1))
+        np.savez(data / f"reject_{_name(kind, p)}.npz", a=a.data, b=b.data, c=c.data)
     for kind, p, bound in MATMUL:
         a, b, c = fc.generate_instance(spec(256, _ring(fc, kind, p), "equal", 2, bound or 256))
         np.savez(data / f"matmul_{_name(kind, p)}_{bound}.npz", a=a.data, b=b.data, c=c.data)
@@ -117,7 +134,7 @@ def measure(data: Path, repeats: int) -> dict:
     import freicheck as fc
     from freicheck import matrix
 
-    out: dict = {"verify": {}, "matmul": {}}
+    out: dict = {"verify": {}, "verify_reject": {}, "matmul": {}}
     for kind, p in VERIFY:
         ring = _ring(fc, kind, p)
         arrays = np.load(data / f"verify_{_name(kind, p)}.npz")
@@ -130,6 +147,13 @@ def measure(data: Path, repeats: int) -> dict:
             assert fc.verify(a, b, c, cfg).accepted
             key = f"{_name(kind, p)} {law}"
             out["verify"][key] = _median_ms(lambda: fc.verify(a, b, c, cfg), repeats)
+    for kind, p in REJECT:
+        ring = _ring(fc, kind, p)
+        arrays = np.load(data / f"reject_{_name(kind, p)}.npz")
+        a, b, c = (fc.Matrix(1024, 1024, ring, arrays[k]) for k in "abc")
+        cfg = fc.VerifyConfig(10, 3, fc.uniform_binary())
+        assert fc.verify(a, b, c, cfg).witness_iteration == 0
+        out["verify_reject"][f"{_name(kind, p)} u01"] = _median_ms(lambda: fc.verify(a, b, c, cfg), repeats)
     for kind, p, bound in MATMUL:
         ring = _ring(fc, kind, p)
         arrays = np.load(data / f"matmul_{_name(kind, p)}_{bound}.npz")
@@ -147,7 +171,9 @@ def measure(data: Path, repeats: int) -> dict:
 def _tier_of(matrix, call) -> str:
     """The tier ``_exact_dot`` runs ``call`` on: limbs, float64 or einsum."""
     used = []
-    real = {name: getattr(matrix, name) for name in ("_float_dot", "_limb_dot")}
+    # Trees before the row stream name the tiers' entry points differently.
+    names = ("_float_product", "_limb_product") if hasattr(matrix, "_limb_product") else ("_float_dot", "_limb_dot")
+    real = {name: getattr(matrix, name) for name in names}
 
     def spy(name):
         def run(*args, **kwargs):
@@ -163,7 +189,7 @@ def _tier_of(matrix, call) -> str:
     finally:
         for name, fn in real.items():
             setattr(matrix, name, fn)
-    return "limbs" if "_limb_dot" in used else "float64" if used else "einsum"
+    return "limbs" if names[1] in used else "float64" if used else "einsum"
 
 
 def _wide_products(fc, matrix, data: Path, repeats: int) -> dict:
@@ -244,17 +270,44 @@ def _child(src: Path, data: Path, repeats: int) -> dict:
     return json.loads(res.stdout)
 
 
-def _lower(a, b):
-    """Two runs of one tree merged: the lower of each time, other fields
-    (tiers, shapes) as they are, which both runs share."""
-    if isinstance(a, dict):
-        return {k: _lower(v, b[k]) for k, v in a.items()}
-    if isinstance(a, list):
-        return [_lower(u, v) for u, v in zip(a, b)]
-    if isinstance(a, float):
-        return min(a, b)
-    assert a == b, (a, b)
-    return a
+def _gather(runs: list):
+    """Runs of one tree merged: every time becomes the list of its runs'
+    times, other fields (tiers, shapes) stay as they are, which every run
+    shares."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {k: _gather([r[k] for r in runs]) for k in first}
+    if isinstance(first, list):
+        return [_gather(list(items)) for items in zip(*runs)]
+    if isinstance(first, float):
+        return runs
+    assert all(r == first for r in runs), runs
+    return first
+
+
+def _quartiles(times: list[float]) -> list[float]:
+    return [round(q, 3) for q in statistics.quantiles(times, n=4, method="inclusive")]
+
+
+def _medians(doc):
+    """A gathered section with each time list replaced by its median."""
+    if isinstance(doc, dict):
+        return {k: _medians(v) for k, v in doc.items()}
+    if isinstance(doc, list) and doc and isinstance(doc[0], float):
+        return round(statistics.median(doc), 3)
+    if isinstance(doc, list):
+        return [_medians(v) for v in doc]
+    return doc
+
+
+def _compare(parent: list[float], change: list[float]) -> dict:
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
+    row = {"parent_ms": pm, "parent_quartiles": [p1, p3],
+           "change_ms": cm, "change_quartiles": [c1, c3],
+           "speedup": round(pm / cm, 2)}
+    if c1 <= p3 and p1 <= c3:
+        row["unresolved"] = True
+    return row
 
 
 def _machine() -> dict:
@@ -277,17 +330,12 @@ def _machine() -> dict:
 
 def _ratios(parent: dict, change: dict) -> dict:
     doc = {
-        section: {
-            key: {"parent_ms": parent[section][key], "change_ms": ms,
-                  "speedup": round(parent[section][key] / ms, 1)}
-            for key, ms in change[section].items()
-        }
-        for section in ("verify", "matmul")
+        section: {key: _compare(parent[section][key], times) for key, times in change[section].items()}
+        for section in ("verify", "verify_reject", "matmul")
     }
     doc["wide_products"] = {
         key: {"parent_tier": parent["wide_products"][key]["tier"], "change_tier": row["tier"],
-              "parent_ms": parent["wide_products"][key]["ms"], "change_ms": row["ms"],
-              "speedup": round(parent["wide_products"][key]["ms"] / row["ms"], 2)}
+              **_compare(parent["wide_products"][key]["ms"], row["ms"])}
         for key, row in change["wide_products"].items()
     }
     return doc
@@ -296,6 +344,7 @@ def _ratios(parent: dict, change: dict) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="src directory of the tree to compare against")
+    ap.add_argument("--pairs", type=int, default=5, help="interpreter pairs with --parent (at least 2)")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
@@ -303,27 +352,33 @@ def main() -> None:
     if args.child:
         print(json.dumps(measure(args.child, args.repeats)))
         return
+    if args.parent and args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp)
         generate(data)
-        change = _child(HERE_SRC, data, args.repeats)
-        parent = None
-        if args.parent:
-            parent = _child(args.parent.resolve(), data, args.repeats)
-            parent = _lower(parent, _child(args.parent.resolve(), data, args.repeats))
-            change = _lower(change, _child(HERE_SRC, data, args.repeats))
+        if not args.parent:
+            change, parent = _child(HERE_SRC, data, args.repeats), None
+        else:
+            trees = {"change": HERE_SRC, "parent": args.parent.resolve()}
+            runs: dict[str, list] = {"change": [], "parent": []}
+            for pair in range(args.pairs):
+                for tree in ("change", "parent") if pair % 2 == 0 else ("parent", "change"):
+                    runs[tree].append(_child(trees[tree], data, args.repeats))
+            change, parent = _gather(runs["change"]), _gather(runs["parent"])
     doc = {
         "command": "python scripts/bench_limb_split.py"
-        + (" --parent <parent src>" if parent else "")
+        + (f" --parent <parent src> --pairs {args.pairs}" if parent else "")
         + f" --repeats {args.repeats}" + (f" --out {args.out.name}" if args.out else ""),
         "machine": _machine(),
         "repeats": args.repeats,
-        "change_only": {k: change[k] for k in ("threads", "einsum_vs_limbs")},
+        "change_only": _medians({k: change[k] for k in ("threads", "einsum_vs_limbs")}),
     }
     if parent:
+        doc["pairs"] = args.pairs
         doc.update(_ratios(parent, change))
     else:
-        doc.update({k: change[k] for k in ("verify", "matmul", "wide_products")})
+        doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products")})
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

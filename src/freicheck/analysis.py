@@ -47,6 +47,7 @@ from .matrix import (
     Matrix,
     RingSpec,
     Vector,
+    _fill,
     mat_add,
     mat_sub,
     matmul,
@@ -239,7 +240,7 @@ def _empirical_rate(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, trials: int, seed: int
 ) -> EmpiricalRate:
     blocks = _trials(a, b, c, dist, seed, trials)
-    hits = sum(int(np.count_nonzero(~mask.any(axis=0))) for _, _, mask in blocks)
+    hits = sum(int(np.count_nonzero(~_fill(rows, a.rows).any(axis=0))) for _, _, rows in blocks)
     return EmpiricalRate(hits / trials, trials, wilson_interval(hits, trials))
 
 

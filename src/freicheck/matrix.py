@@ -16,21 +16,30 @@ product.
 
 Every product of ``Matrix``/``Vector`` operands (``matmul``, ``mat_vec``,
 ``outer`` and the verifier's fingerprint blocks) goes through one chooser,
-``_exact_dot``.  It bounds every partial sum of ``x @ y`` by
-``inner * max|x| * max|y|``, using the entries' real magnitudes in both
-rings, and picks the fastest tier that bound proves exact:
+``_exact_product``.  It picks a tier once per product, from a bound on
+every partial sum of the whole of ``x @ y``, ``inner * max|x| * max|y|``,
+using the entries' real magnitudes in both rings, and returns the tier's
+block product: a function of any run of rows of ``x``, with ``y``
+converted (and split into limbs) once, when the product is set up.
+``_exact_dot`` applies it to all of ``x``.  ``_exact_rows`` streams it
+over row blocks of ``_FLOAT_BLOCK // inner`` rows, about 1 MiB of entries
+(a square ``x`` of up to 362 rows is one block), computing each block only
+when it is read, so the verifier can compare A(BR) with CR block by block
+and stop early.  Each tier bounds its own temporaries, whatever the rows
+asked for.  The tier is the fastest one that the bound proves exact:
 
 * at most 2**53 and ``y`` has more than one column: float64 BLAS.  Every
   product and partial sum is then an integer a double holds exactly, in any
-  summation order.  ``x`` is streamed in 1 MiB row blocks and ``y`` is
-  converted once, so no float64 copy of ``x`` is made, and no float64 copy
-  is kept.  In the package only blocks of trial vectors have more columns
-  than rows, and ``verify`` keeps each of those within 1 MiB, so ``y``
-  stays in cache too;
+  summation order.  Rows of ``x`` are converted into one reused buffer of
+  at most a block (half a block when ``y`` is smaller than a block), so no
+  float64 copy of ``x`` is made, and no float64 copy is kept.  In the
+  package only blocks of trial vectors have more columns than rows, and
+  ``verify`` keeps each of those within 1 MiB, so ``y`` stays in cache
+  too;
 * at most 2**63 - 1, and ``y`` has one column or the product has at most
-  ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy, ``einsum`` over a
-  transposed ``y`` so both operands are read along rows.  Larger products
-  in this range run faster on limbs;
+  ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy, ``einsum`` of the
+  rows asked for against ``y`` transposed once, so both operands are read
+  along rows.  Larger products in this range run faster on limbs;
 * otherwise limbs on float64 BLAS, for both rings.  ``x`` is split into
   a-bit limbs and ``y`` into b-bit limbs; among the splits with
   ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
@@ -40,11 +49,12 @@ rings, and picks the fastest tier that bound proves exact:
   ``x`` whole; for p = 2**61 - 1, three limbs on each side; for a 64 x 64
   ``x`` with entries up to 2**24 against a 64 x 3999 block, two limbs of
   ``x`` and ``y`` whole.  ``y``'s limbs go as extra columns of one BLAS
-  call per limb of ``x``, and ``x`` is split block by block as it is
-  converted.  The limb products are recombined by Horner steps: mod p in
-  uint64, shifting by at most ``64 - bitlen(p)`` bits at a time so no step
-  leaves 64 bits for any p below 2**63; in ``int64`` by wrapping
-  shift-adds, exact wherever the true entry fits.
+  call per limb of ``x``, and ``x`` is split as it is converted.  The
+  limb products of each row block are recombined before the next block's
+  are computed, so one block's limb products exist at a time, by Horner
+  steps: mod p in uint64, shifting by at most ``64 - bitlen(p)`` bits at a
+  time so no step leaves 64 bits for any p below 2**63; in ``int64`` by
+  wrapping shift-adds, exact wherever the true entry fits.
 
 The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
@@ -54,18 +64,22 @@ tier.  Past that, the limb tier applies it through a certificate,
 ``sum_k |x_ik| |y_kj|`` computed by one float64 BLAS product with its
 rounding error bounded: an entry whose certificate is provably at most
 2**63 - 1 cannot overflow, and only the others are checked term by term in
-Python integers.
+Python integers.  The check covers the whole of ``x`` and runs when the
+product is set up, so an ``IntegerOverflow`` is raised before any row of
+the product exists, whatever its row.
 
 Products on float64 BLAS run on one OpenBLAS thread: n-by-w fingerprint
 blocks are memory-bound and gain little from a second thread, which, for
 about the first second of a process, can share a CPU with the main thread
 and slow every call many times over.  The count is set through numpy's
-bundled OpenBLAS and restored after each product; it is process-global.
+bundled OpenBLAS around each call of a block product and restored before
+it returns, so a stream that its reader leaves suspended or drops never
+leaves it set; it is process-global.
 
 ``scalar_multiplies()`` exposes a process-wide count of ring multiplications
 performed by products.  The count is derived from operand shapes (the
-schoolbook cost ``rows * inner * cols``), not timed, so it is exact and
-deterministic regardless of which tier ran.
+schoolbook cost ``rows * inner * cols`` of each row block read), not timed,
+so it is exact and deterministic regardless of which tier ran.
 """
 
 from __future__ import annotations
@@ -324,8 +338,8 @@ def reset_scalar_multiplies() -> None:
 
 def scalar_multiplies() -> int:
     """Ring multiplications counted since the last reset: ``rows * inner *
-    cols`` per product, so a verify that runs j fingerprints counts 3jn^2
-    however they were batched."""
+    cols`` per row block of a product read, so a verify that reads every
+    row of j fingerprints counts 3jn^2 however they were batched."""
     return _ops.multiplies
 
 
@@ -358,53 +372,113 @@ def _blas_thread_calls():
     return get, put
 
 
-def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64, split=None) -> np.ndarray:
-    """``x @ y`` on float64 BLAS, as ``dtype``; exact when every partial sum
+def _rows(x: np.ndarray, product, p: int | None = None, count: bool = False):
+    """The row stream of a product: ``(i, product(x[i : i + step]))`` for
+    the row blocks of ``x``, ``step = _FLOAT_BLOCK // inner`` rows (at
+    least one), in order, each through ``_block``.  Several blocks are
+    computed lazily, as they are read, so a reader that stops early
+    computes, and is charged for, only the rows it read; a single block is
+    computed at once."""
+    step = _FLOAT_BLOCK // x.shape[1] or 1
+    if step >= len(x):
+        return ((0, _block(x, product, p, count)),)
+    return ((i, _block(x[i : i + step], product, p, count)) for i in range(0, len(x), step))
+
+
+def _block(xb: np.ndarray, product, p: int | None = None, count: bool = False) -> np.ndarray:
+    """``product(xb)``, reduced mod ``p`` when given; with ``count`` it adds
+    ``rows * inner * cols`` to the multiply count."""
+    part = product(xb)
+    if p:
+        part %= p
+    if count:
+        _ops.multiplies += part.size * xb.shape[1]
+    return part
+
+
+def _fill(blocks, rows: int) -> np.ndarray:
+    """The ``rows`` rows of a ``(i, rows i..)`` stream as one array; a
+    stream of one block returns that block itself."""
+    out = None
+    for i, part in blocks:
+        if len(part) == rows:
+            return part
+        if out is None:
+            out = np.empty((rows, *part.shape[1:]), dtype=part.dtype)
+        out[i : i + len(part)] = part
+    return out
+
+
+def _float_product(y: np.ndarray, rows: int, dtype=np.int64, split=None):
+    """The block product of ``_rows`` on float64 BLAS, for a left operand
+    of ``rows`` rows: ``xb @ y`` as ``dtype``, exact when every partial sum
     is an integer of magnitude at most 2**53.
 
-    ``x`` is streamed in row blocks of about ``_FLOAT_BLOCK`` entries
-    against ``y``, converted whole, once.  Each block and its product then
-    stay in cache, and no float64 copy of ``x`` is made or kept.  The
-    package's wide ``y`` are blocks of trial vectors, which ``verify``
-    bounds to ``_FLOAT_BLOCK`` entries (times their limb count) whenever
-    they have more columns than rows.
+    ``y`` is converted here, once; each block of x is converted into one
+    reused buffer as it is reached (half a block at a time against a small
+    ``y``), so it and its product stay in cache and no float64 copy of x is
+    made.  The package's wide ``y`` are blocks of trial vectors,
+    which ``verify`` bounds to ``_FLOAT_BLOCK`` entries (times their limb
+    count) whenever they have more columns than rows.
 
     With ``split = (width, count, signed)`` it multiplies each of the
-    ``count`` limbs of ``x`` (see ``_limbs``) by ``y`` instead and returns
-    the ``(count, rows, cols)`` stack.  Each block of ``x`` is split as it
-    is converted, so no limb of a large ``x`` is stored whole.
+    ``count`` limbs of the block (see ``_limbs``) by ``y`` instead and
+    returns the ``(count, rows, cols)`` stack.
 
-    The BLAS calls run on one OpenBLAS thread, and the caller's count is
-    restored afterwards (a no-op without numpy's bundled OpenBLAS).  The
+    Each call runs its BLAS calls on one OpenBLAS thread and restores the
+    caller's count before it returns, so a stream left suspended or dropped
+    never holds the pin (a no-op without numpy's bundled OpenBLAS).  The
     count is process-global: BLAS calls that other threads of the process
     make meanwhile also run on one thread.
     """
-    (rows, inner), cols = x.shape, y.shape[1]
+    inner, cols = y.shape
     width, count, signed = split or (64, 1, False)
-    step = max(1, min(rows, _FLOAT_BLOCK // inner))
-    # Every temporary is allocated before ``out``: freed, they then lie below
-    # it in the heap, and the next call reuses their pages instead of
-    # faulting in fresh ones, which nearly doubled an n = 512 product on a
-    # 2-vCPU Xeon VM.
+    # BLAS packs y again on every call.  A y of a block's size or more is
+    # multiplied by whole blocks, so it is packed as few times as possible.
+    # A smaller y, such as a block of trial vectors, by half blocks: the
+    # verifier reads two such products side by side, and their two buffers
+    # then take the 1 MiB one whole block took, which a 2 MiB L2 keeps
+    # beside the rows being read.  On a 2-vCPU Xeon VM, an n = 1024 verify
+    # that accepts ran 7-8% slower reading its products side by side with
+    # whole-block buffers than computing them one after the other, and about
+    # 10% faster with halves; an n = 1024 matmul ran 10-19% slower with
+    # halves.
+    block = _FLOAT_BLOCK if inner * cols >= _FLOAT_BLOCK else _FLOAT_BLOCK // 2
+    step = min(rows, block // inner or 1)
+    # The temporaries are allocated once, before any block's output: freed,
+    # they then lie below it in the heap, and the next product reuses their
+    # pages instead of faulting in fresh ones, which nearly doubled an
+    # n = 512 product on a 2-vCPU Xeon VM.
     yf = y.astype(np.float64)
     xf = np.empty((step, inner))
     of = np.empty((step, cols))
-    out = np.empty((count, rows, cols), dtype=dtype)
     threads = _blas_thread_calls()
-    before = threads[0]() if threads else 1
-    if before != 1:
-        threads[1](1)
-    try:
-        for i in range(0, rows, step):
-            m = min(step, rows - i)
-            for limb, part in zip(_limbs(x[i : i + m], width, count, signed), out):
-                np.copyto(xf[:m], limb)
-                np.matmul(xf[:m], yf, out=of[:m])
-                part[i : i + m] = of[:m]
-    finally:
+
+    def product(xb: np.ndarray) -> np.ndarray:
+        m = len(xb)
+        out = np.empty((count, m, cols), dtype=dtype)
+        before = threads[0]() if threads else 1
         if before != 1:
-            threads[1](before)
-    return out if split else out[0]
+            threads[1](1)
+        try:
+            for limb, part in zip(_limbs(xb, width, count, signed), out):
+                for j in range(0, m, step):
+                    k = min(step, m - j)
+                    np.copyto(xf[:k], limb[j : j + k])
+                    np.matmul(xf[:k], yf, out=of[:k])
+                    part[j : j + k] = of[:k]
+        finally:
+            if before != 1:
+                threads[1](before)
+        return out if split else out[0]
+
+    return product
+
+
+def _float_dot(x: np.ndarray, y: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """``x @ y`` on float64 BLAS, as ``dtype``: ``_float_product`` over all
+    of x."""
+    return _float_product(y, len(x), dtype)(x)
 
 
 def _magnitudes(v: np.ndarray) -> np.ndarray:
@@ -500,53 +574,81 @@ def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
         _check_entry(x[i].tolist(), y[:, j].tolist(), i, j)
 
 
-def _limb_dot(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None) -> np.ndarray:
-    """``x @ y`` exactly, reduced mod ``p`` or, for ``p`` None, in int64
-    with ``_check_int64``'s overflow rule, from limb products on float64
-    BLAS; ``mx``, ``my`` bound the operands' magnitudes.
+def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None):
+    """The block product of ``_rows`` for ``x @ y`` exactly, reduced mod
+    ``p`` or, for ``p`` None, in int64 with ``_check_int64``'s overflow
+    rule, from limb products on float64 BLAS; ``mx``, ``my`` bound the
+    operands' magnitudes.
 
-    An int64 product runs ``_check_int64`` only when ``inner * mx * my``
-    passes 2**63 - 1; below that the bound already proves that no term or
-    partial sum leaves int64."""
+    ``y`` is split here, once.  The limb products of each row block of the
+    rows asked for are recombined before the next block's are computed, so
+    no more than one block's limb products exist at a time.  An int64
+    product runs ``_check_int64`` over the whole of ``x`` before this
+    returns, and only when ``inner * mx * my`` passes 2**63 - 1; below that
+    the bound already proves that no term or partial sum leaves int64.  So
+    any ``IntegerOverflow`` is raised before a row exists."""
     (rows, inner), cols = x.shape, y.shape[1]
     if p is None and inner * mx * my > INT64_MAX:
         _check_int64(x, y)
     nx, a, ny, b = _limb_plan(rows, inner, cols, mx, my)
     ys = y if ny == 1 else np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
-    acc = None
-    for prod in _float_dot(x, ys, split=(a, nx, p is None))[::-1]:
-        prod = prod.reshape(rows, ny, cols)
-        r = prod[:, -1] % p if p else prod[:, -1]
+    limb_products = _float_product(ys, rows, split=(a, nx, p is None))
+
+    def recombine(xb: np.ndarray) -> np.ndarray:
+        # Horner steps, high limbs first: over y's limbs for every limb of
+        # x at once, then over x's limbs.
+        prods = limb_products(xb).reshape(nx, len(xb), ny, cols)
+        r = prods[:, :, -1] % p if p else prods[:, :, -1]
         for m in range(ny - 2, -1, -1):
-            r = _shift_add(r, b, prod[:, m], p)
-        acc = r if acc is None else _shift_add(acc, a, r, p)
-    return acc
+            r = _shift_add(r, b, prods[:, :, m], p)
+        acc = r[-1]
+        for l in range(nx - 2, -1, -1):
+            acc = _shift_add(acc, a, r[l], p)
+        return acc
+
+    return lambda xb: _fill(_rows(xb, recombine), len(xb))
 
 
-def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
-    """``x @ y`` computed exactly in ``ring``; ``x`` is 2-D, ``y`` 1-D or 2-D.
+def _limb_dot(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None) -> np.ndarray:
+    """``x @ y`` from ``_limb_product`` over all of x."""
+    return _limb_product(x, y, mx, my, p)(x)
 
-    Counts ``rows * inner * cols`` scalar multiplies.  The tier is chosen
-    from ``inner * max|x| * max|y|``, a bound on every partial sum (see the
-    module docstring).
-    """
-    xa, ya = x.data, y.data
+
+def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
+    """``(product, p)`` for ``x @ y`` computed exactly in ``ring``: the
+    block product of the tier chosen from ``inner * max|x| * max|y|``, a
+    bound on every partial sum of the whole product (see the module
+    docstring), and the modulus its blocks still need reducing by.  Any
+    ``IntegerOverflow`` is raised by this call, before a row exists."""
+    xa = x.data
     rows, inner = xa.shape
-    y2 = ya.reshape(inner, -1)
+    y2 = y.data.reshape(inner, -1)
     cols = y2.shape[1]
     mx, my = x._magnitude(), y._magnitude()
     bound, p = inner * mx * my, ring.modulus
     if bound <= _FLOAT_EXACT and cols > 1:
-        out = _float_dot(xa, y2)
-    elif bound <= INT64_MAX and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
-        out = np.einsum("ik,jk->ij", xa, np.ascontiguousarray(y2.T))
-    else:
-        # Already reduced mod p.
-        out, p = _limb_dot(xa, y2, mx, my, p), None
-    if p:
-        out %= p
-    _ops.multiplies += out.size * inner
-    return out.reshape(rows, *ya.shape[1:])
+        return _float_product(y2, rows), p
+    if bound <= INT64_MAX and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
+        # Over a transposed y, so both operands are read along rows.
+        yt = np.ascontiguousarray(y2.T)
+        return (lambda xb: np.einsum("ik,jk->ij", xb, yt)), p
+    # Already reduced mod p.
+    return _limb_product(xa, y2, mx, my, p), None
+
+
+def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
+    """The row stream of ``x @ y`` computed exactly in ``ring``, 2-D blocks
+    of ``_rows``; each counts its scalar multiplies as it is computed."""
+    return _rows(x.data, *_exact_product(x, y, ring), count=True)
+
+
+def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
+    """``x @ y`` computed exactly in ``ring``, in ``y``'s shape (1-D for a
+    vector): the chosen block product over all of x, counting ``rows *
+    inner * cols`` scalar multiplies."""
+    product, p = _exact_product(x, y, ring)
+    xa = x.data
+    return _block(xa, product, p, True).reshape(len(xa), *y.data.shape[1:])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -10,11 +10,14 @@ an iteration wrongly accepts with probability at most the largest point mass
 of the component distribution.  Independent iterations multiply, giving the
 p_max**k certificate reported on accept.
 
-One trial engine, ``_trials``, runs every iteration: ``fingerprint_block``
-checks w vectors at once as three (n x n) by (n x w) products, A(BR)
-against CR, through the exact product chooser in ``matrix``.  Trial 0 runs
-alone, so a wrong product that the first vector exposes costs one pass over
-A, B and C; later trials run in blocks of
+One trial engine, ``_trials``, runs every iteration.  It checks w vectors
+at once, A(BR) against CR: BR is formed whole, and the row streams of A(BR)
+and CR from the exact product chooser in ``matrix`` are compared block by
+block, ``matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at once up
+to n = 362).  Trial 0 runs alone, so a wrong product that the first
+vector exposes costs one pass over B and, from n = 363 up, only the rows of
+A and C up to the end of the row block holding the first differing row.
+Later trials run in blocks of
 ``min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))`` columns, at
 least one, each drawn only when reached, so memory does not grow with k.
 A block holds at most 2**20 entries, and one wider than it is tall at most
@@ -24,13 +27,23 @@ block, and that bound keeps the block in cache.  From n = 1024 up the
 width is 2**20 // n.  Trial j draws its vector from substream
 ``(seed, j)``, so the width moves no draw.  A block that overflows is run
 again one trial at a time, so an overflow raises the one-column error of
-the first overflowing trial after every earlier trial.  ``verify`` stops
-at the first failing column and names its smallest differing row: the
-witness, ``witness_iteration`` and ``mismatch_row`` of a one-at-a-time
-loop, bit for bit.  The empirical rate in ``analysis`` counts the passing
-columns of the same engine.  The multiply counter charges 3n^2 per trial
-computed: 3kn^2 on accept, 3n^2 times the end of the block holding the
-failing iteration on reject.
+the first overflowing trial after every earlier trial; every
+``IntegerOverflow`` is raised before any row of the block is compared.
+
+``verify`` and ``freivalds_iteration`` stop reading a block once its first
+trial differs in some row: no earlier trial of the block can fail and no
+earlier row of that trial did.  Otherwise they read the whole block, and
+``verify`` stops at its first failing column.  Either way they name that
+column's smallest differing row: the witness, ``witness_iteration`` and
+``mismatch_row`` of a one-at-a-time loop, bit for bit.  The empirical rate
+in ``analysis`` reads every row and counts the passing columns of the same
+engine.  The multiply counter charges what was read: 3kn^2 on accept; on
+reject, 3n^2 per trial of every block before the failing one, and for the
+failing block of w trials n^2 w for BR plus 2nw per row of A and C read,
+that is up to the end of the row block where its first trial first
+differs, or all n rows when that trial passes.  A trial-0 reject counts
+n^2 + 2n e, with e the end row of the row block holding the first
+mismatch.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ import numpy as np
 
 from . import matrix
 from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
-from .matrix import Matrix, Vector, _exact_dot
+from .matrix import Matrix, Vector, _exact_dot, _exact_rows, _fill
 from .sampling import DiscreteDistribution, _sample_trial_block, p_max
 
 # Entries of the (n x w) vector block per verify block: bounds the block's
@@ -94,6 +107,46 @@ def _check_inputs(a: Matrix, b: Matrix, c: Matrix) -> None:
         )
 
 
+def _check_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> None:
+    _check_inputs(a, b, c)
+    if r.ring != a.ring:
+        raise RingMismatch(f"vector ring {r.ring} does not match matrices ({a.ring})")
+    if r.rows != a.cols:
+        raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
+
+
+def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
+    """Stream the mask A(BR) != CR as ``(i, rows i..)`` blocks, pairing the
+    row streams of A(BR) and CR.  BR is formed whole first; any
+    ``IntegerOverflow`` of the three products is raised by this call,
+    before a mask row exists."""
+    ring = a.ring
+    br = Matrix._wrap(_exact_dot(b, r, ring), ring)
+    if a.rows <= matrix._FLOAT_BLOCK // a.rows:
+        # One row block (n <= 362): nothing to stop early, so the products
+        # are compared whole, without the stream's per-call work.
+        return ((0, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
+    return ((i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
+
+
+def _first_failure(rows, n: int) -> tuple[int, int] | None:
+    """``(t, i)``: the first column of an n-row mask stream with a True and
+    that column's smallest such row, or None.  Stops reading once column 0
+    has a True: no earlier column can fail and no earlier row of column 0
+    did, so the rows read so far decide."""
+    parts = []
+    for i, part in rows:
+        parts.append(part)
+        if i + len(part) < n and part[:, 0].any():
+            break
+    mask = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # Column-major order: the first True is the first failing column's
+    # smallest differing row.
+    flat = mask.T.ravel()
+    first = int(np.argmax(flat))
+    return divmod(first, len(mask)) if flat[first] else None
+
+
 def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
     """The (n, w) mask of entries where A(BR) != CR, for the w columns of R.
 
@@ -101,14 +154,8 @@ def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
     forms AB: the cost is three (n x n) by (n x w) products, 3n^2 w scalar
     multiplies.
     """
-    _check_inputs(a, b, c)
-    if r.ring != a.ring:
-        raise RingMismatch(f"vector ring {r.ring} does not match matrices ({a.ring})")
-    if r.rows != a.cols:
-        raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
-    ring = a.ring
-    br = Matrix._wrap(_exact_dot(b, r, ring), ring)
-    return _exact_dot(a, br, ring) != _exact_dot(c, r, ring)
+    _check_block(a, b, c, r)
+    return _fill(_mask_rows(a, b, c, r), a.rows)
 
 
 def freivalds_iteration(
@@ -118,20 +165,23 @@ def freivalds_iteration(
 
     Returns ``(True, None)`` on agreement, else ``(False, i)`` with the
     smallest row index i where the two sides differ.  Never forms AB: the
-    cost is exactly three matrix-vector products.
+    cost is at most three matrix-vector products, and the rows of A and C
+    past the row block holding row i are not read.
     """
-    mask = fingerprint_block(a, b, c, Matrix._wrap(r.data.reshape(-1, 1), r.ring))[:, 0]
-    row = int(np.argmax(mask))
-    return (False, row) if mask[row] else (True, None)
+    col = Matrix._wrap(r.data.reshape(-1, 1), r.ring)
+    _check_block(a, b, c, col)
+    hit = _first_failure(_mask_rows(a, b, c, col), a.rows)
+    return (False, hit[1]) if hit else (True, None)
 
 
 def _trials(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, stop: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(first trial, R, mask)`` for consecutive blocks of trials 0..stop-1:
-    column t of R is trial ``first + t``, and ``mask`` is R's
-    ``fingerprint_block``.  The module docstring gives the block schedule
-    and the overflow rule that every caller shares.
+) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
+    """``(first trial, R, mask rows)`` for consecutive blocks of trials
+    0..stop-1: column t of R is trial ``first + t``, and ``mask rows`` is
+    R's ``_mask_rows`` stream, read as far as the caller needs.  The module
+    docstring gives the block schedule and the overflow rule that every
+    caller shares.
     """
     n, ring = a.rows, a.ring
     width = max(1, min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n)))
@@ -140,13 +190,13 @@ def _trials(
         end = start + 1 if start < single_until else min(stop, start + width)
         r = _sample_trial_block(dist, n, seed, start, end)
         try:
-            mask = fingerprint_block(a, b, c, Matrix._wrap(r, ring))
+            rows = _mask_rows(a, b, c, Matrix._wrap(r, ring))
         except IntegerOverflow:
             if end - start == 1:
                 raise
             single_until = end
             continue
-        yield start, r, mask
+        yield start, r, rows
         start = end
 
 
@@ -163,13 +213,10 @@ def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:
     _check_inputs(a, b, c)
     dist = cfg.distribution
     dist.validate_for_ring(a.ring)
-    for start, r, mask in _trials(a, b, c, dist, cfg.seed, cfg.iterations):
-        # Column-major order: the first True is the first failing column's
-        # smallest differing row.
-        flat = mask.T.ravel()
-        first = int(np.argmax(flat))
-        if flat[first]:
-            t, row = divmod(first, a.rows)
+    for start, r, rows in _trials(a, b, c, dist, cfg.seed, cfg.iterations):
+        hit = _first_failure(rows, a.rows)
+        if hit:
+            t, row = hit
             return Verdict(
                 accepted=False,
                 witness=Vector._wrap(r[:, t].copy(), a.ring),

@@ -465,7 +465,7 @@ def _tier_spy():
     "check" for each int64 overflow check; the limb tier and the check run
     their products through the float64 tier."""
     used = []
-    real = matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64
+    real = matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64
 
     def spy(name, fn):
         def call(*args, **kwargs):
@@ -474,13 +474,13 @@ def _tier_spy():
 
         return call
 
-    matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64 = (
+    matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64 = (
         spy(name, fn) for name, fn in zip(("float64", "limbs", "check"), real)
     )
     try:
         yield used
     finally:
-        matrix_mod._float_dot, matrix_mod._limb_dot, matrix_mod._check_int64 = real
+        matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64 = real
 
 
 def _tier(used):

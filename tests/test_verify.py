@@ -312,13 +312,13 @@ def test_trial_blocks_wider_than_tall_fit_one_float_block(monkeypatch, n):
     rng = random.Random(n)
     a, b = random_matrix(rng, n, INT64), random_matrix(rng, n, INT64)
     sizes = []
-    block = verify_mod.fingerprint_block
+    block = verify_mod._mask_rows
 
     def spy(a, b, c, r):
         sizes.append((r.rows, r.cols))
         return block(a, b, c, r)
 
-    monkeypatch.setattr(verify_mod, "fingerprint_block", spy)
+    monkeypatch.setattr(verify_mod, "_mask_rows", spy)
     k = 300
     assert verify(a, b, matmul(a, b), _cfg(k=k)).accepted
     assert sum(w for _, w in sizes) == k
@@ -367,3 +367,184 @@ def test_overflow_in_a_later_column_does_not_hide_an_earlier_reject():
         later = (sample_vector(dist, 2, substream(seed, t))[0] for t in range(j + 1, 30))
         masked += j >= 1 and 2 in later
     assert masked > 0
+
+
+# ---------------------------------------------------------------- row blocks
+#
+# matrix streams every product in row blocks of _FLOAT_BLOCK // n rows, and
+# verify stops reading a block once its first trial differs.  Patched to
+# 48 entries, n = 12 spans three row blocks of 4 rows: rows 0-3, 4-7, 8-11.
+
+_ROW_BLOCK_N, _ROW_BLOCK_ENTRIES = 12, 48
+_ROW_STEP = _ROW_BLOCK_ENTRIES // _ROW_BLOCK_N
+
+
+def _python_verdict(a, b, c, cfg):
+    """The one-at-a-time loop in Python integers, sharing nothing with the
+    product code but the sampler."""
+    m = a.ring.modulus
+    rows = [x.data.tolist() for x in (a, b, c)]
+    for j in range(cfg.iterations):
+        r = sample_vector(cfg.distribution, a.rows, substream(cfg.seed, j), a.ring)
+        rl = r.data.tolist()
+        abr = brute_mat_vec(rows[0], brute_mat_vec(rows[1], rl, m), m)
+        cr = brute_mat_vec(rows[2], rl, m)
+        differ = [i for i in range(a.rows) if abr[i] != cr[i]]
+        if differ:
+            return Verdict(False, witness=r, witness_iteration=j, mismatch_row=differ[0])
+    return Verdict(True, error_bound=p_max(cfg.distribution) ** cfg.iterations)
+
+
+def _with_error(a, b, ring, cells):
+    """C = AB plus 1 at each (row, column) of ``cells``."""
+    m = ring.modulus
+    d = brute_matmul(a.data.tolist(), b.data.tolist(), m)
+    for i, j in cells:
+        d[i][j] = (d[i][j] + 1) % m if m else d[i][j] + 1
+    return Matrix(len(d), len(d), ring, d)
+
+
+def _error_cells(rng, n, kind, block):
+    """Differing entries of a kind, in row block ``block`` of ``_ROW_STEP``
+    rows where the kind has a place."""
+    rows = range(block * _ROW_STEP, (block + 1) * _ROW_STEP)
+    if kind == "dense":
+        return [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.5] + [(0, 0)]
+    if kind == "single-column":
+        j = rng.randrange(n)
+        return [(i, j) for i in rng.sample(rows, 2)] + [(n - 1, j)]
+    if kind == "single-entry":
+        return [(rng.choice(rows), rng.randrange(n))]
+    # "scattered": a trial that sees only column j0 differs in this block,
+    # one that sees j1 differs in row 0, so a block whose first trial
+    # fails late may hold a later trial that fails early.
+    j0, j1 = rng.sample(range(n), 2)
+    return [(rng.choice(rows), j0), (0, j1)]
+
+
+@pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
+def test_verify_across_row_blocks_equals_the_sequential_loop(monkeypatch, ring):
+    # Trial blocks are n = 12 columns wide here, so k = 13 ends on a block
+    # edge and 14, 26 and 30 cross one.  The laws make late witnesses, so
+    # failing trials land first, inside and last in their blocks.
+    n = _ROW_BLOCK_N
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
+    rng = random.Random(2024)
+    dists = [U01, bernoulli(Fraction(1, 8)), uniform_support((0, 1, 2))]
+    seen = set()
+    for kind in ("dense", "single-column", "single-entry", "scattered"):
+        for block in range(n // _ROW_STEP):
+            a, b = random_matrix(rng, n, ring), random_matrix(rng, n, ring)
+            c = _with_error(a, b, ring, _error_cells(rng, n, kind, block))
+            for dist in dists:
+                for k in (1, 2, 13, 14, 26, 30):
+                    cfg = _cfg(k=k, seed=rng.randrange(1 << 30), dist=dist)
+                    got = verify(a, b, c, cfg)
+                    assert got == _python_verdict(a, b, c, cfg) == _reference_verdict(a, b, c, cfg)
+                    if not got.accepted:
+                        j = got.witness_iteration
+                        first = j == 0 or (j - 1) % n == 0
+                        seen.add((got.mismatch_row // _ROW_STEP, first))
+            r = Matrix(n, 5, ring, [[rng.randrange(3) for _ in range(5)] for _ in range(n)])
+            abr = brute_matmul(a.data.tolist(), brute_matmul(b.data.tolist(), r.data.tolist(), ring.modulus), ring.modulus)
+            cr = brute_matmul(c.data.tolist(), r.data.tolist(), ring.modulus)
+            expected = [[abr[i][t] != cr[i][t] for t in range(5)] for i in range(n)]
+            assert verify_mod.fingerprint_block(a, b, c, r).tolist() == expected
+    # Witnesses fell in every row block, both as the first trial of a block
+    # (read early) and behind a passing first trial (read in full).
+    assert seen >= {(blk, first) for blk in range(3) for first in (True, False)}
+
+
+def test_a_trial_0_reject_reads_a_and_c_up_to_its_row_block(monkeypatch):
+    # B r is formed whole (n^2); A(Br) and Cr are read up to the end of the
+    # row block holding the first mismatch (2n per row).  A later block
+    # charges n^2 w for BR and 2nw per row read when its first trial fails,
+    # and 3n^2 per trial computed when a later trial of it does.
+    n, k = _ROW_BLOCK_N, 30
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
+    rng = random.Random(8)
+    a, b = random_matrix(rng, n, INT64), random_matrix(rng, n, INT64)
+    for row in range(n):
+        c = _with_error(a, b, INT64, [(row, rng.randrange(n))])
+        end = (row // _ROW_STEP + 1) * _ROW_STEP
+        reset_scalar_multiplies()
+        verdict = verify(a, b, c, _cfg(k=k, seed=row, dist=uniform_support((1, 2))))
+        assert (verdict.witness_iteration, verdict.mismatch_row) == (0, row)
+        assert scalar_multiplies() == n * n + 2 * n * end
+        reset_scalar_multiplies()
+        assert freivalds_iteration(a, b, c, verdict.witness) == (False, row)
+        assert scalar_multiplies() == n * n + 2 * n * end
+
+    kinds = set()
+    j_col = 5
+    for row in (1, 6, 10):
+        c = _with_error(a, b, INT64, [(row, j_col)])
+        end = (row // _ROW_STEP + 1) * _ROW_STEP
+        for seed in range(40):
+            cfg = _cfg(k=k, seed=seed, dist=bernoulli(Fraction(1, 5)))
+            reset_scalar_multiplies()
+            j = verify(a, b, c, cfg).witness_iteration
+            if j is None or j == 0:
+                continue
+            start = 1 + n * ((j - 1) // n)
+            w = min(k, start + n) - start
+            if j == start:
+                expected = 3 * n * n * start + n * n * w + 2 * n * w * end
+            else:
+                expected = 3 * n * n * (start + w)
+            assert scalar_multiplies() == expected, (row, seed, j)
+            kinds.add(j == start)
+    assert kinds == {True, False}
+
+
+def test_overflow_in_the_last_row_block_wins_over_a_mismatch_in_the_first(monkeypatch):
+    # A(Br) leaves int64 in row 7 (2^62 r_0, r_0 in {2, 3}) while row 0
+    # differs from Cr.  The check covers all of A before any row is
+    # compared, so the error is the one a whole-product check raises.
+    n = 8
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", 16)  # 4 blocks of 2 rows
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_rows = [row[:] for row in eye]
+    a_rows[n - 1][0] = 1 << 62
+    c_rows = [row[:] for row in a_rows]
+    c_rows[0][0] = 2
+    a, b, c = (Matrix.from_rows(m, INT64) for m in (a_rows, eye, c_rows))
+    message = "product term at entry (7, 0) leaves the 64-bit range"
+    for call in (
+        lambda: verify(a, b, c, _cfg(k=5, dist=uniform_support((2, 3)))),
+        lambda: freivalds_iteration(a, b, c, Vector(INT64, [2] * n)),
+        lambda: verify_mod.fingerprint_block(a, b, c, Matrix(n, 2, INT64, [[2, 3]] * n)),
+    ):
+        with pytest.raises(IntegerOverflow) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_a_stopped_stream_leaves_the_callers_blas_threads(monkeypatch):
+    # The one-thread pin is set and restored around each row block's BLAS
+    # calls, so a reader that stops after block 0 (and a stream left
+    # suspended) never leaves it set.
+    threads = matrix_mod._blas_thread_calls()
+    if threads is None:
+        pytest.skip("numpy's BLAS exports no thread-count calls")
+    get, put = threads
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
+    n, ring = _ROW_BLOCK_N, RingSpec.prime_field(2**61 - 1)
+    rng = random.Random(3)
+    a, b = random_matrix(rng, n, ring), random_matrix(rng, n, ring)
+    c = _with_error(a, b, ring, [(0, j) for j in range(n)])
+    before = get()
+    put(2)
+    try:
+        # Over zp 2^61 - 1 even one column runs on limbs, on BLAS.
+        verdict = verify(a, b, c, _cfg(k=10, dist=uniform_support((1, 2))))
+        assert (verdict.witness_iteration, verdict.mismatch_row) == (0, 0)
+        assert get() == 2
+        r = Matrix(n, 3, ring, [[rng.randrange(5) for _ in range(3)] for _ in range(n)])
+        stream = matrix_mod._exact_rows(a, r, ring)
+        first, part = next(stream)
+        assert (first, len(part)) == (0, _ROW_STEP)
+        assert get() == 2
+        del stream
+    finally:
+        put(before)
