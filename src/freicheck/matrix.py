@@ -619,9 +619,9 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
     bound on every partial sum of the whole product (see the module
     docstring), and the modulus its blocks still need reducing by.  Any
     ``IntegerOverflow`` is raised by this call, before a row exists."""
-    xa = x.data
+    xa = x._a
     rows, inner = xa.shape
-    y2 = y.data.reshape(inner, -1)
+    y2 = y._a.reshape(inner, -1)
     cols = y2.shape[1]
     mx, my = x._magnitude(), y._magnitude()
     bound, p = inner * mx * my, ring.modulus
@@ -638,7 +638,7 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
 def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
     """The row stream of ``x @ y`` computed exactly in ``ring``, 2-D blocks
     of ``_rows``; each counts its scalar multiplies as it is computed."""
-    return _rows(x.data, *_exact_product(x, y, ring), count=True)
+    return _rows(x._a, *_exact_product(x, y, ring), count=True)
 
 
 def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
@@ -648,8 +648,8 @@ def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     ``_exact_rows``: filled from 128-row blocks, an n = 1024 mat-vec ran
     11% slower and an n = 1024 matmul 4% (interleaved, 2-vCPU Xeon VM)."""
     product, p = _exact_product(x, y, ring)
-    xa = x.data
-    return _block(xa, product, p, True).reshape(len(xa), *y.data.shape[1:])
+    xa = x._a
+    return _block(xa, product, p, True).reshape(len(xa), *y._a.shape[1:])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
