@@ -57,10 +57,9 @@ asked for.  The tier is the fastest one that the bound proves exact:
   them at once.  Recombination goes by Horner steps: mod p in uint64,
   shifting by at most ``64 - bitlen(p)`` bits at a time so no step leaves
   64 bits for any p below 2**63; in ``int64`` by wrapping shift-adds,
-  exact wherever the true entry fits.  Each piece costs about ten numpy
-  calls, so a Z_p verify at n = 1024, whose products are read in 128-row
-  blocks, pays them eight times per product where a whole product pays
-  them once.
+  exact wherever the true entry fits.  A piece costs ten numpy calls for
+  p = 2**31 - 1 and seventy for p = 2**61 - 1 (3-bit shift steps), which
+  a Z_p verify at n = 1024 pays per 128-row block of each product.
 
 The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
@@ -526,21 +525,28 @@ def _limb_plan(rows: int, inner: int, cols: int, mx: int, my: int) -> tuple[int,
 
 
 def _shift_add(acc: np.ndarray, shift: int, add: np.ndarray, p: int | None) -> np.ndarray:
-    """``acc * 2**shift + add`` on int64 arrays: wrapping for ``p`` None,
-    else mod p for ``acc`` in [0, p) and ``add`` in [0, 2**63).
+    """``acc * 2**shift + add`` on int64 arrays, in place in ``acc``, which
+    it returns: wrapping for ``p`` None, else mod p for ``acc`` in [0, p)
+    and ``add`` in [0, 2**63).  In place, so no step faults in fresh
+    pages for its result.
 
     Mod p the shift goes in steps of ``64 - bitlen(p)`` bits, so every
     intermediate stays below 2**64 in uint64 for every p below 2**63.
     """
     u = acc.view(np.uint64)
     if p is None:
-        return ((u << np.uint64(shift)) + add.view(np.uint64)).view(np.int64)
+        u <<= np.uint64(shift)
+        u += add.view(np.uint64)
+        return acc
     pu, step = np.uint64(p), 64 - p.bit_length()
     while shift:
         s = min(step, shift)
-        u = (u << np.uint64(s)) % pu
+        u <<= np.uint64(s)
+        u %= pu
         shift -= s
-    return ((u + add.view(np.uint64)) % pu).view(np.int64)
+    u += add.view(np.uint64)
+    u %= pu
+    return acc
 
 
 def _check_entry(xi: list, yj: list, i: int, j: int) -> None:
