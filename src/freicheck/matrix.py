@@ -647,6 +647,18 @@ def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
     return _rows(x._a, *_exact_product(x, y, ring), count=True)
 
 
+def _row_split(x: _Dense, step: int) -> tuple[Matrix, Matrix]:
+    """Rows ``:step`` and ``step:`` of ``x`` as matrices sharing its storage
+    and its magnitude bound, so a product over either picks its tier from
+    x's bound without scanning the rows again, and ``_exact_rows`` of the
+    second streams x's row blocks from ``step`` on."""
+    bound = x._magnitude()
+    parts = Matrix._wrap(x._a[:step], x.ring), Matrix._wrap(x._a[step:], x.ring)
+    for part in parts:
+        part._bound = bound
+    return parts
+
+
 def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     """``x @ y`` computed exactly in ``ring``, in ``y``'s shape (1-D for a
     vector): the chosen block product over all of x, counting ``rows *

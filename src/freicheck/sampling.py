@@ -154,6 +154,11 @@ class DiscreteDistribution:
         return self.support == other.support and self.weights == other.weights
 
     def __hash__(self) -> int:
+        m = self.total
+        if len(self) == m > _LISTED and np.array_equal(self._support_arr, np.arange(m)):
+            # Uniform on 0..m-1, so equal to _FieldUniform(m), which hashes
+            # by m alone.  (m values whose integer weights sum to m are 1.)
+            return hash(m)
         return hash((self.support, self.weights))
 
     def __repr__(self) -> str:
@@ -175,10 +180,17 @@ class DiscreteDistribution:
         return self._support_arr[np.searchsorted(self._upper, words, side="right")]
 
 
+# Support size past which the uniform law on Z_p prints and hashes by p
+# alone instead of by its p support values.
+_LISTED = 1 << 10
+
+
 class _FieldUniform(DiscreteDistribution):
     """Uniform law on Z_p, stored as p alone, so building it costs O(1) for
     any prime.  Support and weights are built only when read (the exact
-    enumeration reads them, after its budget check).  A word w selects
+    enumeration reads them, after its budget check).  Past ``_LISTED``
+    values it hashes and prints by p alone, and compares with another law
+    by p unless that law holds p values itself.  A word w selects
     ((w + 1) * p - 1) >> 64: the value whose cut points, i * 2**64 // p,
     bracket it, so the draws equal those of the general law."""
 
@@ -193,6 +205,23 @@ class _FieldUniform(DiscreteDistribution):
 
     def __len__(self) -> int:
         return self.total
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _FieldUniform):
+            return self.total == other.total
+        if isinstance(other, DiscreteDistribution) and len(other) != self.total:
+            return False
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self.total) if self.total > _LISTED else super().__hash__()
+
+    def __repr__(self) -> str:
+        p = self.total
+        if p <= _LISTED:
+            return super().__repr__()
+        q = Fraction(1, p)
+        return f"DiscreteDistribution(0: {q}, 1: {q}, ..., {p - 1}: {q})"
 
     def validate_for_ring(self, ring: RingSpec) -> None:
         if ring.kind == PRIME_FIELD and ring.modulus < self.total:

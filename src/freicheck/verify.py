@@ -13,22 +13,35 @@ p_max**k certificate reported on accept.
 One trial engine, ``_trials``, runs every iteration.  It checks w vectors
 at once, A(BR) against CR: BR is formed whole, and the row streams of A(BR)
 and CR from the exact product chooser in ``matrix`` are compared block by
-block, ``matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at once up
-to n = 362).  Trial 0 runs alone, so a wrong product that the first
-vector exposes costs one pass over B and, from n = 363 up, only the rows of
-A and C up to the end of the row block holding the first differing row.
-Later trials run in blocks of
-``min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))`` columns, at
-least one, each drawn only when reached, so memory does not grow with k.
-A block holds at most 2**20 entries, and one wider than it is tall at most
-``_FLOAT_BLOCK`` (2**17, 1 MiB as float64): ``matrix`` streams every
-product in one direction, row blocks of the left operand against the whole
-block, and that bound keeps the block in cache.  From n = 1024 up the
+block, ``step = matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at
+once up to n = 362).  Trials run in blocks of
+``width = min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))``
+columns, at least one, each drawn only when reached, so memory does not
+grow with k.  A block holds at most 2**20 entries, and one wider than it is
+tall at most ``_FLOAT_BLOCK`` (2**17, 1 MiB as float64): ``matrix`` streams
+every product in one direction, row blocks of the left operand against the
+whole block, and that bound keeps the block in cache.  From n = 1024 up the
 width is 2**20 // n.  Trial j draws its vector from substream
-``(seed, j)``, so the width moves no draw.  A block that overflows is run
-again one trial at a time, so an overflow raises the one-column error of
-the first overflowing trial after every earlier trial; every
-``IntegerOverflow`` is raised before any row of the block is compared.
+``(seed, j)``, so the width moves no draw.
+
+Up to n = 362 trial 0 runs alone and the blocks start at trial 1.  From
+n = 363 up, where A is taller than one row block, trial 0 is probed first:
+B r_0 is formed whole and only row block 0 of A(Br_0) and Cr_0 is
+compared, so a wrong product that the first vector exposes there costs one
+pass over B and the first ``step`` rows of A and C.  Otherwise block 0 is
+trials 0..w-1, w = min(k, width): BR' is formed for trials 1..w-1, row
+block 0 of A(BR') and CR' is computed for those columns only, and the rest
+of A and C is streamed once against all w columns, with B r_0 carried from
+the probe.  An accept thus reads A and C once, and B twice (B r_0 on one
+column, BR' on the rest); no row of trial 0 is computed twice.  Later
+blocks start at multiples of the width.
+
+A block that overflows is run again one trial at a time, so an overflow
+raises the one-column error of the first overflowing trial after every
+earlier trial; every ``IntegerOverflow`` is raised before any row of the
+block is compared.  The probe raises trial 0's own; if block 0 overflows
+after it, trial 0's remaining rows are read from the probe's streams
+before trials 1..w-1 run one at a time.
 
 ``verify`` and ``freivalds_iteration`` stop reading a block once its first
 trial differs in some row: no earlier trial of the block can fail and no
@@ -40,10 +53,12 @@ in ``analysis`` reads every row and counts the passing columns of the same
 engine.  The multiply counter charges what was read: 3kn^2 on accept; on
 reject, 3n^2 per trial of every block before the failing one, and for the
 failing block of w trials n^2 w for BR plus 2nw per row of A and C read,
-that is up to the end of the row block where its first trial first
-differs, or all n rows when that trial passes.  A trial-0 reject counts
-n^2 + 2n e, with e the end row of the row block holding the first
-mismatch.
+that is up to the end e of the row block where its first trial first
+differs, w (n^2 + 2n e), or all n rows when that trial passes, 3n^2 w.
+Trial 0 alone is a block of w = 1: a trial-0 reject counts n^2 + 2n e
+when it differs in the probe's row block (e = step) or when n <= 362
+(e = n).  A trial 0 that differs past row block 0 fails block 0 of w
+trials at w (n^2 + 2n e).
 """
 
 from __future__ import annotations
@@ -51,12 +66,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import matrix
 from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
-from .matrix import Matrix, Vector, _exact_dot, _exact_rows, _fill
+from .matrix import Matrix, Vector, _exact_dot, _exact_rows, _fill, _row_split
 from .sampling import DiscreteDistribution, _sample_trial_block, p_max
 
 # Entries of the (n x w) vector block per verify block: bounds the block's
@@ -115,6 +131,14 @@ def _check_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> None:
         raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
 
 
+def _row_masks(a: Matrix, br: Matrix, c: Matrix, r: Matrix, first: int = 0):
+    """The row stream of A(BR) != CR from ``_exact_rows``, its rows
+    numbered from ``first``.  Both products are set up by this call, so it
+    raises their ``IntegerOverflow`` before a mask row exists."""
+    ring = a.ring
+    return ((first + i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
+
+
 def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
     """Stream the mask A(BR) != CR as ``(i, rows i..)`` blocks, pairing the
     row streams of A(BR) and CR.  BR is formed whole first; any
@@ -127,7 +151,23 @@ def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
         # products are compared whole.  Through the two streams an n = 64
         # verify took 1.5-2% longer (interleaved, 2-vCPU Xeon VM).
         return ((0, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
-    return ((i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
+    return _row_masks(a, br, c, r)
+
+
+def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix, br0: Matrix, head: np.ndarray):
+    """``_mask_rows`` of R when column 0's B r, ``br0``, is formed and its
+    mask over row block 0, ``head``, is read: BR is formed for the other
+    columns, row block 0 is multiplied for them only, and the rest of A and
+    C is streamed once against all of R, so no row of column 0 is computed
+    twice.  Any ``IntegerOverflow`` is raised by this call, before a mask
+    row is compared."""
+    ring, step = a.ring, len(head)
+    r1 = Matrix._wrap(r.data[:, 1:], ring)
+    br1 = _exact_dot(b, r1, ring)
+    (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
+    tail = _row_masks(a1, Matrix._wrap(np.hstack((br0.data, br1)), ring), c1, r, step)
+    top = _exact_dot(a0, Matrix._wrap(br1, ring), ring) != _exact_dot(c0, r1, ring)
+    return chain(((0, np.hstack((head, top))),), tail)
 
 
 def _first_failure(rows, n: int) -> tuple[int, int] | None:
@@ -175,18 +215,48 @@ def freivalds_iteration(
     return (False, hit[1]) if hit else (True, None)
 
 
+def _first_block(a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, end: int):
+    """Block 0 of ``_trials`` for A taller than one row block.  Trial 0 is
+    probed first: B r whole, then row block 0 of A(Br) != Cr.  If it
+    differs there, or ``end`` is 1, trial 0 is block 0 alone, read on from
+    the probe; otherwise block 0 is trials 0..end-1 (``_carried_rows``).  If
+    that block overflows, trial 0 alone is block 0 and trials 1..end-1
+    follow one at a time.  Returns ``(start, single_until)`` for the loop
+    of ``_trials``."""
+    n, ring = a.rows, a.ring
+    r0 = _sample_trial_block(dist, n, seed, 0, 1)
+    col = Matrix._wrap(r0, ring)
+    br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
+    rest = _row_masks(a, br0, c, col)
+    head = next(rest)[1]
+    single_until = 1
+    if end > 1 and not head.any():
+        r = np.hstack((r0, _sample_trial_block(dist, n, seed, 1, end)))
+        try:
+            rows = _carried_rows(a, b, c, Matrix._wrap(r, ring), br0, head)
+        except IntegerOverflow:
+            single_until = end
+        else:
+            yield 0, r, rows
+            return end, end
+    yield 0, r0, chain(((0, head),), rest)
+    return 1, single_until
+
+
 def _trials(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
     """``(first trial, R, mask rows)`` for consecutive blocks of trials
     0..stop-1: column t of R is trial ``first + t``, and ``mask rows`` is
-    R's ``_mask_rows`` stream, read as far as the caller needs.  The module
+    R's stream of A(BR) != CR, read as far as the caller needs.  The module
     docstring gives the block schedule and the overflow rule that every
     caller shares.
     """
     n, ring = a.rows, a.ring
     width = max(1, min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n)))
     start, single_until = 0, 1
+    if matrix._FLOAT_BLOCK // n < n:
+        start, single_until = yield from _first_block(a, b, c, dist, seed, min(stop, width))
     while start < stop:
         end = start + 1 if start < single_until else min(stop, start + width)
         r = _sample_trial_block(dist, n, seed, start, end)

@@ -364,13 +364,14 @@ def test_empirical_blocks_stay_within_the_block_bound(monkeypatch):
     n, trials = 256, 5000
     a, b, c = random_unequal_triple(random.Random(5), n, INT64)
     sizes = []
-    block = verify_mod._mask_rows
+    engine = analysis_mod._trials
 
-    def spy(a, b, c, r):
-        sizes.append((r.rows, r.cols))
-        return block(a, b, c, r)
+    def spy(*args):
+        for block in engine(*args):
+            sizes.append(block[1].shape)
+            yield block
 
-    monkeypatch.setattr(verify_mod, "_mask_rows", spy)
+    monkeypatch.setattr(analysis_mod, "_trials", spy)
     empirical_false_accept_rate(a, b, c, U01, trials, seed=3)
     assert sum(cols for _, cols in sizes) == trials
     assert all(rows * cols <= verify_mod._BLOCK_ENTRIES for rows, cols in sizes)

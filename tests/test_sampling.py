@@ -24,6 +24,7 @@ from freicheck import (
     RingSpec,
     SupportTooSmall,
     SeededRng,
+    VerifyConfig,
     bernoulli,
     field_uniform,
     p_max,
@@ -206,6 +207,32 @@ def test_field_sampler_is_bit_identical_to_the_general_law():
         assert np.array_equal(
             _sample_trial_block(field, 17, seed, 3, 40), _sample_trial_block(general, 17, seed, 3, 40)
         )
+
+
+def test_field_uniform_compares_hashes_and_prints_by_p_alone():
+    # Past _LISTED values the field law hashes and prints by p, and equals
+    # another law only if that one is uniform on 0..p-1 too; up to it, it
+    # is the general law's strings and hashes.
+    ring = RingSpec.prime_field(2**31 - 1)
+    start = time.perf_counter()
+    dist = field_uniform(ring)
+    assert repr(dist) == (
+        "DiscreteDistribution(0: 1/2147483647, 1: 1/2147483647, ..., 2147483646: 1/2147483647)"
+    )
+    assert dist == field_uniform(ring) and hash(dist) == hash(field_uniform(ring))
+    assert dist != field_uniform(RingSpec.prime_field(2**61 - 1)) and dist != uniform_binary()
+    assert uniform_binary() != dist
+    cfg = VerifyConfig(5, 1, dist)
+    assert cfg == VerifyConfig(5, 1, field_uniform(ring)) and hash(cfg) == hash(VerifyConfig(5, 1, dist))
+    assert time.perf_counter() - start < 0.5
+    for p in (2, 5, 7, 1021, 1031):
+        field, general = field_uniform(RingSpec.prime_field(p)), uniform_support(range(p))
+        assert field == general and general == field and hash(field) == hash(general)
+        assert field != uniform_support(range(1, p + 1)) and field != uniform_support(range(p - 1, -1, -1))
+        if p <= 1024:
+            assert repr(field) == repr(general)
+            assert hash(field) == hash((general.support, general.weights))
+    assert repr(field_uniform(ZP5)) == "DiscreteDistribution(0: 1/5, 1: 1/5, 2: 1/5, 3: 1/5, 4: 1/5)"
 
 
 def test_field_uniform_over_a_31_bit_prime_builds_in_constant_time():

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freicheck import (
@@ -18,6 +19,7 @@ from freicheck import (
     Verdict,
     VerifyConfig,
     bernoulli,
+    empirical_false_accept_rate,
     field_uniform,
     freivalds_iteration,
     matmul,
@@ -312,13 +314,14 @@ def test_trial_blocks_wider_than_tall_fit_one_float_block(monkeypatch, n):
     rng = random.Random(n)
     a, b = random_matrix(rng, n, INT64), random_matrix(rng, n, INT64)
     sizes = []
-    block = verify_mod._mask_rows
+    engine = verify_mod._trials
 
-    def spy(a, b, c, r):
-        sizes.append((r.rows, r.cols))
-        return block(a, b, c, r)
+    def spy(*args):
+        for block in engine(*args):
+            sizes.append(block[1].shape)
+            yield block
 
-    monkeypatch.setattr(verify_mod, "_mask_rows", spy)
+    monkeypatch.setattr(verify_mod, "_trials", spy)
     k = 300
     assert verify(a, b, matmul(a, b), _cfg(k=k)).accepted
     assert sum(w for _, w in sizes) == k
@@ -424,9 +427,10 @@ def _error_cells(rng, n, kind, block):
 
 @pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
 def test_verify_across_row_blocks_equals_the_sequential_loop(monkeypatch, ring):
-    # Trial blocks are n = 12 columns wide here, so k = 13 ends on a block
-    # edge and 14, 26 and 30 cross one.  The laws make late witnesses, so
-    # failing trials land first, inside and last in their blocks.
+    # Trial blocks are n = 12 columns wide here, from trial 0 on, so k = 12
+    # ends on a block edge and 13, 14, 26 and 30 cross one.  The laws make
+    # late witnesses, so failing trials land first, inside and last in their
+    # blocks.
     n = _ROW_BLOCK_N
     monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
     rng = random.Random(2024)
@@ -437,14 +441,20 @@ def test_verify_across_row_blocks_equals_the_sequential_loop(monkeypatch, ring):
             a, b = random_matrix(rng, n, ring), random_matrix(rng, n, ring)
             c = _with_error(a, b, ring, _error_cells(rng, n, kind, block))
             for dist in dists:
-                for k in (1, 2, 13, 14, 26, 30):
+                for k in (1, 2, 12, 13, 14, 26, 30):
                     cfg = _cfg(k=k, seed=rng.randrange(1 << 30), dist=dist)
                     got = verify(a, b, c, cfg)
                     assert got == _python_verdict(a, b, c, cfg) == _reference_verdict(a, b, c, cfg)
                     if not got.accepted:
                         j = got.witness_iteration
-                        first = j == 0 or (j - 1) % n == 0
+                        first = j % n == 0
                         seen.add((got.mismatch_row // _ROW_STEP, first))
+            # The empirical rate reads every row of the same blocks.
+            law, seed = dists[1], rng.randrange(1 << 30)
+            passing = sum(
+                freivalds_iteration(a, b, c, sample_vector(law, n, substream(seed, t), ring))[0] for t in range(30)
+            )
+            assert empirical_false_accept_rate(a, b, c, law, 30, seed).empirical.rate == passing / 30
             r = Matrix(n, 5, ring, [[rng.randrange(3) for _ in range(5)] for _ in range(n)])
             abr = brute_matmul(a.data.tolist(), brute_matmul(b.data.tolist(), r.data.tolist(), ring.modulus), ring.modulus)
             cr = brute_matmul(c.data.tolist(), r.data.tolist(), ring.modulus)
@@ -456,21 +466,30 @@ def test_verify_across_row_blocks_equals_the_sequential_loop(monkeypatch, ring):
 
 
 def test_a_trial_0_reject_reads_a_and_c_up_to_its_row_block(monkeypatch):
-    # B r is formed whole (n^2); A(Br) and Cr are read up to the end of the
-    # row block holding the first mismatch (2n per row).  A later block
-    # charges n^2 w for BR and 2nw per row read when its first trial fails,
-    # and 3n^2 per trial computed when a later trial of it does.
+    # Trial 0 is probed first: B r is formed whole (n^2) and row block 0 of
+    # A(Br) and Cr read (2n per row), so a mismatch in row block 0 counts
+    # n^2 + 2n e, e the block's end row.  Otherwise block 0 holds trials
+    # 0..w-1, w = min(k, width), with trial 0's B r and row block 0 carried
+    # from the probe.  Like any block whose first trial fails, it then
+    # charges n^2 w for BR and 2nw per row of A and C read: w (n^2 + 2n e)
+    # for a mismatch of trial 0 in the row block ending at row e.  Blocks
+    # start at multiples of the width, so a block [s, s + w) costs 3n^2 s
+    # before it, plus n^2 w + 2nwe when its first trial fails, or 3n^2 w
+    # when a later trial does.  freivalds_iteration reads one column: always
+    # n^2 + 2n e.
     n, k = _ROW_BLOCK_N, 30
+    width = n  # min(2**20 // n, max(n, _ROW_BLOCK_ENTRIES // n))
     monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
     rng = random.Random(8)
     a, b = random_matrix(rng, n, INT64), random_matrix(rng, n, INT64)
     for row in range(n):
         c = _with_error(a, b, INT64, [(row, rng.randrange(n))])
         end = (row // _ROW_STEP + 1) * _ROW_STEP
+        w = 1 if row < _ROW_STEP else min(k, width)
         reset_scalar_multiplies()
         verdict = verify(a, b, c, _cfg(k=k, seed=row, dist=uniform_support((1, 2))))
         assert (verdict.witness_iteration, verdict.mismatch_row) == (0, row)
-        assert scalar_multiplies() == n * n + 2 * n * end
+        assert scalar_multiplies() == w * (n * n + 2 * n * end)
         reset_scalar_multiplies()
         assert freivalds_iteration(a, b, c, verdict.witness) == (False, row)
         assert scalar_multiplies() == n * n + 2 * n * end
@@ -480,21 +499,120 @@ def test_a_trial_0_reject_reads_a_and_c_up_to_its_row_block(monkeypatch):
     for row in (1, 6, 10):
         c = _with_error(a, b, INT64, [(row, j_col)])
         end = (row // _ROW_STEP + 1) * _ROW_STEP
-        for seed in range(40):
-            cfg = _cfg(k=k, seed=seed, dist=bernoulli(Fraction(1, 5)))
+        for seed in range(200):
+            cfg = _cfg(k=k, seed=seed, dist=bernoulli(Fraction(1, 8)))
             reset_scalar_multiplies()
             j = verify(a, b, c, cfg).witness_iteration
-            if j is None or j == 0:
+            if j is None:
                 continue
-            start = 1 + n * ((j - 1) // n)
-            w = min(k, start + n) - start
+            start = width * (j // width)
+            w = 1 if j == 0 and row < _ROW_STEP else min(k, start + width) - start
             if j == start:
                 expected = 3 * n * n * start + n * n * w + 2 * n * w * end
             else:
                 expected = 3 * n * n * (start + w)
             assert scalar_multiplies() == expected, (row, seed, j)
-            kinds.add(j == start)
-    assert kinds == {True, False}
+            kinds.add((j == 0, j == start, w == 1))
+    # Trial 0 failing in row block 0 and past it, later blocks' first
+    # trials, and trials behind a passing first one, in block 0 and later.
+    assert kinds == {(True, True, True), (True, True, False), (False, True, False), (False, False, False)}
+
+
+@pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
+@pytest.mark.parametrize("n", [12, 16])
+def test_an_accept_reads_every_row_once(monkeypatch, ring, n):
+    # Patched, n = 12 spans three row blocks of 4 rows and n = 16 six of 3
+    # (the last one row).  Block 0 is trials 0..width-1 with trial 0's B r
+    # and row block 0 carried from the probe, so an accept counts exactly
+    # 3kn^2 on either side of the block width.
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
+    width = n  # min(2**20 // n, max(n, _ROW_BLOCK_ENTRIES // n))
+    rng = random.Random(n)
+    a, b = random_matrix(rng, n, ring), random_matrix(rng, n, ring)
+    c = matmul(a, b)
+    dists = [U01, uniform_support((0, 1, 2))] + ([field_uniform(ring)] if ring.modulus else [])
+    for k in (1, 2, width - 1, width, width + 1):
+        for dist in dists:
+            reset_scalar_multiplies()
+            assert verify(a, b, c, _cfg(k=k, seed=k, dist=dist)).accepted
+            assert scalar_multiplies() == 3 * k * n * n, (k, dist)
+
+
+@pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
+def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
+    # Unpatched: n = 363 is two row blocks, 361 rows and 2, and n = 1024
+    # eight of 128.  Errors sit in the first, a middle and the last row
+    # block, so trial 0 passes the probe and fails later, or fails in it.
+    m = ring.modulus
+    gen = np.random.default_rng(11)
+    seen = set()
+    for n in (363, 1024):
+        a, b = (Matrix(n, n, ring, gen.integers(0, m, (n, n)) if m else gen.integers(-9, 10, (n, n))) for _ in range(2))
+        ab = matmul(a, b).data
+        step = matrix_mod._FLOAT_BLOCK // n
+        last = (n - 1) // step
+        for block in sorted({0, last // 2, last}):
+            rows = np.arange(block * step, min(n, (block + 1) * step))
+            for kind in ("dense", "single-column", "single-entry"):
+                e = np.zeros((n, n), dtype=np.int64)
+                if kind == "dense":
+                    e[rows] = gen.integers(0, 2, (len(rows), n))
+                elif kind == "single-column":
+                    e[gen.choice(rows, 2, replace=False), gen.integers(n)] = 1
+                else:
+                    e[gen.choice(rows), gen.integers(n)] = 1
+                c = Matrix(n, n, ring, (ab + e) % m if m else ab + e)
+                for dist in (U01, bernoulli(Fraction(1, 8))):
+                    for k in (1, 2, 10, 20):
+                        cfg = _cfg(k=k, seed=int(gen.integers(1 << 30)), dist=dist)
+                        got = verify(a, b, c, cfg)
+                        assert got == _reference_verdict(a, b, c, cfg), (n, block, kind, k)
+                        if not got.accepted:
+                            seen.add((n, got.mismatch_row // step, got.witness_iteration == 0))
+    # Witnesses in every row block tried, from trial 0 and from later trials.
+    assert seen >= {(n, blk, first) for n, blks in ((363, (0, 1)), (1024, (0, 3, 7))) for blk in blks for first in (True, False)}
+
+
+def test_an_overflow_past_the_probe_lets_trial_0_finish_first(monkeypatch):
+    # A = I but A[7][0] = 2^62, B = I, and C = A plus 1 at (5, col): trial t
+    # overflows in row 7 (the term 2^62 r_0) exactly when its r_0 is 2, and
+    # differs in row 5, row block 2 of four blocks of 2 rows, when its
+    # r_col is not 0.  Trial 0 passes row block 0, so block 0 holds trials
+    # 0..7, and its set-up raises when one of trials 1..7 overflows.  Trial
+    # 0's own rows are then read before trials 1.. run one at a time, as in
+    # the one-at-a-time loop: trial 0 failing in row 5 wins over the later
+    # overflow, and otherwise the first overflowing trial raises the error a
+    # whole-product check raises.
+    n, k = 8, 10
+    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", 16)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_rows = [row[:] for row in eye]
+    a_rows[n - 1][0] = 1 << 62
+    a, b = Matrix.from_rows(a_rows, INT64), Matrix.from_rows(eye, INT64)
+    dist = uniform_support((0, 1, 2))
+    message = "product term at entry (7, 0) leaves the 64-bit range"
+    outcomes = set()
+    for col in range(1, n):
+        c_rows = [row[:] for row in a_rows]
+        c_rows[5][col] += 1
+        c = Matrix.from_rows(c_rows, INT64)
+        for seed in range(30):
+            cfg = _cfg(k=k, seed=seed, dist=dist)
+            firsts = [sample_vector(dist, n, substream(seed, t))[0] for t in range(n)]
+            if firsts[0] == 2 or 2 not in firsts[1:]:
+                continue  # trial 0 overflows itself, or block 0 does not
+            got, expected = [], []
+            for call, out in ((verify, got), (_reference_verdict, expected)):
+                try:
+                    out.append(call(a, b, c, cfg))
+                except IntegerOverflow as err:
+                    out.append(str(err))
+            assert got == expected, (col, seed)
+            if got[0] == message:
+                outcomes.add("overflow")
+            elif (got[0].witness_iteration, got[0].mismatch_row) == (0, 5):
+                outcomes.add("trial 0")
+    assert outcomes == {"overflow", "trial 0"}
 
 
 def test_overflow_in_the_last_row_block_wins_over_a_mismatch_in_the_first(monkeypatch):
