@@ -223,7 +223,9 @@ def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> 
     With the columns split as E r = E_L r_L + E_H r_H + e r_last, r accepts
     when E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins a table
     of -E_L r_L over the first half of the columns with the residuals of the
-    rest, streamed one support value of the last column at a time.
+    rest, streamed one support value of the last column at a time; or, when
+    that table has fewer keys than the law has support values, by solving
+    for r_last once per key (``_solved_join``).
     """
     p = e.ring.modulus
     ered = e.data[:, list(cols)]
@@ -232,8 +234,39 @@ def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> 
     m, rows, half = len(columns), len(ered), len(columns) // 2
     low = _residual_table([tuple(-y for y in col) for col in columns[:half]], dist, p, rows)
     high = _residual_table(columns[half:-1], dist, p, rows)
-    numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
+    if len(low) < len(dist):
+        numerator = _solved_join(high, low, columns[-1], dist, p)
+    else:
+        numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
     return Fraction(numerator, dist.total ** m)
+
+
+def _solved_join(
+    high: dict[tuple[int, ...], int], low: dict[tuple[int, ...], int], col: tuple[int, ...],
+    dist: DiscreteDistribution, p: int | None,
+) -> int:
+    """``sum(w * low.get(key, 0) for key, w in _shifted(high, col, dist, p))``
+    with one probe per pair of a residual and a key of ``low`` instead of one
+    per support value.  In an integral domain res + v * col = key has at most
+    one solution v, read off a nonzero entry of ``col`` (an exact quotient
+    over Z, a product with the inverse mod p); it counts if the whole
+    residual matches and v is a support value."""
+    j = next(i for i, y in enumerate(col) if y)
+    inverse = None if p is None else pow(col[j], -1, p)
+    found: dict[int, int] = {}
+    for res, w in high.items():
+        for key, wl in low.items():
+            if p is None:
+                v, rest = divmod(key[j] - res[j], col[j])
+                if rest or any(x + v * y != k for x, y, k in zip(res, col, key)):
+                    continue
+            else:
+                v = (key[j] - res[j]) * inverse % p
+                if any((x + v * y - k) % p for x, y, k in zip(res, col, key)):
+                    continue
+            found[v] = found.get(v, 0) + w * wl
+    weights = dist._weights_at(found)
+    return sum(w * weights[v] for v, w in found.items() if v in weights)
 
 
 def _empirical_rate(

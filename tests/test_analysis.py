@@ -234,6 +234,55 @@ def test_exact_fap_matches_full_space_oracle(ring, dists, triple, wide):
             assert got == expected
 
 
+@pytest.mark.parametrize(
+    "ring, dist",
+    [
+        (INT64, U01),
+        (INT64, uniform_support((-2, 0, 1, 3))),
+        (INT64, uniform_support((1, 2, 4))),
+        (INT64, DiscreteDistribution((-1, 0, 2), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))),
+        (ZP5, field_uniform(ZP5)),
+        (ZP5, uniform_support((0, 2, 3))),
+        (RingSpec.prime_field(7), field_uniform(RingSpec.prime_field(7))),
+    ],
+    ids=["int64-u01", "int64-usup4", "int64-no-zero", "int64-general", "zp5-field", "zp5-usup3", "zp7-field"],
+)
+def test_solved_join_equals_the_walk_over_the_support(ring, dist):
+    # The last step of the exact join, by solving for v per pair of keys
+    # and by walking every support value, on random E with small entries so
+    # that residuals collide often.
+    p = ring.modulus
+    rng = random.Random(5 if p is None else p)
+    for trial in range(40):
+        rows, m = rng.randint(1, 3), rng.randint(1, 4)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(rows)) for _ in range(m)]
+        if p is not None:
+            cols = [tuple(v % p for v in col) for col in cols]
+        if not any(cols[-1]):
+            continue
+        half = m // 2
+        low = analysis_mod._residual_table([tuple(-y for y in col) for col in cols[:half]], dist, p, rows)
+        high = analysis_mod._residual_table(cols[half:-1], dist, p, rows)
+        walked = sum(w * low.get(key, 0) for key, w in analysis_mod._shifted(high, cols[-1], dist, p))
+        assert analysis_mod._solved_join(high, low, cols[-1], dist, p) == walked
+
+
+def test_one_differing_column_solves_instead_of_walking_the_support(monkeypatch):
+    # With one differing column the low table holds one key, so the join
+    # solves e v = 0 once instead of walking 2^20 support values.
+    walked = []
+    orig = analysis_mod._shifted
+    monkeypatch.setattr(analysis_mod, "_shifted", lambda *args: walked.append(args) or orig(*args))
+    a, b = Matrix(1, 1, INT64, [[3]]), Matrix(1, 1, INT64, [[5]])
+    dist = uniform_support(range(-(1 << 19), 1 << 19))
+    assert exact_false_accept_probability(a, b, Matrix(1, 1, INT64, [[14]]), dist) == Fraction(1, 1 << 20)
+    zp = RingSpec.prime_field(1048573)
+    fa, fb = Matrix(1, 1, zp, [[3]]), Matrix(1, 1, zp, [[5]])
+    got = exact_false_accept_probability(fa, fb, Matrix(1, 1, zp, [[14]]), field_uniform(zp))
+    assert got == Fraction(1, 1048573)
+    assert walked == []
+
+
 def test_exact_fap_never_exceeds_p_max():
     rng = random.Random(55)
     for trial in range(20):

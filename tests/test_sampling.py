@@ -6,6 +6,7 @@ checked against the exact masses.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from freicheck import (
     uniform_binary,
     uniform_support,
 )
-from freicheck.sampling import _sample_trial_block, draw_words
+from freicheck.sampling import GOLDEN, _sample_trial_block, draw_words, mix64_np
 from util import sample_reference, splitmix_reference
 
 INT64 = RingSpec.int64()
@@ -71,6 +72,12 @@ def test_stream_matches_plain_reference_implementation():
     for seed in (0, 1, 0xDEADBEEF, (1 << 64) - 1):
         rng = SeededRng(seed)
         assert [rng.next_u64() for _ in range(20)] == splitmix_reference(seed, 20)
+
+
+def test_mix64_np_avalanches_in_place():
+    states = np.array([(5 + i * GOLDEN) & MASK64 for i in range(1, 9)], dtype=np.uint64)
+    out = mix64_np(states)
+    assert out is states and out.tolist() == splitmix_reference(5, 8)
 
 
 def test_draw_words_is_bit_identical_to_scalar_stream():
@@ -190,10 +197,13 @@ def test_field_draw_equals_the_cut_point_lookup(p):
         assert np.array_equal(field_uniform(RingSpec.prime_field(p))._draw(w), general._draw(w))
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 9223372036854775783])
+# 4294967291 and 4294967311 are the primes on either side of 2**32, where
+# the draw changes from two multiplies to four 32-bit limb products.
+@pytest.mark.parametrize("p", [10007, 2**31 - 1, 4294967291, 4294967311, 2**61 - 1, 9223372036854775783])
 def test_field_draw_matches_the_closed_form_on_python_ints(p):
     words = np.random.default_rng(1).integers(0, MASK64, 2000, dtype=np.uint64, endpoint=True)
-    words[:4] = [0, 1, MASK64 - 1, MASK64]
+    low32 = (1 << 32) - 1
+    words[:8] = [0, 1, low32, low32 + 1, MASK64 - low32, MASK64 - low32 + 1, MASK64 - 1, MASK64]
     got = field_uniform(RingSpec.prime_field(p))._draw(words).tolist()
     assert got == [((w + 1) * p - 1) >> 64 for w in words.tolist()]
 
@@ -256,6 +266,10 @@ def test_field_law_on_a_smaller_field_names_the_unreduced_values():
     assert str(field_err.value) == str(general_err.value)
     field_uniform(ZP5).validate_for_ring(RingSpec.prime_field(7))
     field_uniform(ZP5).validate_for_ring(INT64)
+    # Past _LISTED values the message names the range instead of listing it.
+    with pytest.raises(ConfigInvalid) as big_err:
+        field_uniform(RingSpec.prime_field(2**31 - 1)).validate_for_ring(ZP5)
+    assert str(big_err.value) == "support values 5..2147483646 are not reduced elements of zp 5"
 
 
 def test_validate_for_ring():
@@ -286,6 +300,70 @@ def test_sample_vector_matches_scalar_reference(dist):
         got = sample_vector(dist, 50, SeededRng(seed)).data.tolist()
         expected = sample_reference(dist.support, dist.probs, 50, seed)
         assert got == expected
+
+
+# Laws with 1, 1, 2, 3 and 4 cut points draw by comparing words with each
+# cut; the 39-cut law by binary search.
+GENERAL_LAWS = [
+    uniform_binary(),
+    bernoulli(Fraction(1, 3)),
+    uniform_support((-3, 0, 5)),
+    DiscreteDistribution((7, -1, 0, 2), (Fraction(1, 2), Fraction(1, 8), Fraction(1, 8), Fraction(1, 4))),
+    uniform_support((-3, 0, 5, 11, 2)),
+    uniform_support(range(-20, 20)),
+]
+GENERAL_IDS = ["u01", "bern1/3", "usup3", "general4", "usup5", "usup40"]
+
+
+@pytest.mark.parametrize("dist", GENERAL_LAWS, ids=GENERAL_IDS)
+def test_draw_follows_the_cut_point_rule_at_boundary_words(dist):
+    # Value i is chosen when the word lies in [cut i-1, cut i), cut i being
+    # floor(F(i) * 2**64) in Python integers.
+    cuts, acc = [], Fraction(0)
+    for q in dist.probs[:-1]:
+        acc += q
+        cuts.append((acc.numerator << 64) // acc.denominator)
+    words = {0, MASK64}
+    for cut in cuts:
+        words |= {w for w in (cut - 1, cut, cut + 1) if 0 <= w <= MASK64}
+    words = sorted(words)
+    expected = [dist.support[sum(w >= cut for cut in cuts)] for w in words]
+    arr = np.array(words, dtype=np.uint64)
+    assert dist._draw(arr).tolist() == expected
+    assert dist._draw(arr[::-1].reshape(-1, 1)).ravel().tolist() == expected[::-1]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    GENERAL_LAWS + [field_uniform(ZP5), field_uniform(RingSpec.prime_field(4294967311))],
+    ids=GENERAL_IDS + ["field5", "field2^32+15"],
+)
+def test_draw_leaves_its_words_unchanged(dist):
+    words = np.random.default_rng(3).integers(0, MASK64, (16, 9), dtype=np.uint64, endpoint=True)
+    before = words.copy()
+    first = dist._draw(words)
+    assert np.array_equal(words, before) and not np.shares_memory(first, words)
+    assert np.array_equal(dist._draw(words), first)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [uniform_binary(), uniform_support((-3, 0, 5, 11, 2)), field_uniform(RingSpec.prime_field(10007))],
+    ids=["u01", "usup5", "field10007"],
+)
+def test_a_trial_block_draw_holds_under_three_blocks(dist):
+    # A block draw allocates its words, one scratch array and its result;
+    # the traced peak stays within three int64 blocks of the same shape.
+    n, w = 64, 2048
+    _sample_trial_block(dist, n, 1, 0, w)
+    tracemalloc.start()
+    try:
+        block = _sample_trial_block(dist, n, 1, 0, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (n, w)
+    assert peak <= 3 * block.nbytes
 
 
 @pytest.mark.parametrize(
