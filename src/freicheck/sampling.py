@@ -20,15 +20,16 @@ same for any prime.
 A block of trial vectors allocates its words, one scratch array and its
 result, and nothing else of its size: each fresh block-sized array costs
 page faults that weigh as much as the arithmetic at n = 64.  ``mix64_np``
-avalanches the words in place.  A law with at most ``_COMPARE_CUTS`` cut
-points compares every word with each cut and sums the results into a uint8
-index; a law with more cuts takes one binary search per word
-(``searchsorted``), whose intp index is a block of its own.  For p < 2**32
-the Z_p draw ((w + 1) p - 1) >> 64 takes two multiplies on 32-bit halves of
-w, (w_hi p + (((w_lo + 1) p - 1) >> 32)) >> 32: the inner term is below
-2**64 and the outer sum below 2**64 - 2**32, so nothing carries.  Larger p
-takes four 32-bit limb products and a carry.  No draw writes to the words it
-reads.
+avalanches the words in place; a single output is mixed in Python ints,
+since numpy runs in-place ufuncs on a one-element array through a slower
+path.  A law with one cut point (a two-value law such as ``u01``) compares
+every word with the cut, and the uint8 result is the index; a law with more
+cuts takes one binary search per word (``searchsorted``) and gathers into
+its intp index.  For p < 2**32 the Z_p draw ((w + 1) p - 1) >> 64 takes two
+multiplies on 32-bit halves of w, (w_hi p + (((w_lo + 1) p - 1) >> 32)) >>
+32: the inner term is below 2**64 and the outer sum below 2**64 - 2**32, so
+nothing carries.  Larger p takes four 32-bit limb products and a carry.  No
+draw writes to the words it reads.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ _U_GOLDEN, _U_MIX_A, _U_MIX_B = _u64(GOLDEN), _u64(_MIX_A), _u64(_MIX_B)
 _U27, _U30, _U31, _U32 = _u64(27), _u64(30), _u64(31), _u64(32)
 _LOW32 = _u64(0xFFFFFFFF)
 
-# Most cut points a law draws through by comparing every word with each cut;
-# past it, one binary search per word (``searchsorted``).  Measured with
-# numpy 2.4 on a 2-vCPU Xeon VM: on blocks of 10^4 words and more the compare
-# is faster through 16 cuts (1.3x to 3.9x at 1 to 4 cuts), while on blocks
-# of 64 to 1216 words each cut past the first costs about 2 us more than the
-# binary search.
-_COMPARE_CUTS = 4
-
 
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output function over a uint64 array: avalanche each word
@@ -91,6 +84,13 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64(z: int) -> int:
+    """SplitMix64 output function on one 64-bit Python int."""
+    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
+    return z ^ (z >> 31)
+
+
 class SeededRng:
     """SplitMix64 stream; output ``i``, counting from 1, avalanches ``seed + i*GOLDEN``."""
 
@@ -100,28 +100,29 @@ class SeededRng:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        word = int(_outputs(np.uint64(self.state), 1, 2)[0])
         self.state = (self.state + GOLDEN) & MASK64
-        return word
+        return _mix64(self.state)
 
 
 def stream_seed(seed: int, index: int) -> int:
     """Seed of substream ``index``: output ``index + 1`` of the parent stream."""
     if index < 0:
         raise ValueError("substream index must be nonnegative")
-    return int(_outputs(np.uint64((seed + index * GOLDEN) & MASK64), 1, 2)[0])
+    return _mix64((seed + (index + 1) * GOLDEN) & MASK64)
 
 
 def substream(seed: int, index: int) -> SeededRng:
     return SeededRng(stream_seed(seed, index))
 
 
-def _outputs(state: np.uint64, start: int, stop: int) -> np.ndarray:
+def _outputs(state: int, start: int, stop: int) -> np.ndarray:
     """Outputs ``start..stop-1`` of the stream in ``state``, ``mix64_np(state +
     i*GOLDEN)``, built in one new array."""
+    if stop - start == 1:
+        return np.array([_mix64((state + start * GOLDEN) & MASK64)], dtype=np.uint64)
     words = np.arange(start, stop, dtype=np.uint64)
     words *= _U_GOLDEN
-    words += state
+    words += np.uint64(state)
     return mix64_np(words)
 
 
@@ -133,7 +134,7 @@ def draw_words(rng: SeededRng, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    words = _outputs(np.uint64(rng.state), 1, count + 1)
+    words = _outputs(rng.state, 1, count + 1)
     rng.state = (rng.state + count * GOLDEN) & MASK64
     return words
 
@@ -143,7 +144,7 @@ class DiscreteDistribution:
     with exact positive rational masses summing to one, kept as integer
     ``weights`` over one ``total``."""
 
-    __slots__ = ("support", "weights", "total", "_heaviest", "_support_arr", "_upper", "_cuts")
+    __slots__ = ("support", "weights", "total", "_heaviest", "_support_arr", "_upper", "_cut")
 
     def __init__(self, support, probs) -> None:
         support = tuple(int(v) for v in support)
@@ -178,7 +179,7 @@ class DiscreteDistribution:
         cuts = [(running << 64) // total for running in accumulate(weights[:-1])]
         self._upper = np.array(cuts, dtype=np.uint64)
         self._upper.flags.writeable = False
-        self._cuts = tuple(_u64(cut) for cut in cuts) if len(cuts) <= _COMPARE_CUTS else None
+        self._cut = _u64(cuts[0]) if len(cuts) == 1 else None
 
     def __len__(self) -> int:
         """Number of support values."""
@@ -225,14 +226,12 @@ class DiscreteDistribution:
     def _draw(self, words: np.ndarray) -> np.ndarray:
         """Support values the raw 64-bit words select through the cut points,
         as a new int64 array; ``words`` is left unchanged."""
-        cuts = self._cuts
-        if cuts is None:
-            return self._support_arr[np.searchsorted(self._upper, words, side="right")]
-        # The index of a word is the number of cuts at or below it.
-        index = (words >= cuts[0]).view(np.uint8)
-        for cut in cuts[1:]:
-            index += (words >= cut).view(np.uint8)
-        return self._support_arr[index]
+        if self._cut is not None:
+            return self._support_arr[(words >= self._cut).view(np.uint8)]
+        index = np.searchsorted(self._upper, words, side="right")
+        # Gathered into the index itself; every index is in range, so "clip"
+        # clips nothing and only spares the copy "raise" would make.
+        return np.take(self._support_arr, index, out=index, mode="clip")
 
 
 # Support size past which the uniform law on Z_p prints and hashes by p
@@ -303,33 +302,15 @@ class _FieldUniform(DiscreteDistribution):
             out += inner
             out >>= _U32
             return out.view(np.int64)
-        # w p + (p - 1) from the 32-bit limb products ll, lh, hl, hh of w_lo,
-        # w_hi by p_lo, p_hi, each below 2**64: the high word is hh +
-        # (lh >> 32) + (hl >> 32) + (mid >> 32) + the carry out of the low
-        # word, mid = (ll >> 32) + (lh & M) + (hl & M) < 3 * 2**32.
-        p_hi, p_lo = _u64(p >> 32), _u64(p & 0xFFFFFFFF)
-        lh = words & _LOW32  # w_lo
-        out = words >> _U32  # w_hi
-        ll = lh * p_lo
-        lh *= p_hi
-        hl = out * p_lo
-        out *= p_hi  # hh
-        t = lh >> _U32
-        out += t
-        np.right_shift(hl, _U32, out=t)
-        out += t
-        lh &= _LOW32
-        hl &= _LOW32
-        lh += hl
-        np.right_shift(ll, _U32, out=t)
-        lh += t  # mid
-        np.right_shift(lh, _U32, out=t)
-        out += t
-        lh <<= _U32
-        ll &= _LOW32
-        lh |= ll  # w p mod 2**64
-        out += lh > _u64(MASK64 - (p - 1))  # the carry out of w p + (p - 1)
-        return out.view(np.int64)
+        # (w + 1) * p - 1 = w * p + (p - 1); its high word from 32-bit limbs.
+        w_hi, w_lo = words >> _U32, words & _LOW32
+        p_hi, p_lo = np.uint64(p >> 32), np.uint64(p & 0xFFFFFFFF)
+        ll, lh, hl = w_lo * p_lo, w_lo * p_hi, w_hi * p_lo
+        mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)  # < 3 * 2**32
+        low = (mid << _U32) | (ll & _LOW32)  # w * p mod 2**64
+        high = w_hi * p_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+        carry = low + np.uint64(p - 1) < low
+        return (high + carry).astype(np.int64)
 
 
 def p_max(dist: DiscreteDistribution) -> Fraction:
@@ -389,7 +370,7 @@ def _sample_trial_block(
     Column t is the vector ``sample_vector`` draws from
     ``substream(seed, start + t)``, bit for bit; a test pins that.
     """
-    subs = _outputs(np.uint64(seed & MASK64), start + 1, stop + 1)
+    subs = _outputs(seed & MASK64, start + 1, stop + 1)
     # Row i, column t: output i + 1 of substream start + t.
     words = np.arange(1, n + 1, dtype=np.uint64)[:, None] * _U_GOLDEN + subs
     return dist._draw(mix64_np(words))

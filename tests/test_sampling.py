@@ -302,8 +302,8 @@ def test_sample_vector_matches_scalar_reference(dist):
         assert got == expected
 
 
-# Laws with 1, 1, 2, 3 and 4 cut points draw by comparing words with each
-# cut; the 39-cut law by binary search.
+# Laws with 1, 1, 2, 3, 4 and 39 cut points: the two one-cut laws draw by
+# comparing words with the cut, the rest by binary search.
 GENERAL_LAWS = [
     uniform_binary(),
     bernoulli(Fraction(1, 3)),
