@@ -204,6 +204,9 @@ def test_field_draw_matches_the_closed_form_on_python_ints(p):
     words = np.random.default_rng(1).integers(0, MASK64, 2000, dtype=np.uint64, endpoint=True)
     low32 = (1 << 32) - 1
     words[:8] = [0, 1, low32, low32 + 1, MASK64 - low32, MASK64 - low32 + 1, MASK64 - 1, MASK64]
+    # The word with (w + 1) p = 1 mod 2**64: (w + 1) p - 1 is a multiple of
+    # 2**64 there, so a carry or an addend off by one shows.
+    words[8] = pow(p, -1, 1 << 64) - 1
     got = field_uniform(RingSpec.prime_field(p))._draw(words).tolist()
     assert got == [((w + 1) * p - 1) >> 64 for w in words.tolist()]
 
