@@ -30,11 +30,16 @@ reproduces it exactly.  The parser accepts exactly this grammar and raises
 A malformed body is reported at its first faulty row; in that row a wrong
 entry count comes before a bad entry, and bad entries anywhere come before
 out-of-range values.  The body is converted with numpy over the raw bytes,
-in blocks of whole lines of about 256 KiB: per-byte arrays are uint8 or
-bool, and only per-token arrays are int64.
+in blocks of whole lines of about 64 KiB (a longer line is a block of its
+own): per-byte arrays are at most uint16, only per-token arrays are int64,
+and each block's values go straight into the one int64 result.  The result
+is allocated only once the body has room for ``rows * cols`` entries, so a
+header alone never sizes an allocation.
 
 The writer emits the canonical form: entries in plain decimal, one space
-between them, and ``\\n`` after every line.
+between them, and ``\\n`` after every line.  It formats the entries in
+row-major runs of ``_BLOCK // 8``, wherever rows begin and end, so no
+per-entry array is larger than ``_BLOCK`` bytes, and joins the runs' text.
 """
 
 from __future__ import annotations
@@ -63,8 +68,7 @@ def _digit(c: np.ndarray) -> np.ndarray:
     return (c - 48) < 10
 
 
-_WHITESPACE = bytes([*range(9, 14), *range(28, 33)])
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 # Up to 18 digits an entry is below 10**18 < 2**63, so place sums in int64
 # are exact; longer ones go through int() and an exact range check.
 _SHORT = 18
@@ -73,24 +77,28 @@ _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 
 def format_matrix(m: Matrix) -> str:
-    head = f"{MAGIC}\n{m.rows} {m.cols} {m.ring}\n"
-    v = m.data.ravel()
-    neg = v < 0
-    mag = np.abs(v).view(np.uint64)  # abs wraps INT64_MIN onto itself: 2**63
-    width = neg + 2  # sign, first digit, then a space or a newline
-    for power in _POW10[_POW10 <= mag.max()]:
-        width += mag >= power
-    ends = np.cumsum(width)  # one past each entry's space or newline
-    out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-    out[ends[m.cols - 1 :: m.cols] - 1] = ord("\n")
-    out[(ends - width)[neg]] = ord("-")
-    pos = ends - 2  # each entry's last digit
-    while pos.size:
-        rest = mag // 10
-        out[pos] = mag - rest * 10 + ord("0")
-        more = rest != 0
-        mag, pos = rest[more], pos[more] - 1
-    return head + out.tobytes().decode("ascii")
+    pieces = [f"{MAGIC}\n{m.rows} {m.cols} {m.ring}\n"]
+    flat, cols = m.data.ravel(), m.cols
+    step = max(1, _BLOCK // 8)
+    for lo in range(0, flat.size, step):
+        v = flat[lo : lo + step]
+        neg = v < 0
+        mag = np.abs(v).view(np.uint64)  # abs wraps INT64_MIN onto itself: 2**63
+        width = neg + 2  # sign, first digit, then a space or a newline
+        for power in _POW10[_POW10 <= mag.max()]:
+            width += mag >= power
+        ends = np.cumsum(width)  # one past each entry's space or newline
+        out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        out[ends[(cols - 1 - lo) % cols :: cols] - 1] = ord("\n")
+        out[(ends - width)[neg]] = ord("-")
+        pos = ends - 2  # each entry's last digit
+        while pos.size:
+            rest = mag // 10
+            out[pos] = mag - rest * 10 + ord("0")
+            more = rest != 0
+            mag, pos = rest[more], pos[more] - 1
+        pieces.append(str(out, "ascii"))
+    return "".join(pieces)
 
 
 def write_matrix(m: Matrix, path) -> None:
@@ -130,10 +138,23 @@ def _line_ends(buf: np.ndarray) -> np.ndarray:
     return ends[~crlf]
 
 
-def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, cols: int):
-    """Entries of the whole lines in ``raw[lo:hi]``, which begin at ``starts``
-    and are body rows ``row0``, ``row0 + 1``, ...: the int64 values in row
-    order, and ``{index in the matrix: value}`` for those outside int64."""
+def _last_ink(buf: np.ndarray) -> int:
+    """Index of the last byte of ``buf`` that is not whitespace, or -1."""
+    hi = buf.size
+    while hi > 0:
+        lo = max(0, hi - _BLOCK)
+        ink = np.flatnonzero(~_space(buf[lo:hi]))
+        if ink.size:
+            return lo + int(ink[-1])
+        hi = lo
+    return -1
+
+
+def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, cols: int, out):
+    """Check the whole lines in ``raw[lo:hi]``, which begin at ``starts`` and
+    are body rows ``row0``, ``row0 + 1``, ..., and write their entries in row
+    order into the int64 array ``out`` unless it is None.  Returns
+    ``{index in the matrix: value}`` for the entries outside int64."""
     seg = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
     ink = ~_space(seg)
     edges = np.flatnonzero(np.diff(ink, prepend=False, append=False))
@@ -160,27 +181,34 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
         t = int(bad_tok[0])
         token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
         raise FormatError(f"bad entry at row {row0 + int(tok_row[0])} {token!r}")
+    if out is None:
+        return {}
 
     digits = tok_hi - tok_lo - signed
-    # Sum the digits by place, right to left.  A place left of a token's
-    # first digit reads its sign or the byte before the token, a separator
-    # or the zero appended past the block: each worth 0.
-    worth = np.zeros(seg.size + 1, dtype=np.uint8)
-    np.subtract(seg, ord("0"), out=worth[:-1])
-    worth[:-1] *= digit
+    # quad[i]: the value of the up to four digits that end at byte i, within
+    # its run of digits; 0 at any other byte and at the one appended past the
+    # block.  The block begins a line, so no run enters it from the left.
+    quad = np.zeros(seg.size + 1, dtype=np.uint16)
+    np.subtract(seg, ord("0"), out=quad[:-1], dtype=np.uint16)
+    quad[:-1] *= digit
+    quad[1:-1] += 10 * quad[:-2] * digit[1:]
+    quad[2:-1] += 100 * quad[:-3] * (digit[2:] & digit[1:-1])
+    # Sum the digits four places at a time, right to left.  Left of a
+    # token's first digit, clamp to the byte before the token: a separator
+    # or the appended byte, worth 0.
     last, floor = tok_hi - 1, tok_lo - 1
-    val = np.zeros(tok_lo.size, dtype=np.int64)
-    for k in range(min(int(digits.max()), _SHORT)):
-        val += np.multiply(worth[np.maximum(last - k, floor)], 10**k, dtype=np.int64)
-    val *= 1 - 2 * (first == ord("-")).view(np.int8)  # -1 where a '-' leads
+    out[:] = quad[last]
+    for k in range(4, min(int(digits.max()), _SHORT), 4):
+        out += np.multiply(quad[np.maximum(last - k, floor)], 10**k, dtype=np.int64)
+    out *= 1 - 2 * (first == ord("-")).view(np.int8)  # -1 where a '-' leads
     wide = {}
     for t in np.flatnonzero(digits > _SHORT).tolist():
         v = int(raw[lo + tok_lo[t] : lo + tok_hi[t]])
         if INT64_MIN <= v <= INT64_MAX:
-            val[t] = v
+            out[t] = v
         else:
             wide[row0 * cols + t] = v
-    return val, wide
+    return wide
 
 
 def parse_matrix(text: str | bytes) -> Matrix:
@@ -191,7 +219,7 @@ def parse_matrix(text: str | bytes) -> Matrix:
     starts = np.concatenate(([0], ends + 1))
     stops = np.append(ends, buf.size)
     # Lines up to the one holding the last byte that is not whitespace.
-    last = len(raw.rstrip(_WHITESPACE)) - 1
+    last = _last_ink(buf)
     nlines = int(np.searchsorted(ends, last)) + 1 if last >= 0 else 0
 
     def line(i: int) -> str:
@@ -215,26 +243,34 @@ def parse_matrix(text: str | bytes) -> Matrix:
     if nlines - 2 != rows:
         raise FormatError(f"expected {rows} rows of entries, found {nlines - 2}")
 
-    blocks, wide = [], {}
+    # Entries are separated, so a body of L bytes holds at most (L + 1) // 2
+    # of them.  A header asking for more has a row of the wrong length, which
+    # the blocks below raise at, so the result is allocated only when the
+    # body has room for it: never from the header alone.
+    room = rows * cols <= (int(stops[nlines - 1]) - int(starts[2]) + 1) // 2
+    data = np.empty(rows * cols if room else 0, dtype=np.int64)
+    wide = {}
     i = 2
     while i < nlines:
         j = max(i + 1, min(nlines, int(np.searchsorted(starts, starts[i] + _BLOCK))))
-        val, out = _parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols)
-        blocks.append(val)
-        wide.update(out)
+        out = data[(i - 2) * cols : (j - 2) * cols] if room else None
+        wide.update(_parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols, out))
         i = j
-    data = np.concatenate(blocks).reshape(rows, cols)
-    if wide:
-        # Matrix refuses the values outside int64; it words the message from
-        # nested lists of Python integers, so hand it those.
-        data = data.astype(object)
-        for t, v in wide.items():
-            data.flat[t] = v
-        data = data.tolist()
-    try:
-        return Matrix(rows, cols, ring, data)
-    except InvalidEntry as err:
-        raise FormatError(str(err)) from err
+    data = data.reshape(rows, cols)
+    p = ring.modulus
+    if wide or (p and (data.min() < 0 or data.max() >= p)):
+        # Matrix refuses these values and words the message; past int64 it
+        # does so from nested lists of Python integers, so hand it those.
+        if wide:
+            data = data.astype(object)
+            for t, v in wide.items():
+                data.flat[t] = v
+            data = data.tolist()
+        try:
+            Matrix(rows, cols, ring, data)
+        except InvalidEntry as err:
+            raise FormatError(str(err)) from err
+    return Matrix._wrap(data, ring)
 
 
 def read_matrix(path) -> Matrix:

@@ -5,6 +5,8 @@ The numpy parser and writer are checked against ``reference_parse`` and
 that define the grammar, the messages and the canonical output.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,12 @@ from util import reference_format, reference_parse
 import freicheck.matio as matio
 from freicheck import (
     FormatError,
+    InstanceSpec,
     InvalidEntry,
     Matrix,
     RingSpec,
     format_matrix,
+    generate_instance,
     mats_equal,
     parse_matrix,
     read_matrix,
@@ -339,13 +343,18 @@ _EDGES = sorted(
 )
 
 
+def _ring_edges(ring):
+    if ring.modulus:
+        return [v for v in _EDGES if 0 <= v < ring.modulus] + [ring.modulus - 1]
+    return list(_EDGES)
+
+
 @st.composite
 def _edge_matrix(draw):
     ring = draw(st.sampled_from(_RINGS + [RingSpec.prime_field(9223372036854775783)]))
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if ring.modulus:
-        edges = [v for v in _EDGES if 0 <= v < ring.modulus] + [ring.modulus - 1]
-        elem = st.sampled_from(edges) | st.integers(0, ring.modulus - 1)
+        elem = st.sampled_from(_ring_edges(ring)) | st.integers(0, ring.modulus - 1)
     else:
         elem = st.sampled_from(_EDGES) | st.integers(INT64_MIN, INT64_MAX)
     data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
@@ -362,3 +371,85 @@ def test_writer_edge_values_in_one_row():
     m = Matrix(1, len(_EDGES), INT64, _EDGES)
     assert format_matrix(m) == reference_format(m)
     assert mats_equal(parse_matrix(format_matrix(m)), m)
+
+
+def _writes_canonically(m):
+    text = format_matrix(m)
+    assert text == reference_format(m)
+    assert mats_equal(parse_matrix(text), m)
+
+
+_WRITER_RINGS = pytest.mark.parametrize(
+    "ring", [INT64, RingSpec.prime_field((1 << 61) - 1)], ids=["int64", "zp-2^61-1"]
+)
+
+
+@_WRITER_RINGS
+@pytest.mark.parametrize("block", [8, 16, 40, 64])
+def test_writer_blocks_end_anywhere(monkeypatch, ring, block):
+    # The writer takes _BLOCK // 8 entries at a time: here 1, 2, 5 or 8.
+    # Every block starts and ends on an edge value; one column puts a line
+    # break after every entry, and 3, 7 or 37 columns make rows that end
+    # inside blocks or span many of them.
+    monkeypatch.setattr(matio, "_BLOCK", block)
+    step = block // 8
+    flat = []
+    for v in _ring_edges(ring):
+        flat += [v] + [7] * (step - 2) + [v] if step > 1 else [v]
+    for cols in (1, 3, 7, 37):
+        padded = flat + [0] * (-len(flat) % cols)
+        _writes_canonically(Matrix(len(padded) // cols, cols, ring, padded))
+
+
+@_WRITER_RINGS
+def test_writer_row_wider_than_a_block(ring):
+    edges = _ring_edges(ring)
+    assert 20000 > matio._BLOCK // 8
+    _writes_canonically(Matrix(1, 20000, ring, [edges[i % len(edges)] for i in range(20000)]))
+
+
+# ------------------------------------------------ memory
+
+
+def test_parse_and_format_peaks_stay_within_blocks_of_their_results():
+    # n = 512: 1.9 MB of text, past the blocks.  The parser holds its int64
+    # result and block temporaries; the writer its str and the pieces joined
+    # into it.
+    c = generate_instance(InstanceSpec(512, INT64, "equal", 7))[2]
+    raw = format_matrix(c).encode("ascii")
+    tracemalloc.start()
+    try:
+        m = parse_matrix(raw)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = format_matrix(m)
+        format_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert mats_equal(m, c)
+    assert parse_peak <= m.data.nbytes + (2 << 20)
+    assert format_peak <= 2 * len(text) + (2 << 20)
+
+
+@pytest.mark.parametrize(
+    "head, body, message",
+    [
+        ("1 1000000000000 int64", "1 2 3\n", "row 0 has 3 entries, expected 1000000000000"),
+        ("3000000 3000000 int64", "1 2 3\n", "expected 3000000 rows of entries, found 1"),
+        # Forty whole rows fill several blocks before a short one.
+        ("1000 2000 int64", (" ".join(["1234567"] * 2000) + "\n") * 40 + "1\n" * 960,
+         "row 40 has 1 entries, expected 2000"),
+    ],
+    ids=["wide", "tall", "short-after-whole-blocks"],
+)
+def test_header_alone_never_sizes_the_result(head, body, message):
+    raw = f"freimat 1\n{head}\n{body}".encode("ascii")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_matrix(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
