@@ -377,7 +377,7 @@ def _blas_thread_calls():
     return get, put
 
 
-def _rows(x: np.ndarray, product, p: int | None = None, count: bool = False):
+def _rows(x: np.ndarray, product, p: int | None):
     """The row stream of a product: ``(i, product(x[i : i + step]))`` for
     the row blocks of ``x``, ``step = _FLOAT_BLOCK // inner`` rows (at
     least one), in order, each through ``_block``.  Several blocks are
@@ -386,18 +386,17 @@ def _rows(x: np.ndarray, product, p: int | None = None, count: bool = False):
     computed at once."""
     step = _FLOAT_BLOCK // x.shape[1] or 1
     if step >= len(x):
-        return ((0, _block(x, product, p, count)),)
-    return ((i, _block(x[i : i + step], product, p, count)) for i in range(0, len(x), step))
+        return ((0, _block(x, product, p)),)
+    return ((i, _block(x[i : i + step], product, p)) for i in range(0, len(x), step))
 
 
-def _block(xb: np.ndarray, product, p: int | None = None, count: bool = False) -> np.ndarray:
-    """``product(xb)``, reduced mod ``p`` when given; with ``count`` it adds
-    ``rows * inner * cols`` to the multiply count."""
+def _block(xb: np.ndarray, product, p: int | None) -> np.ndarray:
+    """``product(xb)``, reduced mod ``p`` when given, adding ``rows * inner
+    * cols`` to the multiply count."""
     part = product(xb)
     if p:
         part %= p
-    if count:
-        _ops.multiplies += part.size * xb.shape[1]
+    _ops.multiplies += part.size * xb.shape[1]
     return part
 
 
@@ -644,7 +643,7 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
 def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
     """The row stream of ``x @ y`` computed exactly in ``ring``, 2-D blocks
     of ``_rows``; each counts its scalar multiplies as it is computed."""
-    return _rows(x._a, *_exact_product(x, y, ring), count=True)
+    return _rows(x._a, *_exact_product(x, y, ring))
 
 
 def _row_split(x: _Dense, step: int) -> tuple[Matrix, Matrix]:
@@ -667,7 +666,7 @@ def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     11% slower and an n = 1024 matmul 4% (interleaved, 2-vCPU Xeon VM)."""
     product, p = _exact_product(x, y, ring)
     xa = x._a
-    return _block(xa, product, p, True).reshape(len(xa), *y._a.shape[1:])
+    return _block(xa, product, p).reshape(len(xa), *y._a.shape[1:])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

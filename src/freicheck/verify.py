@@ -24,17 +24,17 @@ whole block, and that bound keeps the block in cache.  From n = 1024 up the
 width is 2**20 // n.  Trial j draws its vector from substream
 ``(seed, j)``, so the width moves no draw.
 
-Up to n = 362 trial 0 runs alone and the blocks start at trial 1.  From
-n = 363 up, where A is taller than one row block, trial 0 is probed first:
-B r_0 is formed whole and only row block 0 of A(Br_0) and Cr_0 is
-compared, so a wrong product that the first vector exposes there costs one
-pass over B and the first ``step`` rows of A and C.  Otherwise block 0 is
-trials 0..w-1, w = min(k, width): BR' is formed for trials 1..w-1, row
-block 0 of A(BR') and CR' is computed for those columns only, and the rest
-of A and C is streamed once against all w columns, with B r_0 carried from
-the probe.  An accept thus reads A and C once, and B twice (B r_0 on one
-column, BR' on the rest); no row of trial 0 is computed twice.  Later
-blocks start at multiples of the width.
+Trial 0 is probed first: B r_0 is formed whole and only row block 0 of
+A(Br_0) and Cr_0 is compared (all of A up to n = 362), so a wrong product
+that the first vector exposes there costs one pass over B and the first
+``step`` rows of A and C.  If it differs there, or k = 1, trial 0 is
+block 0 on its own.  Otherwise block 0 is trials 0..w-1, w = min(k, width):
+BR' is formed for trials 1..w-1, row block 0 of A(BR') and CR' is computed
+for those columns only, and the rest of A and C, if any, is streamed once
+against all w columns, with B r_0 carried from the probe.  An accept thus
+reads A and C once, and B twice (B r_0 on one column, BR' on the rest); no
+row of trial 0 is computed twice.  Every later block ends at the next
+multiple of the width, or at k.
 
 A block that overflows is run again one trial at a time, so an overflow
 raises the one-column error of the first overflowing trial after every
@@ -55,10 +55,7 @@ reject, 3n^2 per trial of every block before the failing one, and for the
 failing block of w trials n^2 w for BR plus 2nw per row of A and C read,
 that is up to the end e of the row block where its first trial first
 differs, w (n^2 + 2n e), or all n rows when that trial passes, 3n^2 w.
-Trial 0 alone is a block of w = 1: a trial-0 reject counts n^2 + 2n e
-when it differs in the probe's row block (e = step) or when n <= 362
-(e = n).  A trial 0 that differs past row block 0 fails block 0 of w
-trials at w (n^2 + 2n e).
+Trial 0 on its own is a block of w = 1: n^2 + 2n e.
 """
 
 from __future__ import annotations
@@ -133,9 +130,16 @@ def _check_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> None:
 
 def _row_masks(a: Matrix, br: Matrix, c: Matrix, r: Matrix, first: int = 0):
     """The row stream of A(BR) != CR from ``_exact_rows``, its rows
-    numbered from ``first``.  Both products are set up by this call, so it
-    raises their ``IntegerOverflow`` before a mask row exists."""
+    numbered from ``first``, or one block when A is one row block.  Both
+    products are set up by this call, so it raises their
+    ``IntegerOverflow`` before a mask row exists."""
     ring = a.ring
+    if a.rows <= matrix._FLOAT_BLOCK // a.cols:
+        # One row block of _rows (all of A up to n = 362): nothing to stop
+        # early, so the products are compared whole.  Through the two
+        # streams an n = 64 verify took 1.5-2% longer (interleaved, 2-vCPU
+        # Xeon VM).
+        return ((first, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
     return ((first + i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
 
 
@@ -144,30 +148,27 @@ def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
     row streams of A(BR) and CR.  BR is formed whole first; any
     ``IntegerOverflow`` of the three products is raised by this call,
     before a mask row exists."""
-    ring = a.ring
-    br = Matrix._wrap(_exact_dot(b, r, ring), ring)
-    if a.rows <= matrix._FLOAT_BLOCK // a.rows:
-        # One row block of _rows (n <= 362): nothing to stop early, so the
-        # products are compared whole.  Through the two streams an n = 64
-        # verify took 1.5-2% longer (interleaved, 2-vCPU Xeon VM).
-        return ((0, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
-    return _row_masks(a, br, c, r)
+    return _row_masks(a, Matrix._wrap(_exact_dot(b, r, a.ring), a.ring), c, r)
 
 
-def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix, br0: Matrix, head: np.ndarray):
-    """``_mask_rows`` of R when column 0's B r, ``br0``, is formed and its
-    mask over row block 0, ``head``, is read: BR is formed for the other
-    columns, row block 0 is multiplied for them only, and the rest of A and
-    C is streamed once against all of R, so no row of column 0 is computed
+def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: np.ndarray, r1: np.ndarray, br0: Matrix, head: np.ndarray):
+    """``_mask_rows`` of R = ``r`` when column 0's B r, ``br0``, is formed
+    and its mask over row block 0, ``head``, is read; ``r1`` is R without
+    column 0.  BR is formed for those columns, row block 0 is multiplied
+    for them only, and the rest of A and C, if A has more rows, is
+    streamed once against all of R, so no row of column 0 is computed
     twice.  Any ``IntegerOverflow`` is raised by this call, before a mask
     row is compared."""
     ring, step = a.ring, len(head)
-    r1 = Matrix._wrap(r.data[:, 1:], ring)
+    r1 = Matrix._wrap(r1, ring)
     br1 = _exact_dot(b, r1, ring)
-    (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
-    tail = _row_masks(a1, Matrix._wrap(np.hstack((br0.data, br1)), ring), c1, r, step)
-    top = _exact_dot(a0, Matrix._wrap(br1, ring), ring) != _exact_dot(c0, r1, ring)
-    return chain(((0, np.hstack((head, top))),), tail)
+    a0, c0, tail = a, c, ()
+    if step < a.rows:
+        (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
+        br = Matrix._wrap(np.concatenate((br0.data, br1), axis=1), ring)
+        tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring), step)
+    top = _row_masks(a0, Matrix._wrap(br1, ring), c0, r1)[0][1]
+    return chain(((0, np.concatenate((head, top), axis=1)),), tail)
 
 
 def _first_failure(rows, n: int) -> tuple[int, int] | None:
@@ -184,7 +185,8 @@ def _first_failure(rows, n: int) -> tuple[int, int] | None:
     # Column-major order: the first True is the first failing column's
     # smallest differing row.
     flat = mask.T.ravel()
-    first = int(np.argmax(flat))
+    # The method, not np.argmax: a microsecond less per call at n = 64.
+    first = int(flat.argmax())
     return divmod(first, len(mask)) if flat[first] else None
 
 
@@ -215,34 +217,6 @@ def freivalds_iteration(
     return (False, hit[1]) if hit else (True, None)
 
 
-def _first_block(a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, end: int):
-    """Block 0 of ``_trials`` for A taller than one row block.  Trial 0 is
-    probed first: B r whole, then row block 0 of A(Br) != Cr.  If it
-    differs there, or ``end`` is 1, trial 0 is block 0 alone, read on from
-    the probe; otherwise block 0 is trials 0..end-1 (``_carried_rows``).  If
-    that block overflows, trial 0 alone is block 0 and trials 1..end-1
-    follow one at a time.  Returns ``(start, single_until)`` for the loop
-    of ``_trials``."""
-    n, ring = a.rows, a.ring
-    r0 = _sample_trial_block(dist, n, seed, 0, 1)
-    col = Matrix._wrap(r0, ring)
-    br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
-    rest = _row_masks(a, br0, c, col)
-    head = next(rest)[1]
-    single_until = 1
-    if end > 1 and not head.any():
-        r = np.hstack((r0, _sample_trial_block(dist, n, seed, 1, end)))
-        try:
-            rows = _carried_rows(a, b, c, Matrix._wrap(r, ring), br0, head)
-        except IntegerOverflow:
-            single_until = end
-        else:
-            yield 0, r, rows
-            return end, end
-    yield 0, r0, chain(((0, head),), rest)
-    return 1, single_until
-
-
 def _trials(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
@@ -254,11 +228,25 @@ def _trials(
     """
     n, ring = a.rows, a.ring
     width = max(1, min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n)))
-    start, single_until = 0, 1
-    if matrix._FLOAT_BLOCK // n < n:
-        start, single_until = yield from _first_block(a, b, c, dist, seed, min(stop, width))
+    end = min(stop, width)
+    # The probe: B r_0 whole, then row block 0 of trial 0's mask.
+    r0 = _sample_trial_block(dist, n, seed, 0, 1)
+    col = Matrix._wrap(r0, ring)
+    br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
+    rest = iter(_row_masks(a, br0, c, col))
+    head = next(rest)[1]
+    r, rows, start, single_until = r0, chain(((0, head),), rest), 1, 1
+    # count_nonzero: a third of ``any``'s call overhead on a small mask.
+    if end > 1 and not np.count_nonzero(head):
+        r1 = _sample_trial_block(dist, n, seed, 1, end)
+        carried = np.concatenate((r0, r1), axis=1)
+        try:
+            r, rows, start = carried, _carried_rows(a, b, c, carried, r1, br0, head), end
+        except IntegerOverflow:
+            single_until = end
+    yield 0, r, rows
     while start < stop:
-        end = start + 1 if start < single_until else min(stop, start + width)
+        end = start + 1 if start < single_until else min(stop, width * (start // width + 1))
         r = _sample_trial_block(dist, n, seed, start, end)
         try:
             rows = _mask_rows(a, b, c, Matrix._wrap(r, ring))

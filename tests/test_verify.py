@@ -235,8 +235,9 @@ def _single_column_triple(rng, n, ring):
 
 
 def _block_end(j, k, width):
-    """End of the verify block that holds iteration j >= 1."""
-    return min(k, 1 + width * ((j - 1) // width + 1))
+    """End of the verify block that holds iteration j >= 1: blocks start at
+    multiples of the width."""
+    return min(k, width * (j // width + 1))
 
 
 @pytest.mark.parametrize("width", [None, 3])
@@ -263,7 +264,7 @@ def test_verify_equals_the_sequential_loop(monkeypatch, width):
                     j = got.witness_iteration
                     if j is not None:
                         rows_seen.add(got.mismatch_row)
-                    if width is not None and j is not None and j > 1 and (j - 1) % width:
+                    if width is not None and j is not None and j % width:
                         inside_block += 1
     assert len(rows_seen) > 1
     if width is not None:
@@ -540,13 +541,15 @@ def test_an_accept_reads_every_row_once(monkeypatch, ring, n):
 
 @pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
 def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
-    # Unpatched: n = 363 is two row blocks, 361 rows and 2, and n = 1024
-    # eight of 128.  Errors sit in the first, a middle and the last row
-    # block, so trial 0 passes the probe and fails later, or fails in it.
+    # Unpatched: n = 362 is one row block, so the probe is trial 0's whole
+    # check and block 0 carries it with no rows left to stream; n = 363 is
+    # two row blocks, 361 rows and 2, and n = 1024 eight of 128.  Errors sit
+    # in the first, a middle and the last row block, so trial 0 passes the
+    # probe and fails later, or fails in it.
     m = ring.modulus
     gen = np.random.default_rng(11)
     seen = set()
-    for n in (363, 1024):
+    for n in (362, 363, 1024):
         a, b = (Matrix(n, n, ring, gen.integers(0, m, (n, n)) if m else gen.integers(-9, 10, (n, n))) for _ in range(2))
         ab = matmul(a, b).data
         step = matrix_mod._FLOAT_BLOCK // n
@@ -570,21 +573,25 @@ def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
                         if not got.accepted:
                             seen.add((n, got.mismatch_row // step, got.witness_iteration == 0))
     # Witnesses in every row block tried, from trial 0 and from later trials.
-    assert seen >= {(n, blk, first) for n, blks in ((363, (0, 1)), (1024, (0, 3, 7))) for blk in blks for first in (True, False)}
+    sizes = ((362, (0,)), (363, (0, 1)), (1024, (0, 3, 7)))
+    assert seen >= {(n, blk, first) for n, blks in sizes for blk in blks for first in (True, False)}
 
 
-def test_an_overflow_past_the_probe_lets_trial_0_finish_first(monkeypatch):
+@pytest.mark.parametrize("float_block", [16, None])
+def test_an_overflow_past_the_probe_lets_trial_0_finish_first(monkeypatch, float_block):
     # A = I but A[7][0] = 2^62, B = I, and C = A plus 1 at (5, col): trial t
     # overflows in row 7 (the term 2^62 r_0) exactly when its r_0 is 2, and
-    # differs in row 5, row block 2 of four blocks of 2 rows, when its
-    # r_col is not 0.  Trial 0 passes row block 0, so block 0 holds trials
-    # 0..7, and its set-up raises when one of trials 1..7 overflows.  Trial
-    # 0's own rows are then read before trials 1.. run one at a time, as in
-    # the one-at-a-time loop: trial 0 failing in row 5 wins over the later
-    # overflow, and otherwise the first overflowing trial raises the error a
-    # whole-product check raises.
+    # differs in row 5 when its r_col is not 0.  Patched to 16 entries, row
+    # 5 is in row block 2 of four blocks of 2 rows, and block 0 holds trials
+    # 0..7; unpatched, A is one row block and block 0 holds trials 0..9.
+    # When trial 0 passes the probe, block 0's set-up raises if one of its
+    # later trials overflows.  Trial 0's own rows are then read before
+    # trials 1.. run one at a time, as in the one-at-a-time loop: trial 0
+    # failing in row 5 wins over the later overflow, and otherwise the first
+    # overflowing trial raises the error a whole-product check raises.
     n, k = 8, 10
-    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", 16)
+    if float_block is not None:
+        monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", float_block)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     a_rows = [row[:] for row in eye]
     a_rows[n - 1][0] = 1 << 62
