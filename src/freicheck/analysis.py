@@ -65,6 +65,8 @@ from .verify import _check_inputs, _trials
 
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
+# The largest prime below 2^31: the int64 rank certificate works mod this.
+_RANK_PRIME = (1 << 31) - 1
 
 # z for a two-sided 99% normal interval, i.e. the 0.995 quantile.
 Z99 = 2.5758293035489004
@@ -126,7 +128,52 @@ class ErrorReport:
 
 
 def _exact_rank(e: Matrix) -> int:
-    """Rank of E by fraction-free elimination over its nonzero rows and columns.
+    """Rank of E over its nonzero rows and columns.
+
+    Over Z_p with p * p <= 2^63 - 1 (p <= 3,037,000,499), Gaussian
+    elimination mod p in int64 numpy is the answer.  Over Z the same
+    elimination runs mod the prime 2^31 - 1 first: a minor that is nonzero
+    mod that prime is nonzero over Z, so the rank mod the prime is at most
+    the rank, and it certifies the rank when it equals the smaller side of
+    the nonzero submatrix.  A rank the prime leaves below that, and every
+    larger p, goes to ``_fraction_free_rank`` on Python integers.
+    """
+    p = e.ring.modulus
+    nonzero = e.data != 0
+    sub = e.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
+    if p is None or p * p <= INT64_MAX:
+        q = p or _RANK_PRIME
+        rank = _rank_mod(sub % q, q)
+        if p is not None or rank == min(sub.shape):
+            return rank
+    return _fraction_free_rank(sub.tolist(), p)
+
+
+def _rank_mod(a: np.ndarray, q: int) -> int:
+    """Rank mod the prime q of ``a``, whose entries lie in [0, q), by
+    elimination in place.  Entries stay in [0, q) after every step and
+    q * q <= 2^63 - 1, so ``x - f * y`` never leaves int64 and one reduction
+    per step suffices."""
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        below = np.flatnonzero(a[rank:, col])
+        if not below.size:
+            continue
+        pivot = rank + int(below[0])
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        top = a[rank, col:] * pow(int(a[rank, col]), -1, q) % q
+        rest = a[rank + 1:, col:]
+        rest -= np.multiply.outer(rest[:, 0], top)
+        rest %= q
+        rank += 1
+    return rank
+
+
+def _fraction_free_rank(rows: list[list[int]], p: int | None) -> int:
+    """Rank of ``rows`` (Python integers) by fraction-free elimination.
 
     Over Z this is Bareiss elimination: with pivot ``piv`` and previous pivot
     ``prev``, each lower row becomes ``(piv * row - f * top) // prev``.  By
@@ -134,9 +181,6 @@ def _exact_rank(e: Matrix) -> int:
     exact and no fraction appears.  Mod p the same cross-multiplication is
     reduced mod p and needs no division.
     """
-    p = e.ring.modulus
-    nonzero = e.data != 0
-    rows = e.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))].tolist()
     rank, prev = 0, 1
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)

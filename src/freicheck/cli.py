@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .analysis import (
@@ -36,7 +37,9 @@ from .verify import VerifyConfig, verify
 
 
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    # Decimal formats an int exactly and, unlike str(int), past Python's
+    # 4,300-digit int-to-str limit: p_max ** k passes it for large k.
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _dump(payload) -> str:

@@ -37,6 +37,7 @@ from freicheck import (
     freivalds_iteration,
     generate_instance,
     identity,
+    mat_sub,
     matmul,
     mats_equal,
     p_max,
@@ -56,6 +57,10 @@ INT64 = RingSpec.int64()
 ZP2 = RingSpec.prime_field(2)
 ZP3 = RingSpec.prime_field(3)
 ZP5 = RingSpec.prime_field(5)
+ZP31 = RingSpec.prime_field((1 << 31) - 1)
+Q31 = ZP31.modulus
+# The largest prime p with p * p <= 2^63 - 1: the last one eliminated in int64.
+ZP_WORD = RingSpec.prime_field(3037000493)
 ZP61 = RingSpec.prime_field((1 << 61) - 1)
 U01 = uniform_binary()
 INT64_MAX = (1 << 63) - 1
@@ -679,10 +684,10 @@ def test_check_order_for_inputs_with_two_faults():
 
 @st.composite
 def _rank_case(draw):
-    ring = draw(st.sampled_from([INT64, ZP2, ZP3, ZP5, ZP61]))
+    ring = draw(st.sampled_from([INT64, ZP2, ZP3, ZP5, ZP31, ZP_WORD, ZP61]))
     p = ring.modulus
-    rows = draw(st.integers(min_value=1, max_value=7))
-    cols = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.integers(min_value=1, max_value=16))
+    cols = draw(st.integers(min_value=1, max_value=16))
     if draw(st.booleans()):
         # A product of an (rows x k) and a (k x cols) factor: rank <= k.
         k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
@@ -712,10 +717,63 @@ def _rank_case(draw):
 # Over Z a row whose pivot-column entry is 0 must still be scaled by the
 # pivot, or the next division by it is inexact: here rank 3 would read 2.
 @example((INT64, [[0, 1, -1], [0, 1, 0], [-2, 0, 0]]))
+# Singular mod 2^31 - 1 but not over Z, so the certificate must not decide:
+# q = 2^31 - 1 divides the determinant, and 2^63 = 2 mod q.
+@example((INT64, [[Q31, 0], [0, 1]]))
+@example((INT64, [[Q31, Q31], [1, 2]]))
+@example((INT64, [[-(1 << 63), 2], [1, -1]]))
 def test_exact_rank_matches_fraction_elimination(case):
     ring, data = case
     e = Matrix(len(data), len(data[0]), ring, data)
     assert analysis_mod._exact_rank(e) == fraction_rank(data, ring.modulus)
+
+
+def _half_rank_error(n, ring):
+    """An n x n E = U V with an n/2 inner dimension, entries up to 2^20 in
+    U and V: rank at most n/2, with entries far past 2^31 over Z."""
+    rng = np.random.default_rng(n)
+    u = rng.integers(-(1 << 20), 1 << 20, (n, n // 2))
+    v = rng.integers(-(1 << 20), 1 << 20, (n // 2, n))
+    e = u @ v
+    return Matrix(n, n, ring, (e if ring.modulus is None else e % ring.modulus).tolist())
+
+
+@pytest.mark.parametrize("ring", [INT64, ZP31], ids=["int64", "zp31"])
+@pytest.mark.parametrize("n", [48, 64])
+def test_exact_rank_of_size_limit_errors_matches_the_python_loop(n, ring):
+    a, b, c = generate_instance(InstanceSpec(n, ring, "dense-random", 5, entry_bound=1 << 24))
+    dense = mat_sub(matmul(a, b), c)
+    for e, rank in ((dense, n), (_half_rank_error(n, ring), n // 2)):
+        loop = analysis_mod._fraction_free_rank(e.data.tolist(), ring.modulus)
+        assert analysis_mod._exact_rank(e) == loop == rank
+
+
+def test_a_full_rank_error_is_certified_without_the_python_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Python loop ran")
+
+    monkeypatch.setattr(analysis_mod, "_fraction_free_rank", refuse)
+    for ring in (INT64, ZP31, ZP_WORD):
+        a, b, c = generate_instance(InstanceSpec(64, ring, "dense-random", 5, entry_bound=1 << 24))
+        assert difference_profile(a, b, c).difference_rank == 64
+    # Over a word-size Z_p the rank mod p is the answer, deficient or not.
+    assert analysis_mod._exact_rank(Matrix(2, 2, ZP_WORD, [[1, 2], [2, 4]])) == 1
+
+
+def test_a_rank_the_prime_leaves_deficient_goes_to_the_python_loop(monkeypatch):
+    calls = []
+    loop = analysis_mod._fraction_free_rank
+
+    def counted(rows, p):
+        calls.append(p)
+        return loop(rows, p)
+
+    monkeypatch.setattr(analysis_mod, "_fraction_free_rank", counted)
+    for data in ([[Q31, 0], [0, 1]], [[Q31, Q31], [1, 2]], [[-(1 << 63), 2], [1, -1]]):
+        assert analysis_mod._exact_rank(Matrix(2, 2, INT64, data)) == 2
+    assert analysis_mod._exact_rank(Matrix(2, 2, INT64, [[1, 2], [2, 4]])) == 1
+    assert analysis_mod._exact_rank(Matrix(2, 2, ZP61, [[1, 2], [2, 5]])) == 2
+    assert calls == [None] * 4 + [ZP61.modulus]
 
 
 def test_exact_fallback_does_not_take_a_wrapped_residual_for_zero():

@@ -115,6 +115,26 @@ def test_verify_accept(tmp_path, capsys):
     assert err == ""
 
 
+def test_verify_accept_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    # 2**20000 has 6,021 decimal digits, past Python's default limit of 4,300.
+    _, payload = _gen(capsys, tmp_path, "equal")
+    files = payload["files"]
+    code, out, err = _run(
+        capsys, "verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "20000"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["outcome"] == "accept"
+    # The expected string needs the limit lifted; restore it for later tests.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = "1/" + str(2**20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["error_bound"] == expected
+
+
 def test_verify_reject_writes_witness(tmp_path, capsys):
     prefix, payload = _gen(capsys, tmp_path, "single-column")
     files = payload["files"]
