@@ -15,15 +15,24 @@ scalar multiply.  Masses are the law's integer weights, so an assignment's
 mass is a product of weights over ``total ** m``; no floating point enters the
 exact path.
 
-Empirical rates are the verifier's own experiment repeated: trial t is
-iteration t of ``verify`` with the same seed, run by the same trial engine
-in the same blocks, and the rate comes with a Wilson 99% confidence interval.
+Empirical rates count the trials that accept, with a Wilson 99% confidence
+interval.  Trial t draws the vector of iteration t of ``verify`` with the
+same seed, and accepts exactly when E r = 0, since A(Br) - Cr = E r in exact
+arithmetic.  So a block of trials is one product E_S R_S: E_S is E's nonzero
+rows by its m nonzero columns, and R_S holds only the m components of each
+vector that those columns multiply, drawn as the same bits the verifier
+draws.  A trial accepts when its column of the product is zero.  Over Z this
+holds only while no round of the verifier can overflow.  So the verifier's
+own rounds, A(BR) against CR through its trial engine, run instead when a
+bound on B r, A(Br), C r or E_S r_S passes 2**63 - 1; only they raise the
+verifier's ``IntegerOverflow`` for the first trial that overflows.
 
 ``analyze_instance`` is the one analysis path, and the exact and empirical
 functions return parts of its report.  It checks every argument before any
 product (see its docstring for the order), forms AB once and E = AB - C at
-most once, and counts n**3 + 3 n**2 t scalar multiplies for t trials, with or
-without the exact probability.
+most once.  For t trials it counts n**3 + r m t scalar multiplies, for E_S
+of r rows and m columns, or n**3 + 3 n**2 t when the verifier's rounds run.
+The exact probability adds none.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .matrix import (
     Matrix,
     RingSpec,
     Vector,
+    _exact_dot,
     _fill,
     mat_add,
     mat_sub,
@@ -57,16 +67,24 @@ from .matrix import (
 from .sampling import (
     DiscreteDistribution,
     SeededRng,
+    _sample_trial_block,
     draw_words,
     p_max,
     substream,
 )
-from .verify import _check_inputs, _trials
+from .verify import _block_width, _check_inputs, _trials
 
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
 # The largest prime below 2^31: the int64 rank certificate works mod this.
 _RANK_PRIME = (1 << 31) - 1
+
+# Entries of R_S and of E_S R_S per block of empirical trials (256 KiB as
+# int64).  Larger blocks are fresh pages on every call: with E_S 64 x 1 and
+# 4,000 trials, blocks of 2**17 entries faulted 724 pages a call and took
+# 2.3-3.1 ms, blocks of 2**15 160 pages and 1.5-1.7 ms; 10**6 trials at
+# E_S 256 x 1 took 1.77 s against 0.93 s (fresh processes, 2-vCPU Xeon VM).
+_TRIAL_BLOCK = 1 << 15
 
 # z for a two-sided 99% normal interval, i.e. the 0.995 quantile.
 Z99 = 2.5758293035489004
@@ -260,6 +278,13 @@ def _residual_table(
     return table
 
 
+def _nonzero_block(e: Matrix, cols: tuple[int, ...]) -> np.ndarray:
+    """E_S: the columns ``cols`` of E, its nonzero ones, without the rows
+    that are zero in all of them (those constrain nothing)."""
+    sub = e.data[:, list(cols)]
+    return sub[(sub != 0).any(axis=1)]
+
+
 def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> Fraction:
     """P[E r = 0] by enumerating the components of r that ``cols``, the
     nonzero columns of E, multiply; the other components marginalize out.
@@ -272,8 +297,7 @@ def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> 
     for r_last once per key (``_solved_join``).
     """
     p = e.ring.modulus
-    ered = e.data[:, list(cols)]
-    ered = ered[(ered != 0).any(axis=1), :]  # all-zero rows constrain nothing
+    ered = _nonzero_block(e, cols)
     columns = [tuple(col) for col in ered.T.tolist()]
     m, rows, half = len(columns), len(ered), len(columns) // 2
     low = _residual_table([tuple(-y for y in col) for col in columns[:half]], dist, p, rows)
@@ -313,11 +337,54 @@ def _solved_join(
     return sum(w * weights[v] for v, w in found.items() if v in weights)
 
 
+def _rounds_fit(a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution) -> bool:
+    """Whether no round of ``verify`` on these operands can leave int64:
+    over Z_p always; over Z when n max|B| rho, n max|A| (n max|B| rho) and
+    n max|C| rho, for rho the largest |support value|, are all at most
+    2**63 - 1.  They bound every term and partial sum of B r, A(Br) and C r.
+    For n >= 2 they also give |AB| + |C| <= 2 (2**63 - 1) / n, so E = AB - C
+    fits as well (n = 1 forms E for its rank in any case)."""
+    if a.ring.modulus:
+        return True
+    n, rho = a.rows, dist._magnitude()
+    br = n * b._magnitude() * rho
+    return max(br, n * a._magnitude() * br, n * c._magnitude() * rho) <= INT64_MAX
+
+
+def _error_trials(
+    e_s: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution, seed: int, stop: int
+) -> Iterator[np.ndarray]:
+    """E_S R_S for consecutive blocks of trials 0..stop-1, where column t
+    of R_S holds components ``cols`` of trial t's vector and E_S is E's
+    nonzero rows by those columns: E r_t = 0 exactly when column t is zero.
+
+    A block has ``min(_block_width(k), _TRIAL_BLOCK // k)`` columns, at
+    least one, for k = max(rows, m), and is drawn only when reached: so
+    neither R_S nor its product passes ``verify._BLOCK_ENTRIES`` or
+    ``_TRIAL_BLOCK`` entries."""
+    ring, components = e_s.ring, np.array(cols, dtype=np.uint64)
+    k = max(e_s.rows, e_s.cols)
+    width = min(_block_width(k), max(1, _TRIAL_BLOCK // k))
+    for start in range(0, stop, width):
+        r = _sample_trial_block(dist, components, seed, start, min(stop, start + width))
+        yield _exact_dot(e_s, Matrix._wrap(r, ring), ring)
+
+
 def _empirical_rate(
-    a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, trials: int, seed: int
+    a: Matrix, b: Matrix, c: Matrix, e: Matrix | None, cols: tuple[int, ...],
+    dist: DiscreteDistribution, trials: int, seed: int,
 ) -> EmpiricalRate:
-    blocks = _trials(a, b, c, dist, seed, trials)
-    hits = sum(int(np.count_nonzero(~_fill(rows, a.rows).any(axis=0))) for _, _, rows in blocks)
+    """The rate of trials 0..trials-1 with E r = 0.  Given E, and unless
+    m max|E_S| rho passes 2**63 - 1 over Z, it is counted from E_S R_S
+    (``_error_trials``); otherwise from the verifier's own rounds, A(BR)
+    against CR through ``_trials``, which raises the ``IntegerOverflow``
+    of the first trial that overflows."""
+    e_s = None if e is None else Matrix._wrap(_nonzero_block(e, cols), e.ring)
+    if e_s is not None and (e.ring.modulus or e_s.cols * e_s._magnitude() * dist._magnitude() <= INT64_MAX):
+        hits = sum(int(np.count_nonzero(~block.any(axis=0))) for block in _error_trials(e_s, cols, dist, seed, trials))
+    else:
+        blocks = _trials(a, b, c, dist, seed, trials)
+        hits = sum(int(np.count_nonzero(~_fill(rows, a.rows).any(axis=0))) for _, _, rows in blocks)
     return EmpiricalRate(hits / trials, trials, wilson_interval(hits, trials))
 
 
@@ -330,8 +397,10 @@ def analyze_instance(
     Every argument is checked before any product, in this order: shapes and
     rings, ``dist`` against the ring, ``trials`` (when given), then the
     enumeration budget (when ``exact``).  AB is formed once and E = AB - C at
-    most once; an instance with AB = C is refused once its profile is known,
-    if an exact probability or a rate was asked for.
+    most once: for the rank (n <= RANK_LIMIT), the exact probability, and a
+    rate whose rounds cannot overflow (``_rounds_fit``).  An instance with
+    AB = C is refused once its profile is known, if an exact probability or
+    a rate was asked for.
     """
     _check_inputs(a, b, c)
     dist.validate_for_ring(a.ring)
@@ -339,16 +408,18 @@ def analyze_instance(
         raise ConfigInvalid(f"need at least one trial, got {trials}")
     if exact:
         _check_budget(a.rows, len(dist), budget)
-    profile, e = _profile(matmul(a, b), c, exact)
+    on_e = trials is not None and _rounds_fit(a, b, c, dist)
+    profile, e = _profile(matmul(a, b), c, exact or on_e)
     if (exact or trials is not None) and profile.differing_entries == 0:
         raise InstanceActuallyEqual(
             "product equals the claimed result; no false accept to measure"
         )
+    cols = profile.differing_columns
     return ErrorReport(
         p_max(dist),
         profile,
-        _exact_fap(e, profile.differing_columns, dist) if exact else None,
-        _empirical_rate(a, b, c, dist, trials, seed) if trials is not None else None,
+        _exact_fap(e, cols, dist) if exact else None,
+        _empirical_rate(a, b, c, e if on_e else None, cols, dist, trials, seed) if trials is not None else None,
     )
 
 

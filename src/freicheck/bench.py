@@ -3,15 +3,18 @@
 For each size n the runner builds one correct instance (C really is AB, so
 the fingerprint check never exits early and all k iterations run), then times
 the deterministic recompute-and-compare against the k-iteration fingerprint
-check.  Both go through the same exact product chooser, so with the default
-entry bound both use its fastest tier (float64 BLAS wherever the bound
-allows): the comparison is against the strongest exact recompute the
-package has.  Wall times are the median over repeats; scalar multiplication
-counts come from the exact counter, which charges ``rows * inner * cols``
-per product however the iterations are batched, so they are n^3 and
-3*k*n^2 regardless of how noisy the clock is.  Consecutive doubled sizes
-also get a time ratio, the empirical growth signal (ideal: 8x for the cubic
-method, 4x for the quadratic one).
+check.  The sizes are timed interleaved, repeat by repeat: each repeat times
+both methods at every size in turn, so noise early in a process, such as a
+slow first second, spreads over all sizes instead of inflating the first
+one's median.  Both methods go through the same exact product chooser, so
+with the default entry bound both use its fastest tier (float64 BLAS
+wherever the bound allows): the comparison is against the strongest exact
+recompute the package has.  Wall times are the median over repeats;
+scalar multiplication counts come from the exact counter, which charges
+``rows * inner * cols`` per product however the iterations are batched, so
+they are n^3 and 3*k*n^2 regardless of how noisy the clock is.  Consecutive
+doubled sizes also get a time ratio, the empirical growth signal (ideal: 8x
+for the cubic method, 4x for the quadratic one).
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ class BenchRecord:
     scalar_ops: int
 
 
+def _timed(runs: list, call):
+    """``call()``, appending its wall time and scalar multiplies to ``runs``."""
+    reset_scalar_multiplies()
+    t0 = time.perf_counter()
+    out = call()
+    runs.append((time.perf_counter() - t0, scalar_multiplies()))
+    return out
+
+
 def run_bench(
     sizes,
     k: int = 10,
@@ -78,38 +90,24 @@ def run_bench(
         )
     dist = uniform_binary() if dist is None else dist
 
-    records: list[BenchRecord] = []
-    for i, n in enumerate(sizes):
-        a, b, c = generate_instance(
-            InstanceSpec(n, RingSpec.int64(), "equal", stream_seed(seed, i), entry_bound)
-        )
-
-        det_times = []
-        det_ops = 0
-        for _ in range(repeats):
-            reset_scalar_multiplies()
-            t0 = time.perf_counter()
-            ok = mats_equal(matmul(a, b), c)
-            det_times.append(time.perf_counter() - t0)
-            det_ops = scalar_multiplies()
+    instances = [
+        generate_instance(InstanceSpec(n, RingSpec.int64(), "equal", stream_seed(seed, i), entry_bound))
+        for i, n in enumerate(sizes)
+    ]
+    cfgs = [VerifyConfig(k, stream_seed(seed, len(sizes) + i), dist) for i in range(len(sizes))]
+    # Per size, (seconds, multiplies) of every repeat of each method.
+    runs = [([], []) for _ in sizes]
+    for _ in range(repeats):
+        for (a, b, c), cfg, (det, frei) in zip(instances, cfgs, runs):
+            ok = _timed(det, lambda: mats_equal(matmul(a, b), c))
             assert ok, "equal-mode instance failed its own recompute"
-        records.append(
-            BenchRecord(n, "deterministic", None, statistics.median(det_times), det_ops)
-        )
-
-        cfg = VerifyConfig(k, stream_seed(seed, len(sizes) + i), dist)
-        frei_times = []
-        frei_ops = 0
-        for _ in range(repeats):
-            reset_scalar_multiplies()
-            t0 = time.perf_counter()
-            verdict: Verdict = verify(a, b, c, cfg)
-            frei_times.append(time.perf_counter() - t0)
-            frei_ops = scalar_multiplies()
+            verdict: Verdict = _timed(frei, lambda: verify(a, b, c, cfg))
             assert verdict.accepted, "correct product was rejected"
-        records.append(
-            BenchRecord(n, "freivalds", k, statistics.median(frei_times), frei_ops)
-        )
+
+    records: list[BenchRecord] = []
+    for n, (det, frei) in zip(sizes, runs):
+        for method, its, timed in (("deterministic", None, det), ("freivalds", k, frei)):
+            records.append(BenchRecord(n, method, its, statistics.median(t for t, _ in timed), timed[-1][1]))
     return records, doubling_ratios(records)
 
 

@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 from .analysis import (
@@ -38,8 +38,22 @@ from .verify import VerifyConfig, verify
 
 def _frac(f: Fraction) -> str:
     # Decimal formats an int exactly and, unlike str(int), past Python's
-    # 4,300-digit int-to-str limit: p_max ** k passes it for large k.
+    # 4,300-digit int-to-str limit.
     return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+
+
+# Exact decimal arithmetic: any result that would need rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
+def _frac_power(q: Fraction, k: int) -> str:
+    """``_frac(q ** k)`` in subquadratic time: q = a/b is in lowest terms,
+    so q^k is a^k/b^k, and both powers are formed in ``decimal``, whose
+    large products run by a number-theoretic transform.  Converting a^k
+    itself to decimal is quadratic in its digits: 171 s for the field law
+    over zp 2^61 - 1 at k = 160,000, against 0.3 s for these powers
+    (2-vCPU Xeon VM)."""
+    return f"{_EXACT.power(Decimal(q.numerator), k)}/{_EXACT.power(Decimal(q.denominator), k)}"
 
 
 def _dump(payload) -> str:
@@ -74,7 +88,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "seed": cfg.seed,
                 "dist": args.dist,
                 "p_max": _frac(p_max(dist)),
-                "error_bound": _frac(verdict.error_bound),
+                "error_bound": _frac_power(p_max(dist), cfg.iterations),
             }
         )
         return 0

@@ -5,7 +5,9 @@ state advances by the 64-bit golden-gamma constant and each output is the
 avalanche of the new state.  Substream ``j`` of a seed is keyed off output
 ``j + 1`` of the parent stream, so it depends on ``(seed, j)`` alone; that is
 what lets iterations and trials be replayed or reordered without changing
-what any one of them draws.
+what any one of them draws.  Component i of a vector is output i + 1 of its
+substream, so a block of trials can also draw only some components, with
+the bits the whole vectors hold there.
 
 Component distributions store exact masses as integer weights over one total
 (gcd 1, total the lcm of the reduced denominators, so equal laws store equal
@@ -66,7 +68,7 @@ def _u64(value: int) -> np.ndarray:
 
 
 _U_GOLDEN, _U_MIX_A, _U_MIX_B = _u64(GOLDEN), _u64(_MIX_A), _u64(_MIX_B)
-_U27, _U30, _U31, _U32 = _u64(27), _u64(30), _u64(31), _u64(32)
+_U1, _U27, _U30, _U31, _U32 = _u64(1), _u64(27), _u64(30), _u64(31), _u64(32)
 _LOW32 = _u64(0xFFFFFFFF)
 
 
@@ -220,6 +222,10 @@ class DiscreteDistribution:
                     f"support values {bad} are not reduced elements of {ring}"
                 )
 
+    def _magnitude(self) -> int:
+        """The largest support value in absolute value."""
+        return max(-int(self._support_arr.min()), int(self._support_arr.max()))
+
     def _weights_at(self, values) -> dict[int, int]:
         """``{v: weight of v}`` for each of ``values`` in the support."""
         wanted = [v for v in values if INT64_MIN <= v <= INT64_MAX]
@@ -279,6 +285,9 @@ class _FieldUniform(DiscreteDistribution):
             return super().__repr__()
         q = Fraction(1, p)
         return f"DiscreteDistribution(0: {q}, 1: {q}, ..., {p - 1}: {q})"
+
+    def _magnitude(self) -> int:
+        return self.total - 1
 
     def _weights_at(self, values) -> dict[int, int]:
         return {v: 1 for v in values if 0 <= v < self.total}
@@ -366,16 +375,18 @@ def sample_vector(
 
 
 def _sample_trial_block(
-    dist: DiscreteDistribution, n: int, seed: int, start: int, stop: int
+    dist: DiscreteDistribution, components: np.ndarray, seed: int, start: int, stop: int
 ) -> np.ndarray:
-    """Vectors for trials start..stop-1 as an (n, stop-start) int64 array.
+    """The ``components`` (a uint64 array of indices) of the vectors for
+    trials start..stop-1, as a (len(components), stop-start) int64 array.
 
-    Column t is the vector ``sample_vector`` draws from
-    ``substream(seed, start + t)``, bit for bit; a test pins that.
+    Row i of column t is component ``components[i]`` of the vector
+    ``sample_vector`` draws from ``substream(seed, start + t)``, bit for
+    bit, so all n indices give those vectors whole; tests pin both.
     """
     subs = _outputs(seed & MASK64, start + 1, stop + 1)
-    # Row i, column t: output i + 1 of substream start + t.
-    words = np.arange(1, n + 1, dtype=np.uint64)[:, None] * _U_GOLDEN + subs
+    # Row i, column t: output components[i] + 1 of substream start + t.
+    words = (components + _U1)[:, None] * _U_GOLDEN + subs
     return dist._draw(mix64_np(words))
 
 

@@ -49,13 +49,15 @@ earlier row of that trial did.  Otherwise they read the whole block, and
 ``verify`` stops at its first failing column.  Either way they name that
 column's smallest differing row: the witness, ``witness_iteration`` and
 ``mismatch_row`` of a one-at-a-time loop, bit for bit.  The empirical rate
-in ``analysis`` reads every row and counts the passing columns of the same
-engine.  The multiply counter charges what was read: 3kn^2 on accept; on
-reject, 3n^2 per trial of every block before the failing one, and for the
-failing block of w trials n^2 w for BR plus 2nw per row of A and C read,
-that is up to the end e of the row block where its first trial first
-differs, w (n^2 + 2n e), or all n rows when that trial passes, 3n^2 w.
-Trial 0 on its own is a block of w = 1: n^2 + 2n e.
+in ``analysis`` draws the same vectors and counts the trials with E r = 0,
+from E = AB - C; it runs this engine, reading every row of each block, only
+where a round could overflow int64.  The multiply counter charges what was
+read: 3kn^2 on accept; on reject, 3n^2 per trial of every block before the
+failing one, and for the failing block of w trials n^2 w for BR plus 2nw
+per row of A and C read, that is up to the end e of the row block where
+its first trial first differs, w (n^2 + 2n e), or all n rows when that
+trial passes, 3n^2 w.  Trial 0 on its own is a block of w = 1:
+n^2 + 2n e.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ from .sampling import DiscreteDistribution, _sample_trial_block, p_max
 # Entries of the (n x w) vector block per verify block: bounds the block's
 # memory at a few MiB while keeping products few and large.
 _BLOCK_ENTRIES = 1 << 20
+
+
+def _block_width(rows: int) -> int:
+    """Trials per block when a block's vectors or products have ``rows``
+    rows: ``_BLOCK_ENTRIES // rows``, at least one, read at call time."""
+    return max(1, _BLOCK_ENTRIES // rows)
 
 
 @dataclass(frozen=True)
@@ -227,10 +235,11 @@ def _trials(
     caller shares.
     """
     n, ring = a.rows, a.ring
-    width = max(1, min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n)))
+    components = np.arange(n, dtype=np.uint64)
+    width = min(_block_width(n), max(n, matrix._FLOAT_BLOCK // n))
     end = min(stop, width)
     # The probe: B r_0 whole, then row block 0 of trial 0's mask.
-    r0 = _sample_trial_block(dist, n, seed, 0, 1)
+    r0 = _sample_trial_block(dist, components, seed, 0, 1)
     col = Matrix._wrap(r0, ring)
     br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
     rest = iter(_row_masks(a, br0, c, col))
@@ -238,7 +247,7 @@ def _trials(
     r, rows, start, single_until = r0, chain(((0, head),), rest), 1, 1
     # count_nonzero: a third of ``any``'s call overhead on a small mask.
     if end > 1 and not np.count_nonzero(head):
-        r1 = _sample_trial_block(dist, n, seed, 1, end)
+        r1 = _sample_trial_block(dist, components, seed, 1, end)
         carried = np.concatenate((r0, r1), axis=1)
         try:
             r, rows, start = carried, _carried_rows(a, b, c, carried, r1, br0, head), end
@@ -247,7 +256,7 @@ def _trials(
     yield 0, r, rows
     while start < stop:
         end = start + 1 if start < single_until else min(stop, width * (start // width + 1))
-        r = _sample_trial_block(dist, n, seed, start, end)
+        r = _sample_trial_block(dist, components, seed, start, end)
         try:
             rows = _mask_rows(a, b, c, Matrix._wrap(r, ring))
         except IntegerOverflow:

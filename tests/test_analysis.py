@@ -49,6 +49,7 @@ from freicheck import (
     uniform_support,
     wilson_interval,
 )
+from freicheck.matrix import _fill
 from util import brute_fap, fraction_rank, random_unequal_triple
 
 verify_mod = importlib.import_module("freicheck.verify")
@@ -412,23 +413,132 @@ def test_trial_chunking_does_not_change_the_answer(monkeypatch):
     assert whole == chunked
 
 
-def test_empirical_blocks_stay_within_the_block_bound(monkeypatch):
-    # The trials run in verify's blocks, so no R holds more than
-    # _BLOCK_ENTRIES entries however many trials are asked for.
-    n, trials = 256, 5000
-    a, b, c = random_unequal_triple(random.Random(5), n, INT64)
-    sizes = []
-    engine = analysis_mod._trials
+def _blocks_spied(monkeypatch):
+    """Shapes of every R_S drawn and every E_S R_S formed by the E path;
+    the verifier's rounds must not run."""
+    drawn, formed = [], []
+    draw, blocks = analysis_mod._sample_trial_block, analysis_mod._error_trials
 
-    def spy(*args):
-        for block in engine(*args):
-            sizes.append(block[1].shape)
+    def draw_spy(*args):
+        block = draw(*args)
+        drawn.append(block.shape)
+        return block
+
+    def blocks_spy(*args):
+        for block in blocks(*args):
+            formed.append(block.shape)
             yield block
 
-    monkeypatch.setattr(analysis_mod, "_trials", spy)
-    empirical_false_accept_rate(a, b, c, U01, trials, seed=3)
-    assert sum(cols for _, cols in sizes) == trials
-    assert all(rows * cols <= verify_mod._BLOCK_ENTRIES for rows, cols in sizes)
+    monkeypatch.setattr(analysis_mod, "_sample_trial_block", draw_spy)
+    monkeypatch.setattr(analysis_mod, "_error_trials", blocks_spy)
+    monkeypatch.setattr(analysis_mod, "_trials", None)
+    return drawn, formed
+
+
+def test_empirical_blocks_stay_within_the_block_bound(monkeypatch):
+    # However many trials are asked for, no R_S and no product E_S R_S
+    # holds more than _BLOCK_ENTRIES entries: a dense E_S is 256 x 256, and
+    # with m = 1 a 256 x 1 E_S makes each product 256 times its R_S.  Nor
+    # more than _TRIAL_BLOCK, which the E path's blocks also keep to.
+    n = 256
+    dense = random_unequal_triple(random.Random(5), n, INT64)
+    one_column = generate_instance(InstanceSpec(n, INT64, "single-column", 5))
+    drawn, formed = _blocks_spied(monkeypatch)
+    for (a, b, c), trials in ((dense, 5000), (one_column, 10**6)):
+        drawn.clear()
+        formed.clear()
+        empirical_false_accept_rate(a, b, c, U01, trials, seed=3)
+        assert sum(cols for _, cols in drawn) == sum(cols for _, cols in formed) == trials
+        assert [cols for _, cols in drawn] == [cols for _, cols in formed]
+        assert all(rows * cols <= verify_mod._BLOCK_ENTRIES for rows, cols in drawn + formed)
+        assert all(rows * cols <= analysis_mod._TRIAL_BLOCK for rows, cols in drawn + formed)
+    assert {rows for rows, _ in drawn} == {1} and {rows for rows, _ in formed} == {n}
+    # Every block but the last is a full one of 2^15 entries.
+    width = analysis_mod._TRIAL_BLOCK // n
+    assert [cols for _, cols in formed[:-1]] == [width] * (len(formed) - 1) == [128] * 7812
+
+
+def _hits_of_the_rounds(a, b, c, dist, trials, seed):
+    """Passing trials counted from the verifier's own rounds, A(BR)
+    against CR, exactly as the empirical rate was measured before it read
+    E: the reference for the E path."""
+    blocks = verify_mod._trials(a, b, c, dist, seed, trials)
+    return sum(int(np.count_nonzero(~_fill(rows, a.rows).any(axis=0))) for _, _, rows in blocks)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 300])
+@pytest.mark.parametrize("ring", [INT64, ZP5, ZP31, ZP61], ids=["int64", "zp5", "zp31", "zp61"])
+def test_empirical_rate_from_e_matches_the_verifier_rounds(monkeypatch, ring, n):
+    # Every law valid over the ring, every unequal mode: the E path's hit
+    # count is the one the rounds give, trial for trial.
+    laws = {"u01": U01, "bern:1/3": bernoulli(Fraction(1, 3))}
+    if ring.modulus is None:
+        laws["usup:-3,0,7"] = uniform_support((-3, 0, 7))
+    else:
+        laws["field"] = field_uniform(ring)
+    trials = 200 if n == 300 else 1000
+    drawn, _ = _blocks_spied(monkeypatch)
+    for mode in ("single-entry", "single-column", "rank-one", "dense-random"):
+        a, b, c = generate_instance(InstanceSpec(n, ring, mode, n + 7))
+        for name, dist in laws.items():
+            seed = len(name) + n
+            hits = _hits_of_the_rounds(a, b, c, dist, trials, seed)
+            drawn.clear()
+            report = empirical_false_accept_rate(a, b, c, dist, trials, seed)
+            assert sum(cols for _, cols in drawn) == trials, (mode, name)
+            assert report.empirical == analysis_mod.EmpiricalRate(
+                hits / trials, trials, wilson_interval(hits, trials)
+            ), (mode, name)
+
+
+def _gate_instance(failing):
+    """An int64 instance at n = 2 whose rounds break exactly one of the
+    four int64 bounds of the E path, with u01 (rho = 1)."""
+    big = 1 << 62
+    rows = {
+        # n max|B| rho: A = 0, so A(Br) is 0, but B r_0 = 2^63 for r = (1, 1).
+        1: ([[0, 0], [0, 0]], [[big, big], [0, 1]], [[1, 0], [0, 0]]),
+        # n max|A| (n max|B| rho) = 2^64; AB and C stay near 2^61.
+        2: ([[1 << 61, 0], [0, 0]], [[1, 0], [0, 2]], [[(1 << 61) + 1, 0], [0, 0]]),
+        # n max|C| rho = 2^63 + 2, while E = AB - C is -2^62 in one column.
+        3: ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[big + 1, 0], [0, 1]]),
+        # m max|E_S| rho: two columns of E near 1.25 * 2^62.
+        4: ([[1, 0], [0, 0]], [[1 << 60, 1 << 60], [0, 0]], [[1 - big, 1 - big], [0, 0]]),
+    }[failing]
+    return tuple(Matrix.from_rows(m, INT64) for m in rows)
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3, 4])
+def test_rounds_that_could_overflow_run_the_verifier_engine(monkeypatch, failing):
+    a, b, c = _gate_instance(failing)
+    e = mat_sub(matmul(a, b), c)
+    n, m = 2, len(difference_profile(a, b, c).differing_columns)
+    big_b = n * max(abs(int(v)) for v in b.data.ravel())
+    bounds = [
+        big_b,
+        n * max(abs(int(v)) for v in a.data.ravel()) * big_b,
+        n * max(abs(int(v)) for v in c.data.ravel()),
+        m * max(abs(int(v)) for v in e.data.ravel()),
+    ]
+    assert [i + 1 for i, x in enumerate(bounds) if x > INT64_MAX] == [failing]
+    trials, seed = 300, 4
+    try:
+        expected = _hits_of_the_rounds(a, b, c, U01, trials, seed)
+    except IntegerOverflow as err:
+        expected = err
+    ran = []
+    engine = analysis_mod._trials
+    monkeypatch.setattr(analysis_mod, "_trials", lambda *args: ran.append(args) or engine(*args))
+    monkeypatch.setattr(analysis_mod, "_error_trials", None)
+    if isinstance(expected, IntegerOverflow):
+        with pytest.raises(IntegerOverflow) as raised:
+            empirical_false_accept_rate(a, b, c, U01, trials, seed)
+        assert str(raised.value) == str(expected)
+    else:
+        assert empirical_false_accept_rate(a, b, c, U01, trials, seed).empirical.rate == expected / trials
+    assert len(ran) == 1
+    # Bound 1 is the one that raises: B r = (2^63, 1) for r = (1, 1).
+    assert isinstance(expected, IntegerOverflow) == (failing == 1)
 
 
 @pytest.mark.parametrize("width", [None, 3])
@@ -631,8 +741,9 @@ def test_analyze_instance_composes_the_pieces():
 
 
 def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
-    # One AB (n^3), one E, and 3n^2 per trial: 20,000 multiplies at n=20,
-    # t=10, with the exact probability and the rank from the same E.
+    # One AB (n^3), one E, and (rows of E_S) m per trial, E_S being E's 20
+    # nonzero rows by its one nonzero column: 8,200 multiplies at n=20,
+    # t=10, with the exact probability, the rank and the rate from one E.
     n, t = 20, 10
     a, b, c = generate_instance(InstanceSpec(n, INT64, "single-column", 4, entry_bound=1 << 24))
     calls = {"matmul": 0, "mat_sub": 0}
@@ -644,7 +755,7 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
         monkeypatch.setattr(analysis_mod, name, spy)
     reset_scalar_multiplies()
     report = analyze_instance(a, b, c, U01, exact=True, trials=t, seed=2)
-    assert scalar_multiplies() == n**3 + 3 * n * n * t == 20_000
+    assert scalar_multiplies() == n**3 + n * 1 * t == 8_200
     assert calls == {"matmul": 1, "mat_sub": 1}
     assert report.exact_fap == Fraction(1, 2)
     assert report.instance_profile.difference_rank == 1

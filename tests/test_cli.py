@@ -135,6 +135,38 @@ def test_verify_accept_past_the_int_to_str_digit_limit(tmp_path, capsys):
     assert doc["error_bound"] == expected
 
 
+@pytest.mark.parametrize("dist, q", [("u01", (1, 2)), ("bern:2/7", (5, 7)), ("usup:0,1,2", (1, 3))])
+def test_verify_accept_bound_formats_no_large_int(tmp_path, capsys, monkeypatch, dist, q):
+    # The bound a^k/b^k is formed in decimal, never by converting a large
+    # Python int: with both conversions refused above 3,000 digits, k =
+    # 20,000 still prints the bytes of the exact fraction.
+    real = freicheck.cli.Decimal
+
+    def refusing(value="0", *args):
+        if isinstance(value, int) and abs(value) >= 10**3000:
+            raise AssertionError("converted a large int to Decimal")
+        return real(value, *args)
+
+    monkeypatch.setattr(freicheck.cli, "Decimal", refusing)
+    _, payload = _gen(capsys, tmp_path, "equal")
+    files = payload["files"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(3000)
+    try:
+        code, out, err = _run(
+            capsys, "verify", "--a", files["a"], "--b", files["b"], "--c", files["c"],
+            "-k", "20000", "--dist", dist,
+        )
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        a, b = q
+        expected = f"{a**20000}/{b**20000}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = json.loads(out)
+    assert doc["error_bound"] == expected and doc["p_max"] == f"{a}/{b}"
+
+
 def test_verify_reject_writes_witness(tmp_path, capsys):
     prefix, payload = _gen(capsys, tmp_path, "single-column")
     files = payload["files"]

@@ -217,8 +217,9 @@ def test_field_sampler_is_bit_identical_to_the_general_law():
     assert field == general and len(field) == 10007
     for seed in (0, 5, 2**64 - 1):
         assert sample_vector(field, 300, SeededRng(seed), ring) == sample_vector(general, 300, SeededRng(seed), ring)
+        every = np.arange(17, dtype=np.uint64)
         assert np.array_equal(
-            _sample_trial_block(field, 17, seed, 3, 40), _sample_trial_block(general, 17, seed, 3, 40)
+            _sample_trial_block(field, every, seed, 3, 40), _sample_trial_block(general, every, seed, 3, 40)
         )
 
 
@@ -358,10 +359,10 @@ def test_a_trial_block_draw_holds_under_three_blocks(dist):
     # A block draw allocates its words, one scratch array and its result;
     # the traced peak stays within three int64 blocks of the same shape.
     n, w = 64, 2048
-    _sample_trial_block(dist, n, 1, 0, w)
+    _sample_trial_block(dist, np.arange(n, dtype=np.uint64), 1, 0, w)
     tracemalloc.start()
     try:
-        block = _sample_trial_block(dist, n, 1, 0, w)
+        block = _sample_trial_block(dist, np.arange(n, dtype=np.uint64), 1, 0, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,11 +377,29 @@ def test_trial_block_columns_are_substream_vectors(dist):
     # Column t of the block for trials start..stop-1 is the vector
     # sample_vector draws from substream (seed, start + t), bit for bit.
     for seed, start, stop in ((0, 0, 1), (7, 0, 9), (2**64 - 5, 3, 40)):
-        block = _sample_trial_block(dist, 13, seed, start, stop)
+        block = _sample_trial_block(dist, np.arange(13, dtype=np.uint64), seed, start, stop)
         assert block.shape == (13, stop - start)
         for t in range(stop - start):
             expected = sample_vector(dist, 13, substream(seed, start + t))
             assert block[:, t].tolist() == expected.data.tolist()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    GENERAL_LAWS + [field_uniform(RingSpec.prime_field(p)) for p in (10007, 4294967311, 2**61 - 1)],
+    ids=GENERAL_IDS + ["field10007", "field2^32+15", "field2^61-1"],
+)
+def test_a_trial_block_of_some_components_is_those_rows_of_the_whole_block(dist):
+    # Drawing any subset of the components, in any order and with repeats,
+    # gives exactly those rows of the block drawn over all of them.
+    rng = np.random.default_rng(11)
+    n = 40
+    for seed, start, stop in ((0, 0, 1), (9, 2, 70), (2**64 - 3, 1000, 1031)):
+        whole = _sample_trial_block(dist, np.arange(n, dtype=np.uint64), seed, start, stop)
+        for size in (1, 7, n):
+            rows = rng.choice(n, size, replace=size == 7).astype(np.uint64)
+            part = _sample_trial_block(dist, rows, seed, start, stop)
+            assert part.dtype == whole.dtype and np.array_equal(part, whole[rows.astype(np.intp)])
 
 
 def test_sample_vector_is_deterministic_and_advances_state():
