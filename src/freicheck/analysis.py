@@ -37,6 +37,8 @@ The exact probability adds none.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -58,6 +60,7 @@ from .matrix import (
     Vector,
     _exact_dot,
     _fill,
+    _is_prime,
     mat_add,
     mat_sub,
     matmul,
@@ -72,12 +75,10 @@ from .sampling import (
     p_max,
     substream,
 )
-from .verify import _block_width, _check_inputs, _trials
+from .verify import _check_inputs, _trials
 
 DEFAULT_BUDGET = 1 << 24
 RANK_LIMIT = 64
-# The largest prime below 2^31: the int64 rank certificate works mod this.
-_RANK_PRIME = (1 << 31) - 1
 
 # Entries of R_S and of E_S R_S per block of empirical trials (256 KiB as
 # int64).  Larger blocks are fresh pages on every call: with E_S 64 x 1 and
@@ -145,33 +146,53 @@ class ErrorReport:
     empirical: EmpiricalRate | None = None
 
 
-def _exact_rank(e: Matrix) -> int:
-    """Rank of E over its nonzero rows and columns.
+@functools.cache
+def _word_prime(i: int) -> int:
+    """The (i + 1)-th largest prime q with q * q <= 2^63 - 1: 3,037,000,493
+    for i = 0.  Cached, as each costs tens of microseconds to find."""
+    q = (math.isqrt(INT64_MAX) + 1 if i == 0 else _word_prime(i - 1)) - 1
+    while not _is_prime(q):
+        q -= 1
+    return q
 
-    Over Z_p with p * p <= 2^63 - 1 (p <= 3,037,000,499), Gaussian
-    elimination mod p in int64 numpy is the answer.  Over Z the same
-    elimination runs mod the prime 2^31 - 1 first: a minor that is nonzero
-    mod that prime is nonzero over Z, so the rank mod the prime is at most
-    the rank, and it certifies the rank when it equals the smaller side of
-    the nonzero submatrix.  A rank the prime leaves below that, and every
-    larger p, goes to ``_fraction_free_rank`` on Python integers.
+
+def _exact_rank(e: Matrix) -> int:
+    """Rank of E over its nonzero rows and columns, by elimination mod a
+    prime (``_rank_mod``).
+
+    Over Z_p the prime is p: in int64 when p * p <= 2^63 - 1
+    (p <= 3,037,000,499), on an object array of Python integers past it.
+    Over Z a minor that is nonzero mod a prime is nonzero, so the rank mod
+    any prime is at most the rank.  Elimination runs mod the word primes,
+    largest first, and r is the largest rank seen mod any of them.  r is the
+    rank once it equals the smaller side of the nonzero submatrix, or once
+    the product of the primes tried exceeds the Hadamard bound on every
+    (r + 1)-minor: the product of the r + 1 largest column norms, each
+    rounded up.  Such a minor is 0 mod every prime tried, so it is a
+    multiple of their product smaller than it in size: it is 0.
     """
     p = e.ring.modulus
     nonzero = e.data != 0
     sub = e.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
-    if p is None or p * p <= INT64_MAX:
-        q = p or _RANK_PRIME
-        rank = _rank_mod(sub % q, q)
-        if p is not None or rank == min(sub.shape):
+    if p is not None:
+        return _rank_mod(sub if p * p <= INT64_MAX else sub.astype(object), p)
+    rank, product, norms = 0, 1, []
+    for q in map(_word_prime, itertools.count()):
+        rank = max(rank, _rank_mod(sub % q, q))
+        product *= q
+        if rank == min(sub.shape):
             return rank
-    return _fraction_free_rank(sub.tolist(), p)
+        norms = norms or sorted((math.isqrt(s) + 1 for s in (sub.astype(object) ** 2).sum(axis=0)), reverse=True)
+        if product > math.prod(norms[:rank + 1]):
+            return rank
 
 
 def _rank_mod(a: np.ndarray, q: int) -> int:
     """Rank mod the prime q of ``a``, whose entries lie in [0, q), by
-    elimination in place.  Entries stay in [0, q) after every step and
-    q * q <= 2^63 - 1, so ``x - f * y`` never leaves int64 and one reduction
-    per step suffices."""
+    elimination in place.  Entries stay in [0, q) after every step, so one
+    reduction per step suffices: in int64, where q * q <= 2^63 - 1 keeps
+    ``x - f * y`` from overflowing, and in an object array of Python
+    integers, for any q."""
     rank = 0
     for col in range(a.shape[1]):
         if rank == a.shape[0]:
@@ -187,36 +208,6 @@ def _rank_mod(a: np.ndarray, q: int) -> int:
         rest -= np.multiply.outer(rest[:, 0], top)
         rest %= q
         rank += 1
-    return rank
-
-
-def _fraction_free_rank(rows: list[list[int]], p: int | None) -> int:
-    """Rank of ``rows`` (Python integers) by fraction-free elimination.
-
-    Over Z this is Bareiss elimination: with pivot ``piv`` and previous pivot
-    ``prev``, each lower row becomes ``(piv * row - f * top) // prev``.  By
-    Sylvester's identity every entry is then a minor of E, so the division is
-    exact and no fraction appears.  Mod p the same cross-multiplication is
-    reduced mod p and needs no division.
-    """
-    rank, prev = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        piv = top[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if p is None:
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
-            elif f:
-                rows[i] = [(piv * x - f * y) % p for x, y in zip(rows[i], top)]
-        prev = piv
-        rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 
@@ -358,13 +349,11 @@ def _error_trials(
     of R_S holds components ``cols`` of trial t's vector and E_S is E's
     nonzero rows by those columns: E r_t = 0 exactly when column t is zero.
 
-    A block has ``min(_block_width(k), _TRIAL_BLOCK // k)`` columns, at
-    least one, for k = max(rows, m), and is drawn only when reached: so
-    neither R_S nor its product passes ``verify._BLOCK_ENTRIES`` or
-    ``_TRIAL_BLOCK`` entries."""
+    A block has ``_TRIAL_BLOCK // k`` columns, at least one, for
+    k = max(rows, m), and is drawn only when reached: so neither R_S nor its
+    product passes ``_TRIAL_BLOCK`` entries."""
     ring, components = e_s.ring, np.array(cols, dtype=np.uint64)
-    k = max(e_s.rows, e_s.cols)
-    width = min(_block_width(k), max(1, _TRIAL_BLOCK // k))
+    width = max(1, _TRIAL_BLOCK // max(e_s.rows, e_s.cols))
     for start in range(0, stop, width):
         r = _sample_trial_block(dist, components, seed, start, min(stop, start + width))
         yield _exact_dot(e_s, Matrix._wrap(r, ring), ring)

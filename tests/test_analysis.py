@@ -60,8 +60,10 @@ ZP3 = RingSpec.prime_field(3)
 ZP5 = RingSpec.prime_field(5)
 ZP31 = RingSpec.prime_field((1 << 31) - 1)
 Q31 = ZP31.modulus
-# The largest prime p with p * p <= 2^63 - 1: the last one eliminated in int64.
-ZP_WORD = RingSpec.prime_field(3037000493)
+# The largest prime p with p * p <= 2^63 - 1: the last one eliminated in
+# int64, and the first of the integer rank certificate; then the next one.
+WORD, WORD_2 = 3037000493, 3037000453
+ZP_WORD = RingSpec.prime_field(WORD)
 ZP61 = RingSpec.prime_field((1 << 61) - 1)
 U01 = uniform_binary()
 INT64_MAX = (1 << 63) - 1
@@ -409,6 +411,7 @@ def test_trial_chunking_does_not_change_the_answer(monkeypatch):
     a, b, c = random_unequal_triple(random.Random(3), 4, INT64)
     whole = empirical_false_accept_rate(a, b, c, U01, 1000, seed=9)
     monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", 64 * 4)
+    monkeypatch.setattr(analysis_mod, "_TRIAL_BLOCK", 64 * 4)
     chunked = empirical_false_accept_rate(a, b, c, U01, 1000, seed=9)
     assert whole == chunked
 
@@ -825,14 +828,17 @@ def _rank_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_rank_case())
-# Over Z a row whose pivot-column entry is 0 must still be scaled by the
-# pivot, or the next division by it is inexact: here rank 3 would read 2.
+# Rows whose pivot-column entry is 0: a fraction-free elimination that
+# does not scale them by the pivot reads rank 3 here as 2.
 @example((INT64, [[0, 1, -1], [0, 1, 0], [-2, 0, 0]]))
-# Singular mod 2^31 - 1 but not over Z, so the certificate must not decide:
-# q = 2^31 - 1 divides the determinant, and 2^63 = 2 mod q.
+# Singular mod a prime but not over Z, so that prime alone must not decide:
+# q = 2^31 - 1 divides the first three determinants (2^63 = 2 mod q), and
+# the first prime the integer certificate tries divides the last two.
 @example((INT64, [[Q31, 0], [0, 1]]))
 @example((INT64, [[Q31, Q31], [1, 2]]))
 @example((INT64, [[-(1 << 63), 2], [1, -1]]))
+@example((INT64, [[WORD, 0], [0, 1]]))
+@example((INT64, [[WORD, WORD], [1, 2]]))
 def test_exact_rank_matches_fraction_elimination(case):
     ring, data = case
     e = Matrix(len(data), len(data[0]), ring, data)
@@ -855,36 +861,68 @@ def test_exact_rank_of_size_limit_errors_matches_the_python_loop(n, ring):
     a, b, c = generate_instance(InstanceSpec(n, ring, "dense-random", 5, entry_bound=1 << 24))
     dense = mat_sub(matmul(a, b), c)
     for e, rank in ((dense, n), (_half_rank_error(n, ring), n // 2)):
-        loop = analysis_mod._fraction_free_rank(e.data.tolist(), ring.modulus)
-        assert analysis_mod._exact_rank(e) == loop == rank
+        assert analysis_mod._exact_rank(e) == fraction_rank(e.data.tolist(), ring.modulus) == rank
 
 
-def test_a_full_rank_error_is_certified_without_the_python_loop(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the Python loop ran")
+def _primes_spied(monkeypatch):
+    """``(q, whether the array holds Python integers)`` for every
+    elimination mod q that ``_rank_mod`` runs."""
+    calls = []
+    rank_mod = analysis_mod._rank_mod
 
-    monkeypatch.setattr(analysis_mod, "_fraction_free_rank", refuse)
-    for ring in (INT64, ZP31, ZP_WORD):
+    def spy(a, q):
+        calls.append((q, a.dtype == object))
+        return rank_mod(a, q)
+
+    monkeypatch.setattr(analysis_mod, "_rank_mod", spy)
+    return calls
+
+
+def test_a_full_rank_error_is_certified_by_one_prime(monkeypatch):
+    calls = _primes_spied(monkeypatch)
+    for ring, q in ((INT64, WORD), (ZP31, Q31), (ZP_WORD, WORD)):
+        calls.clear()
         a, b, c = generate_instance(InstanceSpec(64, ring, "dense-random", 5, entry_bound=1 << 24))
         assert difference_profile(a, b, c).difference_rank == 64
+        assert calls == [(q, False)]
     # Over a word-size Z_p the rank mod p is the answer, deficient or not.
+    calls.clear()
     assert analysis_mod._exact_rank(Matrix(2, 2, ZP_WORD, [[1, 2], [2, 4]])) == 1
+    assert calls == [(WORD, False)]
 
 
-def test_a_rank_the_prime_leaves_deficient_goes_to_the_python_loop(monkeypatch):
-    calls = []
-    loop = analysis_mod._fraction_free_rank
-
-    def counted(rows, p):
-        calls.append(p)
-        return loop(rows, p)
-
-    monkeypatch.setattr(analysis_mod, "_fraction_free_rank", counted)
-    for data in ([[Q31, 0], [0, 1]], [[Q31, Q31], [1, 2]], [[-(1 << 63), 2], [1, -1]]):
-        assert analysis_mod._exact_rank(Matrix(2, 2, INT64, data)) == 2
-    assert analysis_mod._exact_rank(Matrix(2, 2, INT64, [[1, 2], [2, 4]])) == 1
-    assert analysis_mod._exact_rank(Matrix(2, 2, ZP61, [[1, 2], [2, 5]])) == 2
-    assert calls == [None] * 4 + [ZP61.modulus]
+def test_a_deficient_rank_takes_more_primes_and_returns_the_right_rank(monkeypatch):
+    calls = _primes_spied(monkeypatch)
+    w, w2 = WORD, WORD_2
+    # The primes run down from the largest; 3,037,000,507 is the next one up.
+    assert [analysis_mod._word_prime(i) for i in range(3)] == [w, w2, 3037000429]
+    assert w * w <= INT64_MAX < 3037000507 ** 2
+    cases = [
+        # Rank 2, singular mod the first prime (the first two for w * w2).
+        ([[w, 0], [0, 1]], 2, 2),
+        ([[w, w], [1, 2]], 2, 2),
+        ([[w * w2, 0], [0, 1]], 2, 3),
+        # Singular mod w, and the largest column norm alone is below w:
+        # every 2-minor, not every 1-minor, must be bounded.
+        ([[4, 1], [-1, (w - 1) // 4]], 2, 2),
+        # Rank 2 mod w and 1 mod w2: the largest rank seen is the answer.
+        ([[w2, 0, 0], [0, 1, 1], [0, 1, 1]], 2, 2),
+    ]
+    for data, rank, primes in cases:
+        calls.clear()
+        assert analysis_mod._exact_rank(Matrix.from_rows(data, INT64)) == rank == fraction_rank(data)
+        assert calls == [(analysis_mod._word_prime(i), False) for i in range(primes)]
+    a, b, c = generate_instance(InstanceSpec(64, INT64, "rank-one", 5))
+    for e, rank, primes in ((mat_sub(matmul(a, b), c), 1, 2), (_half_rank_error(64, INT64), 32, 47)):
+        calls.clear()
+        assert analysis_mod._exact_rank(e) == rank
+        assert len(calls) == primes
+    # Past 3,037,000,499 the one prime is p, on Python integers.
+    p = ZP61.modulus
+    for data, rank in (([[1, 2], [2, 5]], 2), ([[1, 2], [2, 4]], 1), ([[p - 1, 1], [1, p - 1]], 1)):
+        calls.clear()
+        assert analysis_mod._exact_rank(Matrix(2, 2, ZP61, data)) == rank == fraction_rank(data, p)
+        assert calls == [(p, True)]
 
 
 def test_exact_fallback_does_not_take_a_wrapped_residual_for_zero():
