@@ -429,6 +429,8 @@ def empirical_false_accept_rate(
 
 
 MODES = ("equal", "single-entry", "single-column", "rank-one", "dense-random")
+# The largest n of an instance, refused before anything is allocated.
+_MAX_N = 8192
 
 
 @dataclass(frozen=True)
@@ -449,6 +451,8 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigInvalid(f"need n >= 1, got {self.n}")
+        if self.n > _MAX_N:
+            raise ConfigInvalid(f"n = {self.n} is past the limit of {_MAX_N}")
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.entry_bound < 1:

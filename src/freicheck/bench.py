@@ -24,7 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .analysis import InstanceSpec, generate_instance
+from .analysis import _MAX_N, InstanceSpec, generate_instance
 from .errors import ConfigInvalid
 from .matrix import (
     INT64_MAX,
@@ -72,10 +72,10 @@ def run_bench(
         raise ConfigInvalid("sizes must be a nonempty ascending list of distinct values")
     if any(n < 1 for n in sizes):
         raise ConfigInvalid("sizes must be positive")
-    if max(sizes) > 8192:
+    if max(sizes) > _MAX_N:
         raise ConfigInvalid(
             f"size {max(sizes)} is past the point where the cubic baseline "
-            "finishes in reasonable time; the limit is 8192"
+            f"finishes in reasonable time; the limit is {_MAX_N}"
         )
     if k < 1:
         raise ConfigInvalid(f"need at least one iteration, got {k}")

@@ -36,10 +36,10 @@ asked for.  The tier is the fastest one that the bound proves exact:
   package only blocks of trial vectors have more columns than rows, and
   ``verify`` keeps each of those within 1 MiB, so ``y`` stays in cache
   too;
-* at most 2**63 - 1, and ``y`` has one column or the product has at most
-  ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy, ``einsum`` of the
-  rows asked for against ``y`` transposed once, so both operands are read
-  along rows.  Larger products in this range run faster on limbs;
+* at most 2**63 - 1 or checked int64, and ``y`` has one column or the
+  product has at most ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy,
+  ``einsum`` of the rows asked for against ``y`` transposed once, so both
+  operands are read along rows.  Larger products run faster on limbs;
 * otherwise limbs on float64 BLAS, for both rings.  ``x`` is split into
   a-bit limbs and ``y`` into b-bit limbs; among the splits with
   ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
@@ -65,13 +65,15 @@ The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
 order: the first one outside the 64-bit range raises ``IntegerOverflow``
 naming its kind and entry.  The bound rules it out below 2**63, on every
-tier.  Past that, the limb tier applies it through a certificate,
+tier.  Past 2**63 - 1 an int64 product is checked first, then takes the
+tier its size picks.  ``_exact_product`` checks through a certificate,
 ``sum_k |x_ik| |y_kj|`` computed by one float64 BLAS product with its
 rounding error bounded: an entry whose certificate is provably at most
 2**63 - 1 cannot overflow, and only the others are checked term by term in
-Python integers.  The check covers the whole of ``x`` and runs when the
-product is set up, so an ``IntegerOverflow`` is raised before any row of
-the product exists, whatever its row.
+Python integers.  Once the check passes every entry fits, so int64
+arithmetic, exact mod 2**64, returns it on any tier.  The check covers the
+whole of ``x`` and runs when the product is set up, so an
+``IntegerOverflow`` is raised before any row of the product exists.
 
 Products on float64 BLAS run on one OpenBLAS thread: n-by-w fingerprint
 blocks are memory-bound and gain little from a second thread, which, for
@@ -377,19 +379,6 @@ def _blas_thread_calls():
     return get, put
 
 
-def _rows(x: np.ndarray, product, p: int | None):
-    """The row stream of a product: ``(i, product(x[i : i + step]))`` for
-    the row blocks of ``x``, ``step = _FLOAT_BLOCK // inner`` rows (at
-    least one), in order, each through ``_block``.  Several blocks are
-    computed lazily, as they are read, so a reader that stops early
-    computes, and is charged for, only the rows it read; a single block is
-    computed at once."""
-    step = _FLOAT_BLOCK // x.shape[1] or 1
-    if step >= len(x):
-        return ((0, _block(x, product, p)),)
-    return ((i, _block(x[i : i + step], product, p)) for i in range(0, len(x), step))
-
-
 def _block(xb: np.ndarray, product, p: int | None) -> np.ndarray:
     """``product(xb)``, reduced mod ``p`` when given, adding ``rows * inner
     * cols`` to the multiply count."""
@@ -401,22 +390,23 @@ def _block(xb: np.ndarray, product, p: int | None) -> np.ndarray:
 
 
 def _fill(blocks, rows: int) -> np.ndarray:
-    """The ``rows`` rows of a ``(i, rows i..)`` stream as one array; a
-    stream of one block returns that block itself."""
-    out = None
-    for i, part in blocks:
+    """The ``rows`` rows of a stream of consecutive row blocks as one
+    array; a stream of one block returns that block itself."""
+    out, i = None, 0
+    for part in blocks:
         if len(part) == rows:
             return part
         if out is None:
             out = np.empty((rows, *part.shape[1:]), dtype=part.dtype)
         out[i : i + len(part)] = part
+        i += len(part)
     return out
 
 
 def _float_product(y: np.ndarray, rows: int, dtype=np.int64, split=None):
-    """The block product of ``_rows`` on float64 BLAS, for a left operand
-    of ``rows`` rows: ``xb @ y`` as ``dtype``, exact when every partial sum
-    is an integer of magnitude at most 2**53.
+    """The block product of ``_exact_rows`` on float64 BLAS, for a left
+    operand of ``rows`` rows: ``xb @ y`` as ``dtype``, exact when every
+    partial sum is an integer of magnitude at most 2**53.
 
     ``y`` is converted here, once; each block of x is converted into one
     reused buffer as it is reached (half a block at a time against a small
@@ -580,24 +570,18 @@ def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None):
-    """The block product of ``_rows`` for ``x @ y`` exactly, reduced mod
-    ``p`` or, for ``p`` None, in int64 with ``_check_int64``'s overflow
-    rule, from limb products on float64 BLAS; ``mx``, ``my`` bound the
-    operands' magnitudes.
+    """The block product of ``_exact_rows`` for ``x @ y`` exactly, reduced
+    mod ``p`` or, for ``p`` None, in int64 (past 2**63 - 1 an int64 product
+    is checked first, then takes the tier its size picks), from limb
+    products on float64 BLAS; ``mx``, ``my`` bound the operands' magnitudes.
 
     ``y`` is split here, once.  The limb products are recombined
     ``_FLOAT_BLOCK // min(inner, limb columns)`` rows at a time, where the
-    limb columns are ``nx * ny * cols`` per row: a row block of ``_rows``
-    is one piece, a narrow product over all of x is one piece too, and a
-    wide one holds no more limb products at a time than one BLAS call's
-    rows make.  An int64 product runs ``_check_int64`` over the whole of
-    ``x`` before this returns, and only when ``inner * mx * my`` passes
-    2**63 - 1; below that the bound already proves that no term or partial
-    sum leaves int64.  So any ``IntegerOverflow`` is raised before a row
-    exists."""
+    limb columns are ``nx * ny * cols`` per row: a row block of
+    ``_exact_rows`` is one piece, a narrow product over all of x is one
+    piece too, and a wide one holds no more limb products at a time than
+    one BLAS call's rows make."""
     (rows, inner), cols = x.shape, y.shape[1]
-    if p is None and inner * mx * my > INT64_MAX:
-        _check_int64(x, y)
     nx, a, ny, b = _limb_plan(rows, inner, cols, mx, my)
     ys = y if ny == 1 else np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
     limb_products = _float_product(ys, rows, split=(a, nx, p is None))
@@ -615,14 +599,16 @@ def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None)
             acc = _shift_add(acc, a, r[l], p)
         return acc
 
-    return lambda xb: _fill(((i, recombine(xb[i : i + step])) for i in range(0, len(xb), step)), len(xb))
+    return lambda xb: _fill((recombine(xb[i : i + step]) for i in range(0, len(xb), step)), len(xb))
 
 
 def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
     """``(product, p)`` for ``x @ y`` computed exactly in ``ring``: the
     block product of the tier chosen from ``inner * max|x| * max|y|``, a
     bound on every partial sum of the whole product (see the module
-    docstring), and the modulus its blocks still need reducing by.  Any
+    docstring), and the modulus its blocks still need reducing by.  Past
+    2**63 - 1 an int64 product is checked first, then takes the tier its
+    size picks: ``_check_int64`` runs here and nowhere else, so any
     ``IntegerOverflow`` is raised by this call, before a row exists."""
     xa = x._a
     rows, inner = xa.shape
@@ -630,9 +616,11 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
     cols = y2.shape[1]
     mx, my = x._magnitude(), y._magnitude()
     bound, p = inner * mx * my, ring.modulus
+    if bound > INT64_MAX and p is None:
+        _check_int64(xa, y2)
     if bound <= _FLOAT_EXACT and cols > 1:
         return _float_product(y2, rows), p
-    if bound <= INT64_MAX and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
+    if (bound <= INT64_MAX or p is None) and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
         # Over a transposed y, so both operands are read along rows.
         yt = np.ascontiguousarray(y2.T)
         return (lambda xb: np.einsum("ik,jk->ij", xb, yt)), p
@@ -641,9 +629,15 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
 
 
 def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
-    """The row stream of ``x @ y`` computed exactly in ``ring``, 2-D blocks
-    of ``_rows``; each counts its scalar multiplies as it is computed."""
-    return _rows(x._a, *_exact_product(x, y, ring))
+    """The row stream of ``x @ y`` computed exactly in ``ring``: its row
+    blocks in order, one per ``step = _FLOAT_BLOCK // inner`` rows of x (at
+    least one), each through ``_block``.  Blocks are computed lazily, as
+    they are read, so a reader that stops early computes, and is charged
+    for, only the rows it read."""
+    product, p = _exact_product(x, y, ring)
+    xa = x._a
+    step = _FLOAT_BLOCK // xa.shape[1] or 1
+    return map(lambda i: _block(xa[i : i + step], product, p), range(0, len(xa), step))
 
 
 def _row_split(x: _Dense, step: int) -> tuple[Matrix, Matrix]:

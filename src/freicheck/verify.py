@@ -36,12 +36,14 @@ reads A and C once, and B twice (B r_0 on one column, BR' on the rest); no
 row of trial 0 is computed twice.  Every later block ends at the next
 multiple of the width, or at k.
 
-A block that overflows is run again one trial at a time, so an overflow
-raises the one-column error of the first overflowing trial after every
-earlier trial; every ``IntegerOverflow`` is raised before any row of the
-block is compared.  The probe raises trial 0's own; if block 0 overflows
-after it, trial 0's remaining rows are read from the probe's streams
-before trials 1..w-1 run one at a time.
+Once a block overflows, the width is one for the rest of the run.  Column
+t of BR, A(BR) and CR depends only on r_t, so the block's first
+overflowing trial overflows when run alone too, and the run ends inside
+that block: it raises that trial's one-column error after every earlier
+trial.  Every ``IntegerOverflow`` is raised before any row of its block is
+compared.  The probe raises trial 0's own; if block 0 overflows after it,
+trial 0's remaining rows are read from the probe's streams before trials
+1, 2, ... run one at a time.
 
 ``verify`` and ``freivalds_iteration`` stop reading a block once its first
 trial differs in some row: no earlier trial of the block can fail and no
@@ -77,12 +79,6 @@ from .sampling import DiscreteDistribution, _sample_trial_block, p_max
 # Entries of the (n x w) vector block per verify block: bounds the block's
 # memory at a few MiB while keeping products few and large.
 _BLOCK_ENTRIES = 1 << 20
-
-
-def _block_width(rows: int) -> int:
-    """Trials per block when a block's vectors or products have ``rows``
-    rows: ``_BLOCK_ENTRIES // rows``, at least one, read at call time."""
-    return max(1, _BLOCK_ENTRIES // rows)
 
 
 @dataclass(frozen=True)
@@ -136,26 +132,18 @@ def _check_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> None:
         raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
 
 
-def _row_masks(a: Matrix, br: Matrix, c: Matrix, r: Matrix, first: int = 0):
-    """The row stream of A(BR) != CR from ``_exact_rows``, its rows
-    numbered from ``first``, or one block when A is one row block.  Both
-    products are set up by this call, so it raises their
-    ``IntegerOverflow`` before a mask row exists."""
+def _row_masks(a: Matrix, br: Matrix, c: Matrix, r: Matrix):
+    """The row stream of A(BR) != CR from ``_exact_rows``.  Both products
+    are set up by this call, so it raises their ``IntegerOverflow`` before
+    a mask row exists."""
     ring = a.ring
-    if a.rows <= matrix._FLOAT_BLOCK // a.cols:
-        # One row block of _rows (all of A up to n = 362): nothing to stop
-        # early, so the products are compared whole.  Through the two
-        # streams an n = 64 verify took 1.5-2% longer (interleaved, 2-vCPU
-        # Xeon VM).
-        return ((first, _exact_dot(a, br, ring) != _exact_dot(c, r, ring)),)
-    return ((first + i, x != y) for (i, x), (_, y) in zip(_exact_rows(a, br, ring), _exact_rows(c, r, ring)))
+    return map(np.not_equal, _exact_rows(a, br, ring), _exact_rows(c, r, ring))
 
 
 def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
-    """Stream the mask A(BR) != CR as ``(i, rows i..)`` blocks, pairing the
-    row streams of A(BR) and CR.  BR is formed whole first; any
-    ``IntegerOverflow`` of the three products is raised by this call,
-    before a mask row exists."""
+    """Stream the mask A(BR) != CR in row blocks, pairing the row streams
+    of A(BR) and CR.  BR is formed whole first; any ``IntegerOverflow`` of
+    the three products is raised by this call, before a mask row exists."""
     return _row_masks(a, Matrix._wrap(_exact_dot(b, r, a.ring), a.ring), c, r)
 
 
@@ -174,20 +162,22 @@ def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: np.ndarray, r1: np.ndarray
     if step < a.rows:
         (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
         br = Matrix._wrap(np.concatenate((br0.data, br1), axis=1), ring)
-        tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring), step)
-    top = _row_masks(a0, Matrix._wrap(br1, ring), c0, r1)[0][1]
-    return chain(((0, np.concatenate((head, top), axis=1)),), tail)
+        tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring))
+    top = next(_row_masks(a0, Matrix._wrap(br1, ring), c0, r1))
+    return chain((np.concatenate((head, top), axis=1),), tail)
 
 
 def _first_failure(rows, n: int) -> tuple[int, int] | None:
     """``(t, i)``: the first column of an n-row mask stream with a True and
-    that column's smallest such row, or None.  Stops reading once column 0
-    has a True: no earlier column can fail and no earlier row of column 0
-    did, so the rows read so far decide."""
-    parts = []
-    for i, part in rows:
+    that column's smallest such row, or None.  Stops reading at row n, not
+    resuming a finished stream, or once column 0 has a True: no earlier
+    column can fail and no earlier row of column 0 did, so the rows read so
+    far decide."""
+    parts, i = [], 0
+    for part in rows:
         parts.append(part)
-        if i + len(part) < n and part[:, 0].any():
+        i += len(part)
+        if i == n or part[:, 0].any():
             break
     mask = parts[0] if len(parts) == 1 else np.concatenate(parts)
     # Column-major order: the first True is the first failing column's
@@ -227,7 +217,7 @@ def freivalds_iteration(
 
 def _trials(
     a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution, seed: int, stop: int
-) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
+) -> Iterator[tuple[int, np.ndarray, Iterator[np.ndarray]]]:
     """``(first trial, R, mask rows)`` for consecutive blocks of trials
     0..stop-1: column t of R is trial ``first + t``, and ``mask rows`` is
     R's stream of A(BR) != CR, read as far as the caller needs.  The module
@@ -236,15 +226,15 @@ def _trials(
     """
     n, ring = a.rows, a.ring
     components = np.arange(n, dtype=np.uint64)
-    width = min(_block_width(n), max(n, matrix._FLOAT_BLOCK // n))
+    width = min(max(1, _BLOCK_ENTRIES // n), max(n, matrix._FLOAT_BLOCK // n))
     end = min(stop, width)
     # The probe: B r_0 whole, then row block 0 of trial 0's mask.
     r0 = _sample_trial_block(dist, components, seed, 0, 1)
     col = Matrix._wrap(r0, ring)
     br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
-    rest = iter(_row_masks(a, br0, c, col))
-    head = next(rest)[1]
-    r, rows, start, single_until = r0, chain(((0, head),), rest), 1, 1
+    rest = _row_masks(a, br0, c, col)
+    head = next(rest)
+    r, rows, start = r0, chain((head,), rest), 1
     # count_nonzero: a third of ``any``'s call overhead on a small mask.
     if end > 1 and not np.count_nonzero(head):
         r1 = _sample_trial_block(dist, components, seed, 1, end)
@@ -252,17 +242,17 @@ def _trials(
         try:
             r, rows, start = carried, _carried_rows(a, b, c, carried, r1, br0, head), end
         except IntegerOverflow:
-            single_until = end
+            width = 1
     yield 0, r, rows
     while start < stop:
-        end = start + 1 if start < single_until else min(stop, width * (start // width + 1))
+        end = min(stop, width * (start // width + 1))
         r = _sample_trial_block(dist, components, seed, start, end)
         try:
             rows = _mask_rows(a, b, c, Matrix._wrap(r, ring))
         except IntegerOverflow:
             if end - start == 1:
                 raise
-            single_until = end
+            width = 1
             continue
         yield start, r, rows
         start = end

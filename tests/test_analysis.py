@@ -726,6 +726,10 @@ def test_instance_spec_validation():
         InstanceSpec(3, INT64, "zero-out", 0)
     with pytest.raises(ConfigInvalid):
         InstanceSpec(3, INT64, "equal", 0, entry_bound=0)
+    # The size limit bench applies too, checked before anything is drawn.
+    assert InstanceSpec(8192, INT64, "equal", 0).n == 8192
+    with pytest.raises(ConfigInvalid, match=r"^n = 8193 is past the limit of 8192$"):
+        InstanceSpec(8193, INT64, "equal", 0)
 
 
 # ---------------------------------------------------------------- composition

@@ -542,6 +542,59 @@ def test_gen_composite_modulus_error(tmp_path, capsys):
     )
 
 
+def test_gen_past_the_size_limit_is_a_config_error(tmp_path, capsys):
+    # Refused before any matrix is drawn: a reject would exit 1, and an
+    # allocation this size would fail with a traceback instead.
+    _expect_error(capsys, "ConfigInvalid", "gen", "--n", "8193", "--out", str(tmp_path / "x"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _overflow_files(tmp_path, n=8):
+    """A = I with A[n-1][0] = 2^62, B = I, C = A: under usup:0,1,2 a round
+    with r_0 = 2 has the term 2^62 * 2 = 2^63 in row n - 1 of A(Br) and Cr.
+    C2 is C plus 1 at (0, 1), so AB != C2 for analyze."""
+    ring = freicheck.RingSpec.int64()
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a = [row[:] for row in eye]
+    a[n - 1][0] = 1 << 62
+    c2 = [row[:] for row in a]
+    c2[0][1] += 1
+    paths = {}
+    for name, rows in (("a", a), ("b", eye), ("c", a), ("c2", c2)):
+        paths[name] = str(tmp_path / f"ovf.{name}.freimat")
+        write_matrix(freicheck.Matrix.from_rows(rows, ring), paths[name])
+    return paths
+
+
+def _library_error(call) -> str:
+    with pytest.raises(freicheck.IntegerOverflow) as err:
+        call()
+    return str(err.value)
+
+
+def test_verify_and_analyze_report_int64_overflow(tmp_path, capsys):
+    # Exit 2 with the library's own message on stderr, nothing on stdout.
+    files = _overflow_files(tmp_path)
+    a, b, c, c2 = (read_matrix(files[k]) for k in ("a", "b", "c", "c2"))
+    dist = freicheck.parse_dist("usup:0,1,2", a.ring)
+    cases = [
+        (
+            ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "20", "--seed", "2"],
+            lambda: freicheck.verify(a, b, c, freicheck.VerifyConfig(20, 2, dist)),
+        ),
+        (
+            ["analyze", "--a", files["a"], "--b", files["b"], "--c", files["c2"], "--trials", "200", "--seed", "2"],
+            lambda: freicheck.analyze_instance(a, b, c2, dist, trials=200, seed=2),
+        ),
+    ]
+    for argv, call in cases:
+        code, out, err = _run(capsys, *argv, "--dist", "usup:0,1,2")
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc == {"error": {"kind": "IntegerOverflow", "message": _library_error(call)}}
+        assert doc["error"]["message"].endswith("leaves the 64-bit range")
+
+
 def _module_cli(*argv, unbuffered=False, **kwargs):
     """Run ``python -m freicheck.cli`` on ``argv`` in a fresh interpreter,
     with stdout block-buffered as usual for a pipe unless ``unbuffered``."""

@@ -422,7 +422,7 @@ _TIER_CASES = [
     (2, 2**26, 2**26),  # 2^53: still float64
     (3, 107, 28059810762433),  # 2^53 + 1: int64
     (7, 64897, 20303320287433),  # 2^63 - 1: int64, the last exact bound
-    (2, 2**31, 2**31),  # 2^63: limbs
+    (2, 2**31, 2**31),  # 2^63: int64 checked, limbs over Z_p
 ]
 _BIG_PRIME = RingSpec.prime_field(2**61 - 1)
 
@@ -511,13 +511,15 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
                 matmul(x, y)
         else:
             assert matmul(x, y).data.tolist() == expected
-    # Past 2^53, einsum keeps a product only while it is small.
-    small = rows * inner * cols <= matrix_mod._EINSUM_MACS
-    assert ("float64" in used) == (
-        bound <= 2**53 and cols > 1 or bound > INT64_MAX or (bound > 2**53 and not small)
-    )
-    assert ("limbs" in used) == (bound > INT64_MAX or (bound > 2**53 and not small))
-    assert ("check" in used) == (ring == INT64 and bound > INT64_MAX)
+    # Past 2^63 - 1 an int64 product is checked first, then takes the tier
+    # its size picks; past 2^53, einsum keeps a product only while it has
+    # one column or is small, and Z_p past 2^63 - 1 always takes limbs.
+    small = cols == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
+    check = ring == INT64 and bound > INT64_MAX
+    limbs = (bound > 2**53 and not small) or (ring != INT64 and bound > INT64_MAX)
+    assert ("check" in used) == check
+    assert ("limbs" in used) == limbs
+    assert ("float64" in used) == (bound <= 2**53 and cols > 1 or limbs or check)
 
     expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
     r = Vector(ring, [row[0] for row in y_rows])
@@ -527,10 +529,12 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
                 mat_vec(x, r)
         else:
             assert mat_vec(x, r).data.tolist() == [row[0] for row in expected]
-    # A single column pays for conversion only when it needs limbs.
+    # A single column pays for conversion only past 2^63 - 1: for the
+    # check over int64, for limbs over Z_p.
     vbound = inner * mx * max(abs(row[0]) for row in y_rows)
-    assert ("float64" in used) == ("limbs" in used) == (vbound > INT64_MAX)
+    assert ("float64" in used) == (vbound > INT64_MAX)
     assert ("check" in used) == (ring == INT64 and vbound > INT64_MAX)
+    assert ("limbs" in used) == (ring != INT64 and vbound > INT64_MAX)
 
 
 @settings(max_examples=80, deadline=None)
@@ -679,6 +683,37 @@ def test_wide_products_past_2_53_take_limbs_without_the_overflow_check(ring):
             assert np.array_equal(got.data, expected[:, 0])
 
 
+@pytest.mark.parametrize("cols", [1, 8])
+def test_small_int64_products_past_2_63_are_checked_then_run_on_einsum(cols):
+    # An 8 x 8 by 8 x cols product whose bound passes 2^63 - 1 while every
+    # true entry fits: the check's certificate is the only float64 product,
+    # so the product itself runs on einsum, with the exact entries.
+    n = 8
+    rng = np.random.default_rng(10)
+    xa = rng.integers(-(2**20), 2**20, size=(n, n), endpoint=True)
+    ya = rng.integers(-(2**20), 2**20, size=(n, cols), endpoint=True)
+    xa[5, 7], ya[3, 0] = 2**50, -(2**20)
+    ya[7] = rng.integers(-4, 4, size=cols, endpoint=True)
+    assert n * 2**50 * 2**20 > INT64_MAX
+    x = Matrix(n, n, INT64, xa)
+    products = [lambda: matmul(x, Matrix(n, cols, INT64, ya))]
+    if cols == 1:
+        products.append(lambda: mat_vec(x, Vector(INT64, ya[:, 0])))
+    for product in products:
+        with _tier_spy() as used:
+            got = product()
+        assert used == ["check", "float64"]
+        assert np.array_equal(got.data.reshape(n, cols), np.einsum("ik,kj->ij", xa, ya))
+    # Entry (5, 0) now has the term 2^50 * 2^14 = 2^64: the same message the
+    # check has always raised, and no tier runs.
+    ya[7, 0] = 2**14
+    for product in products:
+        with _tier_spy() as used:
+            with pytest.raises(IntegerOverflow, match=r"^product term at entry \(5, 0\) leaves the 64-bit range$"):
+                product()
+        assert used == ["check", "float64"]
+
+
 def test_int64_products_past_2_63_still_run_the_overflow_check():
     # One large entry on each side lifts the bound past 2^63 while every
     # true entry fits: the check runs, finds nothing, and the limbs agree.
@@ -726,8 +761,9 @@ def test_streamed_products_match_python_ints(rows, inner, cols, block, ring, mag
         got = matrix_mod._float_product(np.array(fy, dtype=np.int64), rows)(np.array(fx, dtype=np.int64))
         assert got.tolist() == brute_matmul(fx, fy)
         if expected is None:
+            # The chooser applies the int64 overflow rule, before any row.
             with pytest.raises(IntegerOverflow):
-                matrix_mod._limb_product(x, y, mx, my, p)(x)
+                matrix_mod._exact_product(Matrix._wrap(x, ring), Matrix._wrap(y, ring), ring)
         else:
             assert matrix_mod._limb_product(x, y, mx, my, p)(x).tolist() == expected
 

@@ -74,29 +74,30 @@ def brute_fap(a: Matrix, b: Matrix, c: Matrix, support, probs) -> Fraction:
 
 
 def fraction_rank(rows, modulus=None) -> int:
-    """Rank by textbook Gaussian elimination: over Q with ``Fraction`` rows,
-    or mod ``modulus`` with inverses from Fermat's little theorem."""
+    """Rank by textbook Gaussian elimination: over Z fraction-free, so each
+    entry below the pivots stays an integer minor of the input and each
+    division by the previous pivot is exact (Bareiss), or mod ``modulus``
+    with inverses from Fermat's little theorem."""
     p = modulus
-    if p is None:
-        rows = [[Fraction(int(v)) for v in row] for row in rows]
-    else:
-        rows = [[int(v) % p for v in row] for row in rows]
+    rows = [[int(v) % p if p else int(v) for v in row] for row in rows]
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
+    rank, prev = 0, 1
     for col in range(ncols):
         pivot = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p) if p else 1 / rows[rank][col]
-        for i in range(rank + 1, nrows):
-            if rows[i][col] == 0:
-                continue
-            factor = rows[i][col] * inv
+        # Every row from ``rank`` on is zero left of ``col``.
+        top = rows[rank][col:]
+        inv = pow(top[0], p - 2, p) if p else None
+        for row in rows[rank + 1 :]:
             if p:
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+                factor = row[col] * inv
+                row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], top)]
             else:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+                f = row[col]
+                row[col:] = [(top[0] * x - f * y) // prev for x, y in zip(row[col:], top)]
+        prev = top[0]
         rank += 1
         if rank == nrows:
             break
