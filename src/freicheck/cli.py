@@ -36,23 +36,17 @@ from .sampling import p_max, parse_dist
 from .verify import VerifyConfig, verify
 
 
-def _frac(f: Fraction) -> str:
-    # Decimal formats an int exactly and, unlike str(int), past Python's
-    # 4,300-digit int-to-str limit.
-    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
-
-
 # Exact decimal arithmetic: any result that would need rounding raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def _frac_power(q: Fraction, k: int) -> str:
-    """``_frac(q ** k)`` in subquadratic time: q = a/b is in lowest terms,
-    so q^k is a^k/b^k, and both powers are formed in ``decimal``, whose
-    large products run by a number-theoretic transform.  Converting a^k
-    itself to decimal is quadratic in its digits: 171 s for the field law
-    over zp 2^61 - 1 at k = 160,000, against 0.3 s for these powers
-    (2-vCPU Xeon VM)."""
+    """``q ** k`` as "a^k/b^k" in subquadratic time: q = a/b is in lowest
+    terms, and both powers are formed in ``decimal``, whose large products
+    run by a number-theoretic transform.  Converting a^k itself to decimal
+    is quadratic in its digits: 171 s for the field law over zp 2^61 - 1 at
+    k = 160,000, against 0.3 s for these powers (2-vCPU Xeon VM).  Decimal
+    also formats ints past Python's 4,300-digit int-to-str limit."""
     return f"{_EXACT.power(Decimal(q.numerator), k)}/{_EXACT.power(Decimal(q.denominator), k)}"
 
 
@@ -87,7 +81,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "iterations": cfg.iterations,
                 "seed": cfg.seed,
                 "dist": args.dist,
-                "p_max": _frac(p_max(dist)),
+                "p_max": _frac_power(p_max(dist), 1),
                 "error_bound": _frac_power(p_max(dist), cfg.iterations),
             }
         )
@@ -164,7 +158,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     payload = {
-        "bound": _frac(report.per_iteration_bound),
+        "bound": _frac_power(report.per_iteration_bound, 1),
         "profile": {
             "y_size": report.instance_profile.y_size,
             "entries": report.instance_profile.differing_entries,
@@ -172,7 +166,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         },
     }
     if report.exact_fap is not None:
-        payload["exact_fap"] = _frac(report.exact_fap)
+        payload["exact_fap"] = _frac_power(report.exact_fap, 1)
     if report.empirical is not None:
         payload["empirical"] = {
             "rate": report.empirical.rate,

@@ -28,18 +28,20 @@ when it is read, so the verifier can compare A(BR) with CR block by block
 and stop early.  Each tier bounds its own temporaries, whatever the rows
 asked for.  The tier is the fastest one that the bound proves exact:
 
-* at most 2**53 and ``y`` has more than one column: float64 BLAS.  Every
-  product and partial sum is then an integer a double holds exactly, in any
-  summation order.  Rows of ``x`` are converted into one reused buffer of
-  at most a block (half a block when ``y`` is smaller than a block), so no
-  float64 copy of ``x`` is made, and no float64 copy is kept.  In the
-  package only blocks of trial vectors have more columns than rows, and
-  ``verify`` keeps each of those within 1 MiB, so ``y`` stays in cache
-  too;
-* at most 2**63 - 1 or checked int64, and ``y`` has one column or the
-  product has at most ``_EINSUM_MACS`` (2**18) multiply-adds: int64 numpy,
-  ``einsum`` of the rows asked for against ``y`` transposed once, so both
-  operands are read along rows.  Larger products run faster on limbs;
+* at most 2**53, ``y`` has more than one column and the inner dimension
+  is past 1: float64 BLAS.  Every product and partial sum is then an
+  integer a double holds exactly, in any summation order.  Rows of ``x``
+  are converted into one reused buffer of at most a block (half a block
+  when ``y`` is smaller than a block), so no float64 copy of ``x`` is
+  made, and no float64 copy is kept.  In the package only blocks of
+  trial vectors have more columns than rows, and ``verify`` keeps each of
+  those within 1 MiB, so ``y`` stays in cache too;
+* at most 2**63 - 1 or checked int64, and ``y`` has one column, the
+  inner dimension is 1 or the product has at most ``_EINSUM_MACS`` (2**18)
+  multiply-adds: int64 numpy, ``einsum`` of the rows asked for against
+  ``y`` transposed once, so both operands are read along rows (numpy's
+  float64 ``matmul`` runs an inner dimension of 1 on a slow generic loop,
+  not BLAS).  Larger products run faster on limbs;
 * otherwise limbs on float64 BLAS, for both rings.  ``x`` is split into
   a-bit limbs and ``y`` into b-bit limbs; among the splits with
   ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
@@ -618,9 +620,9 @@ def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
     bound, p = inner * mx * my, ring.modulus
     if bound > INT64_MAX and p is None:
         _check_int64(xa, y2)
-    if bound <= _FLOAT_EXACT and cols > 1:
+    if bound <= _FLOAT_EXACT and cols > 1 and inner > 1:
         return _float_product(y2, rows), p
-    if (bound <= INT64_MAX or p is None) and (cols == 1 or rows * inner * cols <= _EINSUM_MACS):
+    if (bound <= INT64_MAX or p is None) and (cols == 1 or inner == 1 or rows * inner * cols <= _EINSUM_MACS):
         # Over a transposed y, so both operands are read along rows.
         yt = np.ascontiguousarray(y2.T)
         return (lambda xb: np.einsum("ik,jk->ij", xb, yt)), p

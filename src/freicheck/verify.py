@@ -25,13 +25,14 @@ width is 2**20 // n.  Trial j draws its vector from substream
 ``(seed, j)``, so the width moves no draw.
 
 Trial 0 is probed first: B r_0 is formed whole and only row block 0 of
-A(Br_0) and Cr_0 is compared (all of A up to n = 362), so a wrong product
-that the first vector exposes there costs one pass over B and the first
-``step`` rows of A and C.  If it differs there, or k = 1, trial 0 is
-block 0 on its own.  Otherwise block 0 is trials 0..w-1, w = min(k, width):
-BR' is formed for trials 1..w-1, row block 0 of A(BR') and CR' is computed
-for those columns only, and the rest of A and C, if any, is streamed once
-against all w columns, with B r_0 carried from the probe.  An accept thus
+A(Br_0) and Cr_0 is compared, so a wrong product that the first vector
+exposes there costs one pass over B and the first ``step`` rows of A and
+C.  Block 0 carries the rows the probe left unread: when A has more than
+one row block (n > 362), k > 1 and trial 0 passed the probe, block 0 is
+trials 0..w-1, w = min(k, width).  BR' is formed for trials 1..w-1, row
+block 0 of A(BR') and CR' is computed for those columns only, and the rest
+of A and C is streamed once against all w columns, with B r_0 carried
+from the probe.  Otherwise trial 0 is block 0 on its own.  An accept thus
 reads A and C once, and B twice (B r_0 on one column, BR' on the rest); no
 row of trial 0 is computed twice.  Every later block ends at the next
 multiple of the width, or at k.
@@ -149,20 +150,18 @@ def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
 
 def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: np.ndarray, r1: np.ndarray, br0: Matrix, head: np.ndarray):
     """``_mask_rows`` of R = ``r`` when column 0's B r, ``br0``, is formed
-    and its mask over row block 0, ``head``, is read; ``r1`` is R without
-    column 0.  BR is formed for those columns, row block 0 is multiplied
-    for them only, and the rest of A and C, if A has more rows, is
-    streamed once against all of R, so no row of column 0 is computed
-    twice.  Any ``IntegerOverflow`` is raised by this call, before a mask
-    row is compared."""
+    and its mask over row block 0, ``head``, is read, and A has rows past
+    that block; ``r1`` is R without column 0.  BR is formed for those
+    columns, row block 0 is multiplied for them only, and the rows the
+    probe left unread are streamed once against all of R, so no row of
+    column 0 is computed twice.  Any ``IntegerOverflow`` is raised by this
+    call, before a mask row is compared."""
     ring, step = a.ring, len(head)
     r1 = Matrix._wrap(r1, ring)
     br1 = _exact_dot(b, r1, ring)
-    a0, c0, tail = a, c, ()
-    if step < a.rows:
-        (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
-        br = Matrix._wrap(np.concatenate((br0.data, br1), axis=1), ring)
-        tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring))
+    (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
+    br = Matrix._wrap(np.concatenate((br0.data, br1), axis=1), ring)
+    tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring))
     top = next(_row_masks(a0, Matrix._wrap(br1, ring), c0, r1))
     return chain((np.concatenate((head, top), axis=1),), tail)
 
@@ -235,8 +234,9 @@ def _trials(
     rest = _row_masks(a, br0, c, col)
     head = next(rest)
     r, rows, start = r0, chain((head,), rest), 1
+    # Block 0 carries the rows the probe left unread, if any.
     # count_nonzero: a third of ``any``'s call overhead on a small mask.
-    if end > 1 and not np.count_nonzero(head):
+    if end > 1 and len(head) < n and not np.count_nonzero(head):
         r1 = _sample_trial_block(dist, components, seed, 1, end)
         carried = np.concatenate((r0, r1), axis=1)
         try:

@@ -423,6 +423,8 @@ _TIER_CASES = [
     (3, 107, 28059810762433),  # 2^53 + 1: int64
     (7, 64897, 20303320287433),  # 2^63 - 1: int64, the last exact bound
     (2, 2**31, 2**31),  # 2^63: int64 checked, limbs over Z_p
+    (1, 153092023, 60247241209),  # 2^63 - 1 = (7^2 * 73 * 127 * 337) * (92737 * 649657)
+    (1, 2**31, 2**32),  # 2^63 with an inner dimension of 1
 ]
 _BIG_PRIME = RingSpec.prime_field(2**61 - 1)
 
@@ -513,13 +515,15 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
             assert matmul(x, y).data.tolist() == expected
     # Past 2^63 - 1 an int64 product is checked first, then takes the tier
     # its size picks; past 2^53, einsum keeps a product only while it has
-    # one column or is small, and Z_p past 2^63 - 1 always takes limbs.
-    small = cols == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
+    # one column, an inner dimension of 1 or is small, and Z_p past 2^63 - 1
+    # always takes limbs.  float64 BLAS needs more than one column and an
+    # inner dimension past 1: with one, numpy leaves BLAS for a slow loop.
+    small = cols == 1 or inner == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
     check = ring == INT64 and bound > INT64_MAX
     limbs = (bound > 2**53 and not small) or (ring != INT64 and bound > INT64_MAX)
     assert ("check" in used) == check
     assert ("limbs" in used) == limbs
-    assert ("float64" in used) == (bound <= 2**53 and cols > 1 or limbs or check)
+    assert ("float64" in used) == (bound <= 2**53 and cols > 1 and inner > 1 or limbs or check)
 
     expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
     r = Vector(ring, [row[0] for row in y_rows])

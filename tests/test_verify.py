@@ -1,6 +1,7 @@
 """Fingerprint verification: correctness, witnesses and determinism."""
 
 import importlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -542,8 +543,8 @@ def test_an_accept_reads_every_row_once(monkeypatch, ring, n):
 @pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
 def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
     # Unpatched: n = 362 is one row block, so the probe is trial 0's whole
-    # check and block 0 carries it with no rows left to stream; n = 363 is
-    # two row blocks, 361 rows and 2, and n = 1024 eight of 128.  Errors sit
+    # check and block 0 is trial 0 alone; n = 363 is two row blocks, 361
+    # rows and 2, and n = 1024 eight of 128.  Errors sit
     # in the first, a middle and the last row block, so trial 0 passes the
     # probe and fails later, or fails in it.
     m = ring.modulus
@@ -564,7 +565,7 @@ def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
                     e[gen.choice(rows, 2, replace=False), gen.integers(n)] = 1
                 else:
                     e[gen.choice(rows), gen.integers(n)] = 1
-                c = Matrix(n, n, ring, (ab + e) % m if m else ab + e)
+                c = Matrix(n, n, ring, (ab.data + e) % m if m else ab.data + e)
                 for dist in (U01, bernoulli(Fraction(1, 8))):
                     for k in (1, 2, 10, 20):
                         cfg = _cfg(k=k, seed=int(gen.integers(1 << 30)), dist=dist)
@@ -577,17 +578,71 @@ def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
     assert seen >= {(n, blk, first) for n, blks in sizes for blk in blks for first in (True, False)}
 
 
+@pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
+@pytest.mark.parametrize("n, float_block", [(1, None), (64, None), (362, None), (363, None), (12, _ROW_BLOCK_ENTRIES)])
+def test_block_0_carries_trial_0_only_when_its_probe_stopped_early(monkeypatch, ring, n, float_block):
+    # Block 0 carries the rows the probe left unread.  Up to n = 362 A is
+    # one row block, so the probe reads all of trial 0 and nothing is
+    # carried; n = 363 is row blocks of 361 rows and 2, and patched, n = 12
+    # is three of 4 rows.  There an accept with k >= 2 carries trial 0 once,
+    # and a reject does unless trial 0 failed in the probe.
+    if float_block is not None:
+        monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", float_block)
+    step = matrix_mod._FLOAT_BLOCK // n
+    carries = step < n
+    calls, real = [], verify_mod._carried_rows
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, "_carried_rows", spy)
+    m = ring.modulus
+    gen = np.random.default_rng(n)
+    a, b = (Matrix(n, n, ring, gen.integers(0, m, (n, n)) if m else gen.integers(-9, 10, (n, n))) for _ in range(2))
+    ab = matmul(a, b)
+    dist = bernoulli(Fraction(1, 8))
+    for k in (1, 2, 20):
+        cfg = _cfg(k=k, seed=k, dist=dist)
+        calls.clear()
+        reset_scalar_multiplies()
+        got = verify(a, b, ab, cfg)
+        assert got.accepted and scalar_multiplies() == 3 * k * n * n
+        assert len(calls) == (carries and k > 1)
+        reset_scalar_multiplies()
+        assert got == _reference_verdict(a, b, ab, cfg)
+        assert scalar_multiplies() == 3 * k * n * n
+    seen = set()
+    for i, j in {(0, n - 1), (n - 1, 0), (n // 2, n // 3)}:
+        e = np.zeros((n, n), dtype=np.int64)
+        e[i, j] = 1
+        c = Matrix(n, n, ring, (ab.data + e) % m if m else ab.data + e)
+        for k, law, seed in itertools.product((1, 2, 20), (U01, dist), range(3)):
+            cfg = _cfg(k=k, seed=seed, dist=law)
+            calls.clear()
+            got = verify(a, b, c, cfg)
+            assert got == _reference_verdict(a, b, c, cfg), (i, j, cfg)
+            if n <= 12:
+                assert got == _python_verdict(a, b, c, cfg)
+            probe_failed = got.witness_iteration == 0 and got.mismatch_row < step
+            assert len(calls) == (carries and k > 1 and not probe_failed)
+            seen.add((got.accepted, probe_failed))
+    # Rejects from the probe and from later trials, and accepts.
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("float_block", [16, None])
 def test_an_overflow_past_the_probe_lets_trial_0_finish_first(monkeypatch, float_block):
     # A = I but A[7][0] = 2^62, B = I, and C = A plus 1 at (5, col): trial t
     # overflows in row 7 (the term 2^62 r_0) exactly when its r_0 is 2, and
     # differs in row 5 when its r_col is not 0.  Patched to 16 entries, row
     # 5 is in row block 2 of four blocks of 2 rows, and block 0 holds trials
-    # 0..7; unpatched, A is one row block and block 0 holds trials 0..9.
-    # When trial 0 passes the probe, block 0's set-up raises if one of its
-    # later trials overflows.  Trial 0's own rows are then read before
-    # trials 1.. run one at a time, as in the one-at-a-time loop: trial 0
-    # failing in row 5 wins over the later overflow, and otherwise the first
+    # 0..7: when trial 0 passes the probe, block 0's set-up raises if one of
+    # its later trials overflows, and trial 0's own rows are then read
+    # before trials 1.. run one at a time.  Unpatched, A is one row block,
+    # so the probe is all of trial 0 and block 1, trials 1..9, raises on
+    # set-up.  Either way, as in the one-at-a-time loop, trial 0 failing in
+    # row 5 wins over the later overflow, and otherwise the first
     # overflowing trial raises the error a whole-product check raises.
     n, k = 8, 10
     if float_block is not None:
@@ -607,7 +662,7 @@ def test_an_overflow_past_the_probe_lets_trial_0_finish_first(monkeypatch, float
             cfg = _cfg(k=k, seed=seed, dist=dist)
             firsts = [sample_vector(dist, n, substream(seed, t))[0] for t in range(n)]
             if firsts[0] == 2 or 2 not in firsts[1:]:
-                continue  # trial 0 overflows itself, or block 0 does not
+                continue  # trial 0 overflows itself, or none of trials 1..7 does
             got, expected = [], []
             for call, out in ((verify, got), (_reference_verdict, expected)):
                 try:
