@@ -31,10 +31,15 @@ A malformed body is reported at its first faulty row; in that row a wrong
 entry count comes before a bad entry, and bad entries anywhere come before
 out-of-range values.  The body is converted with numpy over the raw bytes,
 in blocks of whole lines of about 64 KiB (a longer line is a block of its
-own): per-byte arrays are at most uint16, only per-token arrays are int64,
-and each block's values go straight into the one int64 result.  The result
-is allocated only once the body has room for ``rows * cols`` entries, so a
-header alone never sizes an allocation.
+own): per-byte arrays are at most uint16, and each token's digits are
+summed in uint64 straight into the one int64 result's own buffer, exact up
+to 19 significant digits (10**19 < 2**64).  Leading zeros add nothing,
+however many there are.  A token is out of range when it has more
+significant digits than that or a magnitude past 2**63 - 1 (2**63 after a
+``-``); the first such entry in row-major order is named from its own text,
+as ``str(int(token))`` would print it, at any length, and no entry goes
+through ``int()``.  The result is allocated only once the body has room for
+``rows * cols`` entries, so a header alone never sizes an allocation.
 
 The writer emits the canonical form: entries in plain decimal, one space
 between them, and ``\\n`` after every line.  It formats the entries in
@@ -49,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidEntry, InvalidRing
-from .matrix import INT64_MAX, INT64_MIN, Matrix, parse_ring
+from .matrix import INT64_MAX, Matrix, parse_ring
 
 MAGIC = "freimat 1"
 
@@ -69,9 +74,6 @@ def _digit(c: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 1 << 16
-# Up to 18 digits an entry is below 10**18 < 2**63, so place sums in int64
-# are exact; longer ones go through int() and an exact range check.
-_SHORT = 18
 # An entry |v| has one digit more than the powers 10, 100, ... at most |v|.
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
@@ -153,8 +155,9 @@ def _last_ink(buf: np.ndarray) -> int:
 def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, cols: int, out):
     """Check the whole lines in ``raw[lo:hi]``, which begin at ``starts`` and
     are body rows ``row0``, ``row0 + 1``, ..., and write their entries in row
-    order into the int64 array ``out`` unless it is None.  Returns
-    ``{index in the matrix: value}`` for the entries outside int64."""
+    order into the int64 array ``out`` unless it is None.  Returns the first
+    entry outside int64, as ``str(int(token))`` would print it, or None;
+    with ``out`` None it only checks the lines and returns None."""
     seg = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
     ink = ~_space(seg)
     edges = np.flatnonzero(np.diff(ink, prepend=False, append=False))
@@ -182,7 +185,7 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
         token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
         raise FormatError(f"bad entry at row {row0 + int(tok_row[0])} {token!r}")
     if out is None:
-        return {}
+        return None
 
     digits = tok_hi - tok_lo - signed
     # quad[i]: the value of the up to four digits that end at byte i, within
@@ -193,22 +196,30 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
     quad[:-1] *= digit
     quad[1:-1] += 10 * quad[:-2] * digit[1:]
     quad[2:-1] += 100 * quad[:-3] * (digit[2:] & digit[1:-1])
-    # Sum the digits four places at a time, right to left.  Left of a
-    # token's first digit, clamp to the byte before the token: a separator
-    # or the appended byte, worth 0.
+    # Sum the digits four places at a time, right to left, up to the 20th,
+    # in uint64 in the result's own buffer: a value of at most 19
+    # significant digits is below 10**19 < 2**64, so its sum is exact.  Left
+    # of a token's first digit, clamp to the byte before the token: a
+    # separator or the appended byte, worth 0.
     last, floor = tok_hi - 1, tok_lo - 1
-    out[:] = quad[last]
-    for k in range(4, min(int(digits.max()), _SHORT), 4):
-        out += np.multiply(quad[np.maximum(last - k, floor)], 10**k, dtype=np.int64)
+    mag = out.view(np.uint64)
+    mag[:] = quad[last]
+    widest = int(digits.max())
+    for k in range(4, min(widest, 19), 4):
+        mag += np.multiply(quad[np.maximum(last - k, floor)], 10**k, dtype=np.uint64)
+    if widest >= 19:
+        # Past int64: a magnitude past 2**63 - 1 (2**63 after a '-'), or more
+        # than 19 significant digits, whatever the leading zeros.
+        over = mag > np.uint64(INT64_MAX) + (first == ord("-"))
+        if widest > 19:
+            lead = np.append(np.flatnonzero(digit & (seg != ord("0"))), seg.size)
+            over |= tok_hi - lead[np.searchsorted(lead, tok_lo)] > 19
+        if over.any():
+            t = int(np.argmax(over))
+            token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
+            return ("-" if token[0] == "-" else "") + token.lstrip("+-").lstrip("0")
     out *= 1 - 2 * (first == ord("-")).view(np.int8)  # -1 where a '-' leads
-    wide = {}
-    for t in np.flatnonzero(digits > _SHORT).tolist():
-        v = int(raw[lo + tok_lo[t] : lo + tok_hi[t]])
-        if INT64_MIN <= v <= INT64_MAX:
-            out[t] = v
-        else:
-            wide[row0 * cols + t] = v
-    return wide
+    return None
 
 
 def parse_matrix(text: str | bytes) -> Matrix:
@@ -249,23 +260,20 @@ def parse_matrix(text: str | bytes) -> Matrix:
     # body has room for it: never from the header alone.
     room = rows * cols <= (int(stops[nlines - 1]) - int(starts[2]) + 1) // 2
     data = np.empty(rows * cols if room else 0, dtype=np.int64)
-    wide = {}
+    wide = None
     i = 2
     while i < nlines:
         j = max(i + 1, min(nlines, int(np.searchsorted(starts, starts[i] + _BLOCK))))
-        out = data[(i - 2) * cols : (j - 2) * cols] if room else None
-        wide.update(_parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols, out))
+        # Past the first entry out of range, blocks are only checked.
+        out = data[(i - 2) * cols : (j - 2) * cols] if room and not wide else None
+        wide = _parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols, out) or wide
         i = j
+    if wide:
+        raise FormatError(f"entry {wide} outside the signed 64-bit range")
     data = data.reshape(rows, cols)
     p = ring.modulus
-    if wide or (p and (data.min() < 0 or data.max() >= p)):
-        # Matrix refuses these values and words the message; past int64 it
-        # does so from nested lists of Python integers, so hand it those.
-        if wide:
-            data = data.astype(object)
-            for t, v in wide.items():
-                data.flat[t] = v
-            data = data.tolist()
+    if p and (data.min() < 0 or data.max() >= p):
+        # Matrix refuses the unreduced entry and words the message.
         try:
             Matrix(rows, cols, ring, data)
         except InvalidEntry as err:

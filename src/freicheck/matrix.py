@@ -96,6 +96,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -203,8 +204,11 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
     if arr.shape != shape:
         raise DimensionMismatch(f"data of shape {arr.shape} does not fill {shape}")
     if np.issubdtype(arr.dtype, np.integer):
-        if arr.dtype == np.uint64 and arr.size and int(arr.max()) > INT64_MAX:
-            raise InvalidEntry("entry exceeds the signed 64-bit range")
+        if arr.dtype == np.uint64:
+            # numpy holds nonnegative integers past int64 in uint64.
+            big = arr[arr > INT64_MAX]
+            if big.size:
+                raise InvalidEntry(f"entry {big[0]} outside the signed 64-bit range")
         out = arr.astype(np.int64, copy=True)
     else:
         # Mixed, object or non-integer input: vet each value exactly.  A value
@@ -217,7 +221,8 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidEntry(f"non-integer entry {v!r}")
             if v < INT64_MIN or v > INT64_MAX:
-                raise InvalidEntry(f"entry {v} outside the signed 64-bit range")
+                # str() refuses integers past 4,300 digits; Decimal prints any.
+                raise InvalidEntry(f"entry {Decimal(v)} outside the signed 64-bit range")
             vals.append(v)
         out = np.array(vals, dtype=np.int64).reshape(shape)
     if ring.kind == PRIME_FIELD:

@@ -389,6 +389,29 @@ def test_undecodable_or_non_decimal_file_is_a_format_error(tmp_path, capsys, bod
     )
 
 
+def _with_first_entry(path, entry):
+    """Rewrite the freimat file at ``path`` with its first entry replaced by
+    ``entry(token)``."""
+    head, dims, row, rest = Path(path).read_text().split("\n", 3)
+    token, _, tail = row.partition(" ")
+    Path(path).write_text("\n".join([head, dims, " ".join([entry(token), tail]), rest]))
+
+
+def test_entries_past_the_int_to_str_digit_limit_keep_the_exit_codes(tmp_path, capsys):
+    # int() refuses more than 4,300 digits.  With 5,000 leading zeros an
+    # entry keeps its value and the verdict its exit code; 5,000 nines are
+    # out of range, which exits 2 like any other format error.
+    for mode, code in (("equal", 0), ("single-column", 1)):
+        _, payload = _gen(capsys, tmp_path, mode)
+        files = payload["files"]
+        argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "20", "--seed", "2"]
+        _, before, _ = _run(capsys, *argv)
+        _with_first_entry(files["c"], lambda t: ("-" if t[0] == "-" else "") + "0" * 5000 + t.lstrip("-"))
+        assert _run(capsys, *argv) == (code, before, "")
+        _with_first_entry(files["c"], lambda t: "9" * 5000)
+        _expect_error(capsys, "FormatError", *argv)
+
+
 def test_dimension_mismatch_is_reported(tmp_path, capsys):
     from freicheck import Matrix, RingSpec
 

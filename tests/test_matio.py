@@ -132,16 +132,21 @@ def test_malformed_inputs_raise_format_error(text):
         ("1 9223372036854775808", "9223372036854775808"),
         ("-1 9223372036854775808", "9223372036854775808"),
         ("7 -9223372036854775809", "-9223372036854775809"),
+        ("9223372036854775808", "9223372036854775808"),
+        ("9223372036854775808\n18446744073709551615", "9223372036854775808"),  # one column
     ],
 )
 def test_out_of_range_entry_is_named(row, value):
     # Beside a small entry, a value past int64 must be the one named, not
     # the small entry as numpy's float64 guess for the row would print it.
+    # When every value is past int64 and below 2**64, numpy holds them in
+    # uint64; the first in row-major order is named all the same.
     message = f"entry {value} outside the signed 64-bit range"
+    data = [[int(v) for v in line.split()] for line in row.split("\n")]
     with pytest.raises(FormatError, match=f"^{message}$"):
-        parse_matrix(f"freimat 1\n1 2 int64\n{row}\n")
+        parse_matrix(f"freimat 1\n{len(data)} {len(data[0])} int64\n{row}\n")
     with pytest.raises(InvalidEntry, match=f"^{message}$"):
-        Matrix(1, 2, INT64, [[int(v) for v in row.split()]])
+        Matrix(len(data), len(data[0]), INT64, data)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +245,7 @@ _ODD_TOKENS = [
     "x", "1.5", "-", "+", "+-1", "--1", "1-2", "007", "-0", "+5", "1a", "",
     "99999999999999999999", "9223372036854775808", "-9223372036854775809",
     "00000000000000000001", "18446744073709551616", "-1", "5", "101",
+    "+0000000000000000000000007", "-00000009223372036854775808", "000000018446744073709551615",
 ]
 _RINGS = [INT64, ZP5, RingSpec.prime_field(101), RingSpec.prime_field((1 << 61) - 1)]
 
@@ -317,6 +323,65 @@ def _noise_texts(draw):
 @given(st.one_of(_mutated_files(), _noise_texts()), st.sampled_from([None, 1, 5, 16]))
 def test_parser_agrees_with_reference(text, block):
     _agree(text, block)
+
+
+_BOUNDARY_TOKENS = [
+    "1000000000000000000", "-1000000000000000000", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "9999999999999999999", "10000000000000000000",
+    "+9223372036854775807", "+00009223372036854775807", "-0009223372036854775808",
+    "-0009223372036854775809", "+0009223372036854775808", "0009999999999999999999",
+    "+00010000000000000000000", "-00000000000000000000000", "+0999999999999999999",
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 5, 16])
+def test_entries_at_the_int64_boundaries_agree_with_the_reference(block):
+    # Each token alone, beside short entries in its row, in a column under
+    # short rows, and over zp 2^61 - 1, where the reduction check follows.
+    for token in _BOUNDARY_TOKENS:
+        _agree(f"freimat 1\n1 1 int64\n{token}\n", block)
+        _agree(f"freimat 1\n2 2 int64\n7 {token}\n-5 +0\n", block)
+        _agree(f"freimat 1\n3 1 int64\n1\n-12345678901234567\n{token}\n", block)
+        _agree(f"freimat 1\n1 2 zp 2305843009213693951\n{token} 1\n", block)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5, 16])
+def test_entries_past_the_int_to_str_digit_limit(block):
+    # int() and str() refuse more than 4,300 digits; the parser reads leading
+    # zeros of any length and names an out-of-range entry at any length.
+    for token, value in (("0" * 5000 + "7", 7), ("-" + "0" * 5000 + "9223372036854775808", INT64_MIN)):
+        text = f"freimat 1\n2 1 int64\n{token}\n1\n"
+        assert parse_matrix(text).data.tolist() == [[value], [1]]
+        _agree(text, block)
+    for token, named in (("9" * 5000, "9" * 5000), ("-" + "1" * 4400, "-" + "1" * 4400),
+                         ("+" + "0" * 5000 + "1" * 20, "1" * 20)):
+        text = f"freimat 1\n2 1 int64\n1\n{token}\n"
+        with pytest.raises(FormatError) as err:
+            parse_matrix(text)
+        assert str(err.value) == f"entry {named} outside the signed 64-bit range"
+        _agree(text, block)
+
+
+def test_entries_are_read_without_int(monkeypatch):
+    # A body of 19-digit entries, with and without signs and leading zeros:
+    # int() reads the header's two counts and no entry.
+    seen = []
+
+    def spy(x, *args):
+        if isinstance(x, (str, bytes)):
+            seen.append(x)
+        return int(x, *args)
+
+    monkeypatch.setattr(matio, "int", spy, raising=False)
+    rows = [
+        ["9223372036854775807", "-9223372036854775808", "1000000000000000000", "+1234567890123456789"],
+        ["-0009223372036854775807", "0000000000000000000", "8999999999999999999", "-1"],
+        ["4611686018427387904", "+0004611686018427387903", "-1000000000000000000", "1000000000000000001"],
+    ]
+    text = "freimat 1\n3 4 int64\n" + "\n".join(" ".join(row) for row in rows) + "\n"
+    m = parse_matrix(text)
+    assert seen == ["3", "4"]
+    assert m.data.tolist() == reference_parse(text).data.tolist()
 
 
 def test_blocks_of_whole_lines_keep_row_numbers():

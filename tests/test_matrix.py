@@ -124,6 +124,12 @@ def test_entry_validation():
         Matrix(1, 2, ZP5, [[5, 0]])
     with pytest.raises(InvalidEntry):
         Matrix(1, 2, ZP5, [[-1, 0]])
+    # str() refuses integers of more than 4,300 digits; the message names
+    # them all the same.
+    with pytest.raises(InvalidEntry, match="^entry 10{5000} outside the signed 64-bit range$"):
+        Matrix(1, 1, INT64, [[10**5000]])
+    with pytest.raises(InvalidEntry, match="^entry -10{5000} outside the signed 64-bit range$"):
+        Vector(INT64, [-(10**5000)])
     Matrix(1, 2, INT64, [[-(1 << 63), (1 << 63) - 1]])  # extremes are valid
     Matrix(1, 2, ZP5, [[0, 4]])
 

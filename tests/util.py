@@ -10,6 +10,8 @@ same answer.
 from __future__ import annotations
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -118,9 +120,21 @@ def _reference_int(token: str, what: str) -> int:
         raise FormatError(f"bad {what} {token!r}") from None
 
 
+def _reference_entry(token: str, row: int) -> int:
+    try:
+        return _reference_int(token, f"entry at row {row}")
+    except FormatError:
+        # int() refuses more than 4,300 digits (sys.get_int_max_str_digits());
+        # an entry of any length is read exactly, through Decimal.
+        if re.fullmatch(r"[+-]?[0-9]+", token):
+            return int(Decimal(token))
+        raise
+
+
 def reference_parse(text: str) -> Matrix:
     """``freimat`` parser on ``str.splitlines``, ``str.split`` and one
-    ``int()`` per token: the grammar and messages the library must match.
+    ``int()`` per token (``Decimal`` past its digit limit): the grammar and
+    messages the library must match.
     Entry range and reduction checks are ``Matrix``'s, shared by both."""
     if not text.isascii() or "_" in text:
         bad = next(ch for ch in text if ch == "_" or not ch.isascii())
@@ -151,7 +165,7 @@ def reference_parse(text: str) -> Matrix:
         tokens = line.split()
         if len(tokens) != cols:
             raise FormatError(f"row {i} has {len(tokens)} entries, expected {cols}")
-        data.append([_reference_int(t, f"entry at row {i}") for t in tokens])
+        data.append([_reference_entry(t, i) for t in tokens])
     try:
         return Matrix(rows, cols, ring, data)
     except InvalidEntry as err:
