@@ -18,21 +18,26 @@ exact path.
 Empirical rates count the trials that accept, with a Wilson 99% confidence
 interval.  Trial t draws the vector of iteration t of ``verify`` with the
 same seed, and accepts exactly when E r = 0, since A(Br) - Cr = E r in exact
-arithmetic.  So a block of trials is one product E_S R_S: E_S is E's nonzero
-rows by its m nonzero columns, and R_S holds only the m components of each
-vector that those columns multiply, drawn as the same bits the verifier
-draws.  A trial accepts when its column of the product is zero.  Over Z this
-holds only while no round of the verifier can overflow.  So the verifier's
-own rounds, A(BR) against CR through its trial engine, run instead when a
-bound on B r, A(Br), C r or E_S r_S passes 2**63 - 1; only they raise the
-verifier's ``IntegerOverflow`` for the first trial that overflows.
+arithmetic.  Whether E r = 0 depends only on E's row space, so a block of
+trials is one product E_S R_S: E_S is E's m nonzero columns by a set of rows
+that spans that space, and R_S holds only the m components of each vector
+that those columns multiply, drawn as the same bits the verifier draws.  A
+trial accepts when its column of the product is zero.  Where a rank is
+computed (n <= RANK_LIMIT) the rows are the rank(E) pivot rows of its
+elimination, otherwise every nonzero row; the exact probability enumerates
+the same E_S.  Over Z this holds only while no round of the verifier can
+overflow.  So the verifier's own rounds, A(BR) against CR through its trial
+engine, run instead when a bound on B r, A(Br), C r or E r passes
+2**63 - 1; only they raise the verifier's ``IntegerOverflow`` for the first
+trial that overflows.
 
 ``analyze_instance`` is the one analysis path, and the exact and empirical
 functions return parts of its report.  It checks every argument before any
 product (see its docstring for the order), forms AB once and E = AB - C at
 most once.  For t trials it counts n**3 + r m t scalar multiplies, for E_S
-of r rows and m columns, or n**3 + 3 n**2 t when the verifier's rounds run.
-The exact probability adds none.
+of r rows and m columns (r = rank(E) where a rank is computed), or
+n**3 + 3 n**2 t when the verifier's rounds run.  The exact probability adds
+none.
 """
 
 from __future__ import annotations
@@ -156,9 +161,10 @@ def _word_prime(i: int) -> int:
     return q
 
 
-def _exact_rank(e: Matrix) -> int:
-    """Rank of E over its nonzero rows and columns, by elimination mod a
-    prime (``_rank_mod``).
+def _exact_rank(e: Matrix) -> np.ndarray:
+    """The indices, in E's row order, of rank(E) rows of E that span its row
+    space: the pivot rows of an elimination mod a prime (``_rank_mod``) of
+    E's nonzero rows and columns.
 
     Over Z_p the prime is p: in int64 when p * p <= 2^63 - 1
     (p <= 3,037,000,499), on an object array of Python integers past it.
@@ -166,34 +172,45 @@ def _exact_rank(e: Matrix) -> int:
     any prime is at most the rank.  Elimination runs mod the word primes,
     largest first, and r is the largest rank seen mod any of them.  r is the
     rank once it equals the smaller side of the nonzero submatrix, or once
-    the product of the primes tried exceeds the Hadamard bound on every
-    (r + 1)-minor: the product of the r + 1 largest column norms, each
-    rounded up.  Such a minor is 0 mod every prime tried, so it is a
-    multiple of their product smaller than it in size: it is 0.
+    the product of the primes tried exceeds a Hadamard bound on every
+    (r + 1)-minor: the smaller of the products of the r + 1 largest column
+    norms and of the r + 1 largest row norms, each norm rounded up.  Such a
+    minor is 0 mod every prime tried, so it is a multiple of their product
+    smaller than it in size: it is 0.  The rows kept are the pivot rows of a
+    prime that reached r: they are independent mod that prime, so over Q,
+    and r of them span E's row space.
     """
     p = e.ring.modulus
     nonzero = e.data != 0
-    sub = e.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    sub = e.data[np.ix_(rows, nonzero.any(axis=0))]
     if p is not None:
-        return _rank_mod(sub if p * p <= INT64_MAX else sub.astype(object), p)
-    rank, product, norms = 0, 1, []
+        return np.sort(rows[_rank_mod(sub if p * p <= INT64_MAX else sub.astype(object), p)])
+    basis, product, norms = [], 1, None
     for q in map(_word_prime, itertools.count()):
-        rank = max(rank, _rank_mod(sub % q, q))
+        pivots = _rank_mod(sub % q, q)
+        if len(pivots) > len(basis):
+            basis = pivots
         product *= q
-        if rank == min(sub.shape):
-            return rank
-        norms = norms or sorted((math.isqrt(s) + 1 for s in (sub.astype(object) ** 2).sum(axis=0)), reverse=True)
-        if product > math.prod(norms[:rank + 1]):
-            return rank
+        if len(basis) == min(sub.shape):
+            break
+        if norms is None:
+            squares = sub.astype(object) ** 2
+            norms = [sorted((math.isqrt(s) + 1 for s in squares.sum(axis=axis)), reverse=True) for axis in (0, 1)]
+        if product > min(math.prod(side[:len(basis) + 1]) for side in norms):
+            break
+    return np.sort(rows[basis])
 
 
-def _rank_mod(a: np.ndarray, q: int) -> int:
-    """Rank mod the prime q of ``a``, whose entries lie in [0, q), by
-    elimination in place.  Entries stay in [0, q) after every step, so one
-    reduction per step suffices: in int64, where q * q <= 2^63 - 1 keeps
+def _rank_mod(a: np.ndarray, q: int) -> list[int]:
+    """The indices into ``a`` of its pivot rows mod the prime q, as many as
+    its rank mod q, by elimination in place; ``a``'s entries lie in [0, q).
+    A row permutation follows the swaps, so each pivot row is named by its
+    index before elimination.  Entries stay in [0, q) after every step, so
+    one reduction per step suffices: in int64, where q * q <= 2^63 - 1 keeps
     ``x - f * y`` from overflowing, and in an object array of Python
     integers, for any q."""
-    rank = 0
+    rank, order = 0, list(range(a.shape[0]))
     for col in range(a.shape[1]):
         if rank == a.shape[0]:
             break
@@ -203,27 +220,34 @@ def _rank_mod(a: np.ndarray, q: int) -> int:
         pivot = rank + int(below[0])
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
+            order[rank], order[pivot] = order[pivot], order[rank]
         top = a[rank, col:] * pow(int(a[rank, col]), -1, q) % q
         rest = a[rank + 1:, col:]
         rest -= np.multiply.outer(rest[:, 0], top)
         rest %= q
         rank += 1
-    return rank
+    return order[:rank]
 
 
 def _profile(
     d: Matrix, c: Matrix, need_e: bool, ranked: bool = True
-) -> tuple[DifferenceProfile, Matrix | None]:
-    """Profile of E = D - C, with the rank when ``ranked`` and n <= RANK_LIMIT,
-    and E itself when D != C and either the rank or ``need_e`` asks for it."""
+) -> tuple[DifferenceProfile, Matrix | None, Matrix | None]:
+    """Profile of E = D - C, with the rank when ``ranked`` and n <= RANK_LIMIT.
+    When D != C and either the rank or ``need_e`` asks for it, also E and
+    E_S: E's nonzero columns by rows that span E's row space, the rank's
+    basis rows (``_exact_rank``) or, with no rank, every nonzero row."""
     diff = d.data != c.data
     cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
     entries = int(diff.sum())
     if entries == 0:
-        return DifferenceProfile(cols, 0, 0), None
+        return DifferenceProfile(cols, 0, 0), None, None
     ranked = ranked and d.rows <= RANK_LIMIT
-    e = mat_sub(d, c) if ranked or need_e else None
-    return DifferenceProfile(cols, entries, _exact_rank(e) if ranked else None), e
+    if not (ranked or need_e):
+        return DifferenceProfile(cols, entries, None), None, None
+    e = mat_sub(d, c)
+    rows = _exact_rank(e) if ranked else np.flatnonzero(diff.any(axis=1))
+    e_s = Matrix._wrap(e.data[np.ix_(rows, cols)], e.ring)
+    return DifferenceProfile(cols, entries, len(rows) if ranked else None), e, e_s
 
 
 def difference_profile(a: Matrix, b: Matrix, c: Matrix) -> DifferenceProfile:
@@ -269,28 +293,21 @@ def _residual_table(
     return table
 
 
-def _nonzero_block(e: Matrix, cols: tuple[int, ...]) -> np.ndarray:
-    """E_S: the columns ``cols`` of E, its nonzero ones, without the rows
-    that are zero in all of them (those constrain nothing)."""
-    sub = e.data[:, list(cols)]
-    return sub[(sub != 0).any(axis=1)]
+def _exact_fap(e_s: Matrix, dist: DiscreteDistribution) -> Fraction:
+    """P[E r = 0] by enumerating the m components of r that E_S's columns,
+    the nonzero columns of E, multiply; the other components marginalize
+    out.  E_S r_S = 0 exactly when E r = 0, as its rows span E's row space.
 
-
-def _exact_fap(e: Matrix, cols: tuple[int, ...], dist: DiscreteDistribution) -> Fraction:
-    """P[E r = 0] by enumerating the components of r that ``cols``, the
-    nonzero columns of E, multiply; the other components marginalize out.
-
-    With the columns split as E r = E_L r_L + E_H r_H + e r_last, r accepts
-    when E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins a table
-    of -E_L r_L over the first half of the columns with the residuals of the
-    rest, streamed one support value of the last column at a time; or, when
-    that table has fewer keys than the law has support values, by solving
-    for r_last once per key (``_solved_join``).
+    With the columns split as E_S r_S = E_L r_L + E_H r_H + e r_last, r
+    accepts when E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins
+    a table of -E_L r_L over the first half of the columns with the
+    residuals of the rest, streamed one support value of the last column at
+    a time; or, when that table has fewer keys than the law has support
+    values, by solving for r_last once per key (``_solved_join``).
     """
-    p = e.ring.modulus
-    ered = _nonzero_block(e, cols)
-    columns = [tuple(col) for col in ered.T.tolist()]
-    m, rows, half = len(columns), len(ered), len(columns) // 2
+    p = e_s.ring.modulus
+    columns = [tuple(col) for col in e_s.data.T.tolist()]
+    m, rows, half = len(columns), e_s.rows, len(columns) // 2
     low = _residual_table([tuple(-y for y in col) for col in columns[:half]], dist, p, rows)
     high = _residual_table(columns[half:-1], dist, p, rows)
     if len(low) < len(dist):
@@ -347,7 +364,8 @@ def _error_trials(
 ) -> Iterator[np.ndarray]:
     """E_S R_S for consecutive blocks of trials 0..stop-1, where column t
     of R_S holds components ``cols`` of trial t's vector and E_S is E's
-    nonzero rows by those columns: E r_t = 0 exactly when column t is zero.
+    nonzero columns ``cols`` by rows spanning its row space (``_profile``):
+    E r_t = 0 exactly when column t is zero.
 
     A block has ``_TRIAL_BLOCK // k`` columns, at least one, for
     k = max(rows, m), and is drawn only when reached: so neither R_S nor its
@@ -360,16 +378,14 @@ def _error_trials(
 
 
 def _empirical_rate(
-    a: Matrix, b: Matrix, c: Matrix, e: Matrix | None, cols: tuple[int, ...],
+    a: Matrix, b: Matrix, c: Matrix, e_s: Matrix | None, cols: tuple[int, ...],
     dist: DiscreteDistribution, trials: int, seed: int,
 ) -> EmpiricalRate:
-    """The rate of trials 0..trials-1 with E r = 0.  Given E, and unless
-    m max|E_S| rho passes 2**63 - 1 over Z, it is counted from E_S R_S
-    (``_error_trials``); otherwise from the verifier's own rounds, A(BR)
-    against CR through ``_trials``, which raises the ``IntegerOverflow``
-    of the first trial that overflows."""
-    e_s = None if e is None else Matrix._wrap(_nonzero_block(e, cols), e.ring)
-    if e_s is not None and (e.ring.modulus or e_s.cols * e_s._magnitude() * dist._magnitude() <= INT64_MAX):
+    """The rate of trials 0..trials-1 with E r = 0: counted from E_S R_S
+    (``_error_trials``) when given E_S, and otherwise from the verifier's
+    own rounds, A(BR) against CR through ``_trials``, which raises the
+    ``IntegerOverflow`` of the first trial that overflows."""
+    if e_s is not None:
         hits = sum(int(np.count_nonzero(~block.any(axis=0))) for block in _error_trials(e_s, cols, dist, seed, trials))
     else:
         blocks = _trials(a, b, c, dist, seed, trials)
@@ -387,9 +403,11 @@ def analyze_instance(
     rings, ``dist`` against the ring, ``trials`` (when given), then the
     enumeration budget (when ``exact``).  AB is formed once and E = AB - C at
     most once: for the rank (n <= RANK_LIMIT), the exact probability, and a
-    rate whose rounds cannot overflow (``_rounds_fit``).  An instance with
-    AB = C is refused once its profile is known, if an exact probability or
-    a rate was asked for.
+    rate whose rounds cannot overflow (``_rounds_fit``) and, over Z, whose
+    E_S R_S cannot either: m max|E| rho <= 2**63 - 1.  That reads all of E,
+    not only the rows of E_S, so the same path runs with a rank or without.
+    An instance with AB = C is refused once its profile is known, if an
+    exact probability or a rate was asked for.
     """
     _check_inputs(a, b, c)
     dist.validate_for_ring(a.ring)
@@ -398,17 +416,18 @@ def analyze_instance(
     if exact:
         _check_budget(a.rows, len(dist), budget)
     on_e = trials is not None and _rounds_fit(a, b, c, dist)
-    profile, e = _profile(matmul(a, b), c, exact or on_e)
+    profile, e, e_s = _profile(matmul(a, b), c, exact or on_e)
     if (exact or trials is not None) and profile.differing_entries == 0:
         raise InstanceActuallyEqual(
             "product equals the claimed result; no false accept to measure"
         )
     cols = profile.differing_columns
+    on_e = on_e and (a.ring.modulus or len(cols) * e._magnitude() * dist._magnitude() <= INT64_MAX)
     return ErrorReport(
         p_max(dist),
         profile,
-        _exact_fap(e, cols, dist) if exact else None,
-        _empirical_rate(a, b, c, e if on_e else None, cols, dist, trials, seed) if trials is not None else None,
+        _exact_fap(e_s, dist) if exact else None,
+        _empirical_rate(a, b, c, e_s if on_e else None, cols, dist, trials, seed) if trials is not None else None,
     )
 
 

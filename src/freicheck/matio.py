@@ -20,7 +20,8 @@ reproduces it exactly.  The parser accepts exactly this grammar and raises
   anywhere else counts as a line.
 * The first line is ``freimat 1``, and the second ``<rows> <cols> <ring>``,
   either with surrounding separators.  Then come exactly ``rows`` lines of
-  exactly ``cols`` entries.
+  exactly ``cols`` entries.  ``int()`` reads the two counts and ``p`` once
+  their leading zeros are dropped, as it refuses more than 4,300 digits.
 * An entry is ``[+-]?[0-9]+``: an optional sign, then decimal digits, with
   leading zeros allowed (``+5``, ``-0`` and ``007`` are 5, 0 and 7).  Its
   value must lie in [-2**63, 2**63 - 1], checked exactly however many digits
@@ -54,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidEntry, InvalidRing
-from .matrix import INT64_MAX, Matrix, parse_ring
+from .matrix import INT64_MAX, Matrix, _without_leading_zeros, parse_ring
 
 MAGIC = "freimat 1"
 
@@ -109,7 +110,7 @@ def write_matrix(m: Matrix, path) -> None:
 
 def _int_token(token: str, what: str) -> int:
     try:
-        return int(token)
+        return int(_without_leading_zeros(token))
     except ValueError:
         raise FormatError(f"bad {what} {token!r}") from None
 

@@ -177,6 +177,17 @@ class RingSpec:
         return INT64 if self.kind == INT64 else f"zp {self.modulus}"
 
 
+def _without_leading_zeros(token: str) -> str:
+    """``token`` with the leading zeros of its ASCII digits dropped, keeping
+    one digit: int() refuses more than 4,300 digits, leading zeros too.
+    Any other token is returned as it is."""
+    sign = token[:1] if token[:1] in ("+", "-") else ""
+    digits = token[len(sign):]
+    if digits.isascii() and digits.isdigit():
+        return sign + (digits.lstrip("0") or "0")
+    return token
+
+
 def parse_ring(text: str) -> RingSpec:
     """Parse ``"int64"`` or ``"zp <p>"`` into a ring."""
     parts = text.split()
@@ -184,7 +195,7 @@ def parse_ring(text: str) -> RingSpec:
         return RingSpec.int64()
     if len(parts) == 2 and parts[0] == PRIME_FIELD:
         try:
-            p = int(parts[1])
+            p = int(_without_leading_zeros(parts[1]))
         except ValueError:
             raise InvalidRing(f"bad modulus {parts[1]!r}") from None
         return RingSpec.prime_field(p)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import freicheck.analysis as analysis_mod
@@ -748,9 +748,10 @@ def test_analyze_instance_composes_the_pieces():
 
 
 def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
-    # One AB (n^3), one E, and (rows of E_S) m per trial, E_S being E's 20
-    # nonzero rows by its one nonzero column: 8,200 multiplies at n=20,
-    # t=10, with the exact probability, the rank and the rate from one E.
+    # One AB (n^3), one E, and (rows of E_S) m per trial, E_S being the one
+    # basis row of E's rank-1 row space by its one nonzero column: 8,010
+    # multiplies at n=20, t=10, with the exact probability, the rank and the
+    # rate from one E.
     n, t = 20, 10
     a, b, c = generate_instance(InstanceSpec(n, INT64, "single-column", 4, entry_bound=1 << 24))
     calls = {"matmul": 0, "mat_sub": 0}
@@ -762,7 +763,7 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
         monkeypatch.setattr(analysis_mod, name, spy)
     reset_scalar_multiplies()
     report = analyze_instance(a, b, c, U01, exact=True, trials=t, seed=2)
-    assert scalar_multiplies() == n**3 + n * 1 * t == 8_200
+    assert scalar_multiplies() == n**3 + 1 * 1 * t == 8_010
     assert calls == {"matmul": 1, "mat_sub": 1}
     assert report.exact_fap == Fraction(1, 2)
     assert report.instance_profile.difference_rank == 1
@@ -846,7 +847,12 @@ def _rank_case(draw):
 def test_exact_rank_matches_fraction_elimination(case):
     ring, data = case
     e = Matrix(len(data), len(data[0]), ring, data)
-    assert analysis_mod._exact_rank(e) == fraction_rank(data, ring.modulus)
+    rows = analysis_mod._exact_rank(e)
+    assert len(rows) == fraction_rank(data, ring.modulus)
+    # rank(E) independent rows of E, in E's order: a basis of its row space.
+    assert list(rows) == sorted(set(rows.tolist()))
+    if len(rows):
+        assert fraction_rank([data[i] for i in rows], ring.modulus) == len(rows)
 
 
 def _half_rank_error(n, ring):
@@ -865,7 +871,7 @@ def test_exact_rank_of_size_limit_errors_matches_the_python_loop(n, ring):
     a, b, c = generate_instance(InstanceSpec(n, ring, "dense-random", 5, entry_bound=1 << 24))
     dense = mat_sub(matmul(a, b), c)
     for e, rank in ((dense, n), (_half_rank_error(n, ring), n // 2)):
-        assert analysis_mod._exact_rank(e) == fraction_rank(e.data.tolist(), ring.modulus) == rank
+        assert len(analysis_mod._exact_rank(e)) == fraction_rank(e.data.tolist(), ring.modulus) == rank
 
 
 def _primes_spied(monkeypatch):
@@ -891,7 +897,7 @@ def test_a_full_rank_error_is_certified_by_one_prime(monkeypatch):
         assert calls == [(q, False)]
     # Over a word-size Z_p the rank mod p is the answer, deficient or not.
     calls.clear()
-    assert analysis_mod._exact_rank(Matrix(2, 2, ZP_WORD, [[1, 2], [2, 4]])) == 1
+    assert len(analysis_mod._exact_rank(Matrix(2, 2, ZP_WORD, [[1, 2], [2, 4]]))) == 1
     assert calls == [(WORD, False)]
 
 
@@ -914,18 +920,28 @@ def test_a_deficient_rank_takes_more_primes_and_returns_the_right_rank(monkeypat
     ]
     for data, rank, primes in cases:
         calls.clear()
-        assert analysis_mod._exact_rank(Matrix.from_rows(data, INT64)) == rank == fraction_rank(data)
+        assert len(analysis_mod._exact_rank(Matrix.from_rows(data, INT64))) == rank == fraction_rank(data)
         assert calls == [(analysis_mod._word_prime(i), False) for i in range(primes)]
     a, b, c = generate_instance(InstanceSpec(64, INT64, "rank-one", 5))
     for e, rank, primes in ((mat_sub(matmul(a, b), c), 1, 2), (_half_rank_error(64, INT64), 32, 47)):
         calls.clear()
-        assert analysis_mod._exact_rank(e) == rank
+        assert len(analysis_mod._exact_rank(e)) == rank
         assert len(calls) == primes
+    # Row 0 times 2^15 (entries to 2^58) raises every column norm and one row
+    # norm, so the row norms bound the 33-minors as tightly as the column
+    # norms bound those of the transpose: 47 primes for both (60 for the
+    # first with column norms alone).
+    heavy = _half_rank_error(64, INT64).data.copy()
+    heavy[0] <<= 15
+    for data in (heavy, heavy.T):
+        calls.clear()
+        assert len(analysis_mod._exact_rank(Matrix(64, 64, INT64, data.tolist()))) == 32
+        assert len(calls) == 47
     # Past 3,037,000,499 the one prime is p, on Python integers.
     p = ZP61.modulus
     for data, rank in (([[1, 2], [2, 5]], 2), ([[1, 2], [2, 4]], 1), ([[p - 1, 1], [1, p - 1]], 1)):
         calls.clear()
-        assert analysis_mod._exact_rank(Matrix(2, 2, ZP61, data)) == rank == fraction_rank(data, p)
+        assert len(analysis_mod._exact_rank(Matrix(2, 2, ZP61, data))) == rank == fraction_rank(data, p)
         assert calls == [(p, True)]
 
 
@@ -945,6 +961,124 @@ def test_exact_fallback_does_not_take_a_wrapped_residual_for_zero():
     a, b, c = _triple_with_error(e_rows, ZP61)
     assert exact_false_accept_probability(a, b, c, U01) == Fraction(1, 32)
     assert brute_fap(a, b, c, U01.support, U01.probs) == Fraction(1, 32)
+
+
+def _rows_kept(monkeypatch):
+    """The row count of every E_S that ``_error_trials`` multiplies."""
+    kept = []
+    blocks = analysis_mod._error_trials
+
+    def spy(e_s, *args):
+        kept.append(e_s.rows)
+        return blocks(e_s, *args)
+
+    monkeypatch.setattr(analysis_mod, "_error_trials", spy)
+    return kept
+
+
+def _basis_case(name, n):
+    """An instance whose error E has rank below its count of nonzero rows:
+    rank one over int64 (certified by two word primes, or by one with
+    entries in [-1, 1], which make E r = 0 common with r_S != 0), over
+    Z_{2^31 - 1} (int64 elimination) and over Z_{2^61 - 1} (elimination on
+    Python integers); or E = U V of rank n/2 over int64, certified by more
+    than two word primes."""
+    if name == "half-rank":
+        return _triple_with_error(_half_rank_error(n, INT64).data.tolist(), INT64)
+    ring = {"int64": INT64, "int64-small": INT64, "zp31": ZP31, "zp61": ZP61}[name]
+    bound = 1 if name == "int64-small" else 256
+    return generate_instance(InstanceSpec(n, ring, "rank-one" if n > 1 else "single-entry", n, bound))
+
+
+_BASIS_CASES = [(name, 64) for name in ("int64", "int64-small", "half-rank", "zp31", "zp61")] + [
+    ("int64", 1), ("zp61", 1)
+]
+
+
+@pytest.mark.parametrize("name, n", _BASIS_CASES)
+def test_the_rate_on_the_row_basis_matches_every_nonzero_row(monkeypatch, name, n):
+    # The rate on E's basis rows is the verifier's rounds' and the rate on
+    # every nonzero row of E (no rank below RANK_LIMIT = 0), trial for trial;
+    # the rows kept are as many as the rank.
+    a, b, c = _basis_case(name, n)
+    e = mat_sub(matmul(a, b), c)
+    nonzero_rows = int((e.data != 0).any(axis=1).sum())
+    rank = {"half-rank": n // 2}.get(name, 1)
+    assert nonzero_rows > rank or n == 1
+    trials = 2000
+    kept = _rows_kept(monkeypatch)
+    for dist in (U01, bernoulli(Fraction(1, 64))):
+        hits = _hits_of_the_rounds(a, b, c, dist, trials, 3)
+        kept.clear()
+        on_basis = empirical_false_accept_rate(a, b, c, dist, trials, seed=3)
+        assert on_basis.instance_profile.difference_rank == rank
+        assert kept == [rank] * len(kept) and kept
+        with monkeypatch.context() as m:
+            m.setattr(analysis_mod, "RANK_LIMIT", 0)
+            kept.clear()
+            on_every_row = empirical_false_accept_rate(a, b, c, dist, trials, seed=3)
+            assert on_every_row.instance_profile.difference_rank is None
+            assert kept == [nonzero_rows] * len(kept) and kept
+        assert on_basis.empirical == on_every_row.empirical == analysis_mod.EmpiricalRate(
+            hits / trials, trials, wilson_interval(hits, trials)
+        )
+
+
+@pytest.mark.parametrize(
+    "name, n", [("int64", 12), ("int64-small", 12), ("half-rank", 10), ("zp31", 12), ("zp61", 12), ("int64", 1)]
+)
+def test_the_exact_fap_on_the_row_basis_matches_every_nonzero_row(monkeypatch, name, n):
+    a, b, c = _basis_case(name, n)
+    e = mat_sub(matmul(a, b), c)
+    kept = []
+    fap = analysis_mod._exact_fap
+    monkeypatch.setattr(analysis_mod, "_exact_fap", lambda e_s, dist: kept.append(e_s.rows) or fap(e_s, dist))
+    for dist in (U01, bernoulli(Fraction(1, 5))):
+        kept.clear()
+        on_basis = analyze_instance(a, b, c, dist, exact=True)
+        with monkeypatch.context() as m:
+            m.setattr(analysis_mod, "RANK_LIMIT", 0)
+            assert exact_false_accept_probability(a, b, c, dist) == on_basis.exact_fap
+        assert kept == [on_basis.instance_profile.difference_rank, int((e.data != 0).any(axis=1).sum())]
+
+
+@st.composite
+def _low_rank_triple(draw):
+    """(A, B, C, rank of E) at n <= 6 with E = U V != 0 of inner dimension
+    k, over int64 or a small Z_p."""
+    ring = draw(st.sampled_from([INT64, ZP3, ZP5]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    elem = st.integers(-3, 3)
+    u = draw(st.lists(st.lists(elem, min_size=k, max_size=k), min_size=n, max_size=n))
+    v = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=k, max_size=k))
+    e = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    if ring.modulus:
+        e = [[x % ring.modulus for x in row] for row in e]
+    assume(any(any(row) for row in e))
+    return (*_triple_with_error(e, ring), fraction_rank(e, ring.modulus))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_low_rank_triple(), st.sampled_from(["u01", "bern:1/3", "usup:-1,0,2", "field"]))
+def test_exact_fap_is_at_most_p_max_to_the_rank(triple, law):
+    # Fix r outside the columns J of a nonsingular rank(E) x rank(E) minor:
+    # E r = 0 leaves at most one r_J, of mass at most p_max^rank.  Under the
+    # field law E r is uniform on E's column space, so P = p^-rank exactly.
+    a, b, c, rank = triple
+    ring = a.ring
+    if law == "field":
+        assume(ring.modulus)
+        dist = field_uniform(ring)
+    else:
+        dist = {"u01": U01, "bern:1/3": bernoulli(Fraction(1, 3)), "usup:-1,0,2": uniform_support((-1, 0, 2))}[law]
+        if ring.modulus:
+            assume(all(0 <= x < ring.modulus for x in dist.support))
+    fap = exact_false_accept_probability(a, b, c, dist)
+    assert difference_profile(a, b, c).difference_rank == rank
+    assert fap <= p_max(dist) ** rank
+    if law == "field":
+        assert fap == Fraction(1, ring.modulus ** rank)
 
 
 def test_exact_rank_makes_no_fraction(monkeypatch):

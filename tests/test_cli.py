@@ -412,6 +412,28 @@ def test_entries_past_the_int_to_str_digit_limit_keep_the_exit_codes(tmp_path, c
         _expect_error(capsys, "FormatError", *argv)
 
 
+@pytest.mark.parametrize("field", [0, 1, 3], ids=["rows", "cols", "modulus"])
+def test_header_numbers_past_the_int_to_str_digit_limit_keep_the_exit_codes(tmp_path, capsys, field):
+    # Token ``field`` of C's dimension line, the row or column count or the p
+    # of ``zp p``: 5,000 leading zeros keep the verdict's exit code and
+    # stdout; 5,000 nines in front are a bad count or modulus, exit 2.
+    _, payload = _gen(capsys, tmp_path, "single-column", ring="zp 5")
+    files = payload["files"]
+    argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "20", "--seed", "2"]
+    _, before, _ = _run(capsys, *argv)
+    head, dims, rest = Path(files["c"]).read_text().split("\n", 2)
+
+    def prefixed(prefix):
+        tokens = dims.split()
+        tokens[field] = prefix + tokens[field]
+        Path(files["c"]).write_text("\n".join([head, " ".join(tokens), rest]))
+
+    prefixed("0" * 5000)
+    assert _run(capsys, *argv) == (1, before, "")
+    prefixed("9" * 5000)
+    _expect_error(capsys, "FormatError", *argv)
+
+
 def test_dimension_mismatch_is_reported(tmp_path, capsys):
     from freicheck import Matrix, RingSpec
 

@@ -362,6 +362,30 @@ def test_entries_past_the_int_to_str_digit_limit(block):
         _agree(text, block)
 
 
+@pytest.mark.parametrize("field", ["row count", "column count", "modulus"])
+def test_header_numbers_past_the_int_to_str_digit_limit(field):
+    # int() refuses more than 4,300 digits, leading zeros too: the counts and
+    # the modulus take 5,000 of them, as they take `0005`, and a token past
+    # the limit that is not all leading zeros keeps its message.
+    def text(prefix):
+        token = prefix + {"row count": "2", "column count": "1", "modulus": "5"}[field]
+        dims = {"row count": f"{token} 1 zp 5", "column count": f"2 {token} zp 5",
+                "modulus": f"2 1 zp {token}"}[field]
+        return f"freimat 1\n{dims}\n3\n4\n", token
+
+    good, _ = text("0" * 5000)
+    m = parse_matrix(good)
+    assert (m.rows, m.cols, m.ring, m.data.tolist()) == (2, 1, RingSpec.prime_field(5), [[3], [4]])
+    _agree(good)
+    for prefix in ("9" * 5000, "0" * 5000 + "x", "-" + "0" * 5000):
+        bad, token = text(prefix)
+        with pytest.raises(FormatError) as err:
+            parse_matrix(bad)
+        if prefix[0] != "-":
+            assert str(err.value) == f"bad {field} {token!r}"
+        _agree(bad)
+
+
 def test_entries_are_read_without_int(monkeypatch):
     # A body of 19-digit entries, with and without signs and leading zeros:
     # int() reads the header's two counts and no entry.

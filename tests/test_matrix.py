@@ -53,6 +53,8 @@ def test_ring_construction_and_parsing():
     assert parse_ring("int64") == INT64
     assert parse_ring("zp 5") == ZP5
     assert parse_ring("zp 2") == RingSpec.prime_field(2)
+    # int() refuses more than 4,300 digits; leading zeros are dropped first.
+    assert parse_ring("zp " + "0" * 5000 + "5") == parse_ring("zp +0005") == ZP5
 
 
 @pytest.mark.parametrize("bad", ["zp 6", "zp 1", "zp 0", "zp -7", "zp", "gf 5", "", "zp x"])

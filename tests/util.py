@@ -115,7 +115,8 @@ def reference_format(m: Matrix) -> str:
 
 def _reference_int(token: str, what: str) -> int:
     try:
-        return int(token)
+        # int() refuses more than 4,300 digits, leading zeros too.
+        return int(re.sub(r"^([+-]?)0+(?=[0-9])", r"\1", token))
     except ValueError:
         raise FormatError(f"bad {what} {token!r}") from None
 
