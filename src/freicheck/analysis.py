@@ -3,17 +3,20 @@
 Given A, B and a wrong C, the quantity of interest is the exact probability
 that one fingerprint iteration accepts anyway.  Acceptance depends on r only
 through E r where E = AB - C, and components of r multiplying all-zero
-columns of E cannot change E r, so enumeration runs over assignments to the
-components hitting nonzero columns and marginalizes the rest.  That reduction
-returns exactly the same probability as enumerating the full space, at a
-fraction of the cost.  The m remaining columns split in two, E r = E_L r_L +
-E_H r_H, and the accepting mass is a join of two tables of partial residuals
-keyed on the residual (meet in the middle), so no stored table holds more
-than s ** (m // 2) entries for support size s.  Residuals are tuples of Python
-integers (reduced mod p in Z_p), so none can overflow and nothing counts as a
-scalar multiply.  Masses are the law's integer weights, so an assignment's
-mass is a product of weights over ``total ** m``; no floating point enters the
-exact path.
+columns of E cannot change E r, so only the m components hitting nonzero
+columns count and the rest marginalize out.  When those m columns are
+independent (rank(E) = m, or m = 1), E r = 0 forces all m components to 0,
+so the probability is (weight of 0 / total) ** m: the argument the paper
+makes for one column, applied to all of them.  Otherwise enumeration runs
+over assignments to the m components, which returns exactly the same
+probability as enumerating the full space, at a fraction of the cost.  The m
+columns split in two, E r = E_L r_L + E_H r_H, and the accepting mass is a
+join of two tables of partial residuals keyed on the residual (meet in the
+middle), so no stored table holds more than s ** (m // 2) entries for
+support size s.  Residuals are tuples of Python integers (reduced mod p in
+Z_p), so none can overflow and nothing counts as a scalar multiply.  Masses
+are the law's integer weights, so an assignment's mass is a product of
+weights over ``total ** m``; no floating point enters the exact path.
 
 Empirical rates count the trials that accept, with a Wilson 99% confidence
 interval.  Trial t draws the vector of iteration t of ``verify`` with the
@@ -24,8 +27,8 @@ that spans that space, and R_S holds only the m components of each vector
 that those columns multiply, drawn as the same bits the verifier draws.  A
 trial accepts when its column of the product is zero.  Where a rank is
 computed (n <= RANK_LIMIT) the rows are the rank(E) pivot rows of its
-elimination, otherwise every nonzero row; the exact probability enumerates
-the same E_S.  Over Z this holds only while no round of the verifier can
+elimination, otherwise every nonzero row; the exact probability reads the
+same E_S.  Over Z this holds only while no round of the verifier can
 overflow.  So the verifier's own rounds, A(BR) against CR through its trial
 engine, run instead when a bound on B r, A(Br), C r or E r passes
 2**63 - 1; only they raise the verifier's ``IntegerOverflow`` for the first
@@ -293,56 +296,28 @@ def _residual_table(
     return table
 
 
-def _exact_fap(e_s: Matrix, dist: DiscreteDistribution) -> Fraction:
-    """P[E r = 0] by enumerating the m components of r that E_S's columns,
-    the nonzero columns of E, multiply; the other components marginalize
-    out.  E_S r_S = 0 exactly when E r = 0, as its rows span E's row space.
+def _exact_fap(e_s: Matrix, rank: int | None, dist: DiscreteDistribution) -> Fraction:
+    """P[E r = 0] over the m components of r that E_S's columns, the nonzero
+    columns of E, multiply; the other components marginalize out.  E_S r_S
+    = 0 exactly when E r = 0, as its rows span E's row space.
 
-    With the columns split as E_S r_S = E_L r_L + E_H r_H + e r_last, r
-    accepts when E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins
-    a table of -E_L r_L over the first half of the columns with the
-    residuals of the rest, streamed one support value of the last column at
-    a time; or, when that table has fewer keys than the law has support
-    values, by solving for r_last once per key (``_solved_join``).
+    When E_S has full column rank (``rank`` = m, or m = 1 with or without a
+    computed rank), E_S r_S = 0 only for r_S = 0, so the probability is
+    (weight of 0 / total) ** m and no table is built.  Otherwise, with the
+    columns split as E_S r_S = E_L r_L + E_H r_H + e r_last, r accepts when
+    E_H r_H + e r_last = -E_L r_L.  So the accepting mass joins a table of
+    -E_L r_L over the first half of the columns with the residuals of the
+    rest, streamed one support value of the last column at a time.
     """
+    m = e_s.cols
+    if rank == m or m == 1:
+        return Fraction(dist._weight_of_zero() ** m, dist.total ** m)
     p = e_s.ring.modulus
     columns = [tuple(col) for col in e_s.data.T.tolist()]
-    m, rows, half = len(columns), e_s.rows, len(columns) // 2
-    low = _residual_table([tuple(-y for y in col) for col in columns[:half]], dist, p, rows)
-    high = _residual_table(columns[half:-1], dist, p, rows)
-    if len(low) < len(dist):
-        numerator = _solved_join(high, low, columns[-1], dist, p)
-    else:
-        numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
+    low = _residual_table([tuple(-y for y in col) for col in columns[:m // 2]], dist, p, e_s.rows)
+    high = _residual_table(columns[m // 2:-1], dist, p, e_s.rows)
+    numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
     return Fraction(numerator, dist.total ** m)
-
-
-def _solved_join(
-    high: dict[tuple[int, ...], int], low: dict[tuple[int, ...], int], col: tuple[int, ...],
-    dist: DiscreteDistribution, p: int | None,
-) -> int:
-    """``sum(w * low.get(key, 0) for key, w in _shifted(high, col, dist, p))``
-    with one probe per pair of a residual and a key of ``low`` instead of one
-    per support value.  In an integral domain res + v * col = key has at most
-    one solution v, read off a nonzero entry of ``col`` (an exact quotient
-    over Z, a product with the inverse mod p); it counts if the whole
-    residual matches and v is a support value."""
-    j = next(i for i, y in enumerate(col) if y)
-    inverse = None if p is None else pow(col[j], -1, p)
-    found: dict[int, int] = {}
-    for res, w in high.items():
-        for key, wl in low.items():
-            if p is None:
-                v, rest = divmod(key[j] - res[j], col[j])
-                if rest or any(x + v * y != k for x, y, k in zip(res, col, key)):
-                    continue
-            else:
-                v = (key[j] - res[j]) * inverse % p
-                if any((x + v * y - k) % p for x, y, k in zip(res, col, key)):
-                    continue
-            found[v] = found.get(v, 0) + w * wl
-    weights = dist._weights_at(found)
-    return sum(w * weights[v] for v, w in found.items() if v in weights)
 
 
 def _rounds_fit(a: Matrix, b: Matrix, c: Matrix, dist: DiscreteDistribution) -> bool:
@@ -426,7 +401,7 @@ def analyze_instance(
     return ErrorReport(
         p_max(dist),
         profile,
-        _exact_fap(e_s, dist) if exact else None,
+        _exact_fap(e_s, profile.difference_rank, dist) if exact else None,
         _empirical_rate(a, b, c, e_s if on_e else None, cols, dist, trials, seed) if trials is not None else None,
     )
 

@@ -254,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--c", required=True)
     p_analyze.add_argument("--dist", default="u01")
     p_analyze.add_argument(
-        "--exact", action="store_true", help="enumerate the exact probability"
+        "--exact",
+        action="store_true",
+        help="the exact probability: (mass of 0)^m when the m differing "
+        "columns are independent, else by enumeration",
     )
     p_analyze.add_argument(
         "--trials", type=int, default=None, help="measure an empirical rate"

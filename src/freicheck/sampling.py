@@ -50,7 +50,7 @@ from .errors import (
     InvalidRing,
     SupportTooSmall,
 )
-from .matrix import INT64_MAX, INT64_MIN, PRIME_FIELD, RingSpec, Vector
+from .matrix import INT64_MAX, INT64_MIN, PRIME_FIELD, RingSpec, Vector, _without_leading_zeros
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -226,11 +226,9 @@ class DiscreteDistribution:
         """The largest support value in absolute value."""
         return max(-int(self._support_arr.min()), int(self._support_arr.max()))
 
-    def _weights_at(self, values) -> dict[int, int]:
-        """``{v: weight of v}`` for each of ``values`` in the support."""
-        wanted = [v for v in values if INT64_MIN <= v <= INT64_MAX]
-        hits = np.flatnonzero(np.isin(self._support_arr, np.array(wanted, dtype=np.int64)))
-        return {self.support[i]: self.weights[i] for i in hits.tolist()}
+    def _weight_of_zero(self) -> int:
+        """The weight of the support value 0, or 0 if 0 is not one."""
+        return self.weights[self.support.index(0)] if 0 in self.support else 0
 
     def _draw(self, words: np.ndarray) -> np.ndarray:
         """Support values the raw 64-bit words select through the cut points,
@@ -250,12 +248,14 @@ _LISTED = 1 << 10
 
 class _FieldUniform(DiscreteDistribution):
     """Uniform law on Z_p, stored as p alone, so building it costs O(1) for
-    any prime.  Support and weights are built only when read (the exact
-    enumeration reads them, after its budget check).  Past ``_LISTED``
-    values it hashes and prints by p alone, and compares with another law
-    by p unless that law holds p values itself.  A word w selects
-    ((w + 1) * p - 1) >> 64: the value whose cut points, i * 2**64 // p,
-    bracket it, so the draws equal those of the general law."""
+    any prime.  Support and weights are built only when read: the exact
+    enumeration reads them, after its budget check, when E's nonzero columns
+    are dependent, and otherwise the exact probability reads the weight of
+    0 alone.  Past ``_LISTED`` values it hashes and prints by p alone, and
+    compares with another law by p unless that law holds p values itself.
+    A word w selects ((w + 1) * p - 1) >> 64: the value whose cut points,
+    i * 2**64 // p, bracket it, so the draws equal those of the general
+    law."""
 
     __slots__ = ()
 
@@ -289,8 +289,8 @@ class _FieldUniform(DiscreteDistribution):
     def _magnitude(self) -> int:
         return self.total - 1
 
-    def _weights_at(self, values) -> dict[int, int]:
-        return {v: 1 for v in values if 0 <= v < self.total}
+    def _weight_of_zero(self) -> int:
+        return 1
 
     def validate_for_ring(self, ring: RingSpec) -> None:
         m, p = ring.modulus, self.total
@@ -407,7 +407,7 @@ def parse_dist(text: str, ring: RingSpec) -> DiscreteDistribution:
     if text.startswith("usup:"):
         body = text[len("usup:"):]
         try:
-            values = tuple(int(tok) for tok in body.split(","))
+            values = tuple(int(_without_leading_zeros(tok)) for tok in body.split(","))
         except ValueError:
             raise ConfigInvalid(f"bad support list {body!r} in {text!r}") from None
         return uniform_support(values)

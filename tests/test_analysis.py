@@ -1,9 +1,9 @@
 """False-accept analysis against independent brute-force oracles.
 
 ``brute_fap`` in util.py enumerates the full support^n space with plain
-Python arithmetic, so every agreement below means the library's reduced,
-meet-in-the-middle enumeration reproduced a value computed by a completely
-separate route.  Hand-derived expected values are frozen inline.
+Python arithmetic, so every agreement below means the library's closed form
+or its reduced, meet-in-the-middle enumeration reproduced a value computed by
+a completely separate route.  Hand-derived expected values are frozen inline.
 """
 
 import importlib
@@ -242,45 +242,15 @@ def test_exact_fap_matches_full_space_oracle(ring, dists, triple, wide):
             assert got == expected
 
 
-@pytest.mark.parametrize(
-    "ring, dist",
-    [
-        (INT64, U01),
-        (INT64, uniform_support((-2, 0, 1, 3))),
-        (INT64, uniform_support((1, 2, 4))),
-        (INT64, DiscreteDistribution((-1, 0, 2), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))),
-        (ZP5, field_uniform(ZP5)),
-        (ZP5, uniform_support((0, 2, 3))),
-        (RingSpec.prime_field(7), field_uniform(RingSpec.prime_field(7))),
-    ],
-    ids=["int64-u01", "int64-usup4", "int64-no-zero", "int64-general", "zp5-field", "zp5-usup3", "zp7-field"],
-)
-def test_solved_join_equals_the_walk_over_the_support(ring, dist):
-    # The last step of the exact join, by solving for v per pair of keys
-    # and by walking every support value, on random E with small entries so
-    # that residuals collide often.
-    p = ring.modulus
-    rng = random.Random(5 if p is None else p)
-    for trial in range(40):
-        rows, m = rng.randint(1, 3), rng.randint(1, 4)
-        cols = [tuple(rng.randint(-3, 3) for _ in range(rows)) for _ in range(m)]
-        if p is not None:
-            cols = [tuple(v % p for v in col) for col in cols]
-        if not any(cols[-1]):
-            continue
-        half = m // 2
-        low = analysis_mod._residual_table([tuple(-y for y in col) for col in cols[:half]], dist, p, rows)
-        high = analysis_mod._residual_table(cols[half:-1], dist, p, rows)
-        walked = sum(w * low.get(key, 0) for key, w in analysis_mod._shifted(high, cols[-1], dist, p))
-        assert analysis_mod._solved_join(high, low, cols[-1], dist, p) == walked
-
-
 def test_one_differing_column_solves_instead_of_walking_the_support(monkeypatch):
-    # With one differing column the low table holds one key, so the join
-    # solves e v = 0 once instead of walking 2^20 support values.
+    # One differing column has rank 1, so e v = 0 only for v = 0 and the
+    # probability is the mass of 0, with no table and no walk over 2^20
+    # support values; with no rank computed (RANK_LIMIT = 0) as well, and
+    # over zp 2^61 - 1 without building the field law's p support values.
     walked = []
-    orig = analysis_mod._shifted
-    monkeypatch.setattr(analysis_mod, "_shifted", lambda *args: walked.append(args) or orig(*args))
+    for name in ("_shifted", "_residual_table"):
+        orig = getattr(analysis_mod, name)
+        monkeypatch.setattr(analysis_mod, name, lambda *args, orig=orig: walked.append(args) or orig(*args))
     a, b = Matrix(1, 1, INT64, [[3]]), Matrix(1, 1, INT64, [[5]])
     dist = uniform_support(range(-(1 << 19), 1 << 19))
     assert exact_false_accept_probability(a, b, Matrix(1, 1, INT64, [[14]]), dist) == Fraction(1, 1 << 20)
@@ -288,6 +258,18 @@ def test_one_differing_column_solves_instead_of_walking_the_support(monkeypatch)
     fa, fb = Matrix(1, 1, zp, [[3]]), Matrix(1, 1, zp, [[5]])
     got = exact_false_accept_probability(fa, fb, Matrix(1, 1, zp, [[14]]), field_uniform(zp))
     assert got == Fraction(1, 1048573)
+
+    def refuse(self):
+        raise AssertionError("the field law's support or weights were built")
+
+    monkeypatch.setattr(analysis_mod, "RANK_LIMIT", 0)
+    for name in ("support", "weights"):
+        monkeypatch.setattr(type(field_uniform(ZP61)), name, property(refuse))
+    p = ZP61.modulus
+    fa, fb = Matrix(1, 1, ZP61, [[3]]), Matrix(1, 1, ZP61, [[5]])
+    report = analyze_instance(fa, fb, Matrix(1, 1, ZP61, [[14]]), field_uniform(ZP61), exact=True, budget=p)
+    assert report.instance_profile.difference_rank is None
+    assert report.exact_fap == Fraction(1, p)
     assert walked == []
 
 
@@ -305,13 +287,15 @@ def test_exact_fap_never_exceeds_p_max():
     [
         (20, "dense-random", U01, Fraction(1, 1 << 20)),
         (20, "rank-one", U01, None),
-        (7, "dense-random", uniform_support((0, 1, 2)), None),
+        (7, "dense-random", uniform_support((0, 1, 2)), Fraction(1, 3**7)),
+        (7, "rank-one", uniform_support((0, 1, 2)), None),
     ],
-    ids=["dense20-u01", "rank-one20-u01", "dense7-usup3"],
+    ids=["dense20-u01", "rank-one20-u01", "dense7-usup3", "rank-one7-usup3"],
 )
 def test_stored_tables_hold_at_most_s_to_the_half_m(monkeypatch, n, mode, dist, expected):
     # The two residual tables cover floor(m/2) and ceil(m/2) - 1 columns, so
-    # neither holds more than s**(m // 2) entries: 1024 at dense n=20, u01.
+    # neither holds more than s**(m // 2) entries.  A full-rank E builds
+    # none: only r = 0 on its columns accepts.
     a, b, c = generate_instance(InstanceSpec(n, INT64, mode, 3, entry_bound=1 << 24))
     sizes = []
     orig = analysis_mod._residual_table
@@ -324,9 +308,12 @@ def test_stored_tables_hold_at_most_s_to_the_half_m(monkeypatch, n, mode, dist, 
     monkeypatch.setattr(analysis_mod, "_residual_table", spy)
     report = analyze_instance(a, b, c, dist, exact=True)
     m, s = report.instance_profile.y_size, len(dist.support)
-    assert len(sizes) == 2 and max(sizes) <= s ** (m // 2)
-    if expected is not None:
-        assert (m, max(sizes)) == (n, 1024) and report.exact_fap == expected
+    if expected is None:
+        assert report.instance_profile.difference_rank == 1 < m
+        assert len(sizes) == 2 and max(sizes) <= s ** (m // 2)
+    else:
+        assert report.instance_profile.difference_rank == m == n
+        assert sizes == [] and report.exact_fap == expected
 
 
 def test_full_rank_at_the_budget_edge():
@@ -770,9 +757,10 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
 
 
 def test_arguments_are_checked_before_any_product(monkeypatch):
-    # The enumeration here covers 2^20 vectors; a check made after it would
-    # pay for its residual tables before refusing.
-    a, b, c = generate_instance(InstanceSpec(20, INT64, "dense-random", 3))
+    # The enumeration here covers 2^20 vectors and, as E has rank 1, builds
+    # residual tables; a check made after it would pay for them before
+    # refusing.
+    a, b, c = generate_instance(InstanceSpec(20, INT64, "rank-one", 3))
     ran = []
     orig = analysis_mod._residual_table
     monkeypatch.setattr(analysis_mod, "_residual_table", lambda *args: ran.append(args) or orig(*args))
@@ -786,6 +774,8 @@ def test_arguments_are_checked_before_any_product(monkeypatch):
             analyze_instance(a, b, c, U01, **kwargs)
         assert scalar_multiplies() == 0
     assert ran == []
+    analyze_instance(a, b, c, U01, exact=True, trials=5)
+    assert len(ran) == 2
 
 
 def test_check_order_for_inputs_with_two_faults():
@@ -1032,7 +1022,9 @@ def test_the_exact_fap_on_the_row_basis_matches_every_nonzero_row(monkeypatch, n
     e = mat_sub(matmul(a, b), c)
     kept = []
     fap = analysis_mod._exact_fap
-    monkeypatch.setattr(analysis_mod, "_exact_fap", lambda e_s, dist: kept.append(e_s.rows) or fap(e_s, dist))
+    monkeypatch.setattr(
+        analysis_mod, "_exact_fap", lambda e_s, rank, dist: kept.append(e_s.rows) or fap(e_s, rank, dist)
+    )
     for dist in (U01, bernoulli(Fraction(1, 5))):
         kept.clear()
         on_basis = analyze_instance(a, b, c, dist, exact=True)
@@ -1060,25 +1052,35 @@ def _low_rank_triple(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_low_rank_triple(), st.sampled_from(["u01", "bern:1/3", "usup:-1,0,2", "field"]))
+@given(_low_rank_triple(), st.sampled_from(["u01", "bern:1/3", "usup:-1,0,2", "usup:1,2", "field"]))
 def test_exact_fap_is_at_most_p_max_to_the_rank(triple, law):
     # Fix r outside the columns J of a nonsingular rank(E) x rank(E) minor:
     # E r = 0 leaves at most one r_J, of mass at most p_max^rank.  Under the
     # field law E r is uniform on E's column space, so P = p^-rank exactly.
+    # When the m nonzero columns are independent only r = 0 on them
+    # accepts, so P = (mass of 0)^m: 0 for a law without 0.
     a, b, c, rank = triple
     ring = a.ring
     if law == "field":
         assume(ring.modulus)
         dist = field_uniform(ring)
     else:
-        dist = {"u01": U01, "bern:1/3": bernoulli(Fraction(1, 3)), "usup:-1,0,2": uniform_support((-1, 0, 2))}[law]
+        dist = {
+            "u01": U01, "bern:1/3": bernoulli(Fraction(1, 3)), "usup:-1,0,2": uniform_support((-1, 0, 2)),
+            "usup:1,2": uniform_support((1, 2)),
+        }[law]
         if ring.modulus:
             assume(all(0 <= x < ring.modulus for x in dist.support))
     fap = exact_false_accept_probability(a, b, c, dist)
-    assert difference_profile(a, b, c).difference_rank == rank
+    profile = difference_profile(a, b, c)
+    assert profile.difference_rank == rank
     assert fap <= p_max(dist) ** rank
     if law == "field":
         assert fap == Fraction(1, ring.modulus ** rank)
+    if rank == profile.y_size:
+        assert fap == dict(zip(dist.support, dist.probs)).get(0, 0) ** rank
+    if len(dist) ** a.rows <= 1024:
+        assert fap == brute_fap(a, b, c, dist.support, dist.probs)
 
 
 def test_exact_rank_makes_no_fraction(monkeypatch):

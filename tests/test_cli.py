@@ -434,6 +434,21 @@ def test_header_numbers_past_the_int_to_str_digit_limit_keep_the_exit_codes(tmp_
     _expect_error(capsys, "FormatError", *argv)
 
 
+def test_usup_values_past_the_int_to_str_digit_limit_keep_the_exit_codes(tmp_path, capsys):
+    # 5,000 leading zeros in a --dist usup: value keep the verdict's exit
+    # code and, past the spec it echoes, its stdout; 5,000 nines are a bad
+    # support list, exit 2.
+    _, payload = _gen(capsys, tmp_path, "single-column")
+    files = payload["files"]
+    argv = ["verify", "--a", files["a"], "--b", files["b"], "--c", files["c"], "-k", "20", "--seed", "2"]
+    _, before, _ = _run(capsys, *argv, "--dist", "usup:0,1,2")
+    spec = "usup:" + "0" * 5000 + ",1,0002"
+    code, out, err = _run(capsys, *argv, "--dist", spec)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {**json.loads(before), "dist": spec}
+    _expect_error(capsys, "ConfigInvalid", *argv, "--dist", "usup:" + "9" * 5000 + ",1")
+
+
 def test_dimension_mismatch_is_reported(tmp_path, capsys):
     from freicheck import Matrix, RingSpec
 

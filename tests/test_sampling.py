@@ -474,6 +474,17 @@ def test_parse_dist_rejects_bad_specs(bad):
         parse_dist(bad, INT64)
 
 
+def test_usup_values_past_the_int_to_str_digit_limit():
+    # int() refuses more than 4,300 digits, leading zeros too: 5,000 of them
+    # leave a value as it is, and 5,000 nines keep the bad-list message.
+    zeros = "0" * 5000
+    assert parse_dist(f"usup:{zeros}1,2", INT64) == uniform_support((1, 2))
+    assert parse_dist(f"usup:-{zeros}3,{zeros}", INT64) == uniform_support((-3, 0))
+    body = "9" * 5000 + ",2"
+    with pytest.raises(ConfigInvalid, match=f"^bad support list '{body}' in 'usup:{body}'$"):
+        parse_dist("usup:" + body, INT64)
+
+
 def test_parse_dist_field_needs_field_ring():
     with pytest.raises(InvalidRing):
         parse_dist("field", INT64)
