@@ -2,10 +2,10 @@
 
     python scripts/bench_limb_split.py [--parent SRC] [--repeats R] [--out FILE]
 
-``BENCH_early_reject.json`` at the repo root was written by this script
-with ``--parent``, ``BENCH_row_streaming.json`` and
-``BENCH_wide_products.json`` by its earlier form, which kept the lower of
-two runs per tree, and ``BENCH_limb_split.json`` by a form without
+``BENCH_lean_limbs.json`` and ``BENCH_early_reject.json`` at the repo root
+were written by this script with ``--parent``, ``BENCH_row_streaming.json``
+and ``BENCH_wide_products.json`` by its earlier form, which kept the lower
+of two runs per tree, and ``BENCH_limb_split.json`` by a form without
 ``wide_products``.
 
 Instances are generated once, with the freicheck in this checkout's ``src``,
@@ -18,11 +18,12 @@ median of R runs after one warm-up run.
 Without ``--parent`` one interpreter runs and its times are printed.  With
 ``--parent`` ``PAIRS`` (5) pairs of interpreters run, one per tree,
 alternating which tree runs first.  Each row of ``verify``,
-``verify_reject``, ``matmul`` and ``wide_products`` then reports, per tree,
-the median and quartiles of its five times, and the change's speed-up as
-the ratio of the medians.  A row whose two quartile ranges overlap is marked
-``"unresolved"``: fresh interpreters on a shared machine differ by tens of
-percent, and such a row shows no difference either way.  The change-only
+``verify_reject``, ``matmul``, ``wide_products`` and ``einsum_vs_limbs``
+then reports, per tree, the median and quartiles of its five times, and the
+change's speed-up as the ratio of the medians.  A row whose two quartile
+ranges overlap is marked ``"unresolved"``: fresh interpreters on a shared
+machine differ by tens of percent, and such a row shows no difference
+either way.  The change-only
 sections hold the medians over the change's interpreters.
 
 Rows:
@@ -38,15 +39,18 @@ Rows:
   threads, timed alternately after 2 s of warm-up;
 * ``wide_products``: ``_exact_dot`` on n x n by n x w products whose bound
   lies in (2^53, 2^63 - 1], int64 and Z_p for the largest prime below 2^26,
-  with the tier it picks.  At n = 64, w = 2047 is the second trial block of
-  a k = 2048 verify, within the 2^17 entries ``verify`` allows a block
-  wider than tall; w = 4000 is wider than any block it makes;
+  with the tier it picks.  The int64 x has entries up to 2^24 and y up to
+  2^58 / (n 2^24), so the bound is 2^58, as for A(BR) in a verify with
+  entries up to 2^24 (y is then BR).  At n = 64, w = 19 is the second trial
+  block of a k = 20 verify, and w = 2047 that of a k = 2048 verify, within
+  the 2^17 entries ``verify`` allows a block wider than tall; w = 4000 is
+  wider than any block it makes;
 * ``einsum_vs_limbs``: the same products on the int64 ``einsum`` tier and on
   the limb tier, whatever the chooser picks.  This is the table the
-  chooser's ``einsum`` size limit is read from.
+  chooser's ``einsum`` limits are read from.
 
-``threads`` and ``einsum_vs_limbs`` need the limb tier, so they are measured
-on this checkout only.
+``threads`` times BLAS itself, not the program, so only this checkout's
+medians are reported.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ VERIFY = [("int64", None), ("zp", P31), ("zp", P61)]
 REJECT = [("int64", None), ("zp", P31)]
 MATMUL = [("zp", P31, None), ("zp", P61, None), ("int64", None, 2**28 - 1)]
 EINSUM_SHAPES = [
-    (64, 1), (64, 19), (64, 64), (64, 128), (64, 2047), (64, 4000),
-    (256, 4), (256, 8),
-    (1024, 1), (1024, 2), (1024, 3), (1024, 10), (1024, 100),
+    (8, 2), (8, 4), (8, 8), (16, 16), (32, 4), (32, 32),
+    (64, 1), (64, 2), (64, 4), (64, 19), (64, 64), (64, 128), (64, 2047), (64, 4000),
+    (128, 2), (128, 8), (256, 2), (256, 4), (256, 8), (512, 2), (512, 4),
+    (1024, 1), (1024, 2), (1024, 3), (1024, 4), (1024, 10), (1024, 100),
 ]
 WIDE_RINGS = [("int64", None), ("zp", P26)]
 # Interpreter pairs with --parent.
@@ -120,9 +125,9 @@ def generate(data: Path) -> None:
                 x = rng.integers(0, p, size=(n, n), dtype=np.int64)
                 y = rng.integers(0, p, size=(n, w), dtype=np.int64)
             else:
-                mag = 2**24 if n <= 256 else 2**22
-                x = rng.integers(-mag, mag + 1, size=(n, n), dtype=np.int64)
-                y = rng.integers(-mag, mag + 1, size=(n, w), dtype=np.int64)
+                my = 2**58 // (n * 2**24)
+                x = rng.integers(-(2**24), 2**24 + 1, size=(n, n), dtype=np.int64)
+                y = rng.integers(-my, my + 1, size=(n, w), dtype=np.int64)
             np.savez(data / f"wide_{_name(kind, p)}_{n}_{w}.npz", x=x, y=y)
 
 
@@ -164,17 +169,15 @@ def measure(data: Path, repeats: int) -> dict:
         label = _name(kind, p) + (f" entries < 2^{bound.bit_length()}" if bound else "")
         out["matmul"][label] = _median_ms(lambda: fc.matmul(a, b), repeats)
     out["wide_products"] = _wide_products(fc, matrix, data, repeats)
-    if hasattr(matrix, "_limb_product"):
-        out["threads"] = _threads(matrix, data, repeats)
-        out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
+    out["threads"] = _threads(matrix, data, repeats)
+    out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
     return out
 
 
 def _tier_of(matrix, call) -> str:
     """The tier ``_exact_dot`` runs ``call`` on: limbs, float64 or einsum."""
     used = []
-    # Trees before the row stream name the tiers' entry points differently.
-    names = ("_float_product", "_limb_product") if hasattr(matrix, "_limb_product") else ("_float_dot", "_limb_dot")
+    names = ("_float_product", "_limb_product")
     real = {name: getattr(matrix, name) for name in names}
 
     def spy(name):
@@ -340,6 +343,13 @@ def _ratios(parent: dict, change: dict) -> dict:
               **_compare(parent["wide_products"][key]["ms"], row["ms"])}
         for key, row in change["wide_products"].items()
     }
+    doc["einsum_vs_limbs"] = [
+        {**{k: v[0] if isinstance(v, list) else v for k, v in row.items() if not k.endswith("_ms")},
+         "einsum_ms": _medians(row["einsum_ms"]),
+         "limbs": _compare(before["limbs_ms"], row["limbs_ms"]),
+         "change_limbs_over_einsum": round(statistics.median(row["limbs_ms"]) / statistics.median(row["einsum_ms"]), 2)}
+        for before, row in zip(parent["einsum_vs_limbs"], change["einsum_vs_limbs"])
+    ]
     return doc
 
 
@@ -371,13 +381,13 @@ def main() -> None:
         + f" --repeats {args.repeats}" + (f" --out {args.out.name}" if args.out else ""),
         "machine": _machine(),
         "repeats": args.repeats,
-        "change_only": _medians({k: change[k] for k in ("threads", "einsum_vs_limbs")}),
+        "change_only": _medians({"threads": change["threads"]}),
     }
     if parent:
         doc["pairs"] = PAIRS
         doc.update(_ratios(parent, change))
     else:
-        doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products")})
+        doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products", "einsum_vs_limbs")})
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

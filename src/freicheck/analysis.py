@@ -66,7 +66,8 @@ from .matrix import (
     Matrix,
     RingSpec,
     Vector,
-    _exact_dot,
+    _block,
+    _exact_product,
     _fill,
     _is_prime,
     mat_add,
@@ -345,11 +346,12 @@ def _error_trials(
     A block has ``_TRIAL_BLOCK // k`` columns, at least one, for
     k = max(rows, m), and is drawn only when reached: so neither R_S nor its
     product passes ``_TRIAL_BLOCK`` entries."""
-    ring, components = e_s.ring, np.array(cols, dtype=np.uint64)
+    e, p, components = e_s.data, e_s.ring.modulus, np.array(cols, dtype=np.uint64)
+    me, rho, scratch = e_s._magnitude(), dist._magnitude(), {}
     width = max(1, _TRIAL_BLOCK // max(e_s.rows, e_s.cols))
     for start in range(0, stop, width):
         r = _sample_trial_block(dist, components, seed, start, min(stop, start + width))
-        yield _exact_dot(e_s, Matrix._wrap(r, ring), ring)
+        yield _block(e, _exact_product(e, r, p, me, rho, scratch))
 
 
 def _empirical_rate(

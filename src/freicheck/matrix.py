@@ -17,16 +17,16 @@ product.
 Every product of ``Matrix``/``Vector`` operands (``matmul``, ``mat_vec``,
 ``outer`` and the verifier's fingerprint blocks) goes through one chooser,
 ``_exact_product``.  It picks a tier once per product, from a bound on
-every partial sum of the whole of ``x @ y``, ``inner * max|x| * max|y|``,
-using the entries' real magnitudes in both rings, and returns the tier's
-block product: a function of any run of rows of ``x``, with ``y``
+every partial sum of the whole of ``x @ y``, ``inner * mx * my``, for
+bounds ``mx >= max|x|`` and ``my >= max|y|`` in both rings, and returns the
+tier's block product: a function of any run of rows of ``x``, with ``y``
 converted (and split into limbs) once, when the product is set up.
-``_exact_dot`` applies it to all of ``x``.  ``_exact_rows`` streams it
-over row blocks of ``_FLOAT_BLOCK // inner`` rows, about 1 MiB of entries
-(a square ``x`` of up to 362 rows is one block), computing each block only
-when it is read, so the verifier can compare A(BR) with CR block by block
-and stop early.  Each tier bounds its own temporaries, whatever the rows
-asked for.  The tier is the fastest one that the bound proves exact:
+``_exact_dot`` applies it to all of ``x``, with both operands' own
+magnitudes.  ``verify`` streams it over row blocks of ``_FLOAT_BLOCK //
+inner`` rows, about 1 MiB of entries (a square ``x`` of up to 362 rows is
+one block), with bounds it plans once per call.  Each tier bounds its own
+temporaries, whatever the rows asked for.  The tier is the fastest one
+that the bound proves exact:
 
 * at most 2**53, ``y`` has more than one column and the inner dimension
   is past 1: float64 BLAS.  Every product and partial sum is then an
@@ -36,32 +36,39 @@ asked for.  The tier is the fastest one that the bound proves exact:
   made, and no float64 copy is kept.  In the package only blocks of
   trial vectors have more columns than rows, and ``verify`` keeps each of
   those within 1 MiB, so ``y`` stays in cache too;
-* at most 2**63 - 1 or checked int64, and ``y`` has one column, the
-  inner dimension is 1 or the product has at most ``_EINSUM_MACS`` (2**18)
-  multiply-adds: int64 numpy, ``einsum`` of the rows asked for against
-  ``y`` transposed once, so both operands are read along rows (numpy's
-  float64 ``matmul`` runs an inner dimension of 1 on a slow generic loop,
-  not BLAS).  Larger products run faster on limbs;
-* otherwise limbs on float64 BLAS, for both rings.  ``x`` is split into
-  a-bit limbs and ``y`` into b-bit limbs; among the splits with
+* at most 2**63 - 1 or checked int64, and ``y`` has at most two columns,
+  the inner dimension is 1 or the product has at most ``_EINSUM_MACS``
+  (98,304) multiply-adds: int64 numpy, ``einsum`` of the rows asked for
+  against ``y`` transposed once, so both operands are read along rows
+  (numpy's float64 ``matmul`` runs an inner dimension of 1 on a slow
+  generic loop, not BLAS).  Larger and wider products run faster on limbs
+  (``BENCH_lean_limbs.json``);
+* otherwise limbs on float64 BLAS, for both rings: the same BLAS path as
+  the first tier, with the operands split.  ``x`` is split into a-bit
+  limbs and ``y`` into b-bit limbs, two's complement digits below a top
+  limb that carries the sign; among the splits with
   ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
   product is exact, the one with the fewest limb products is taken, and
   on a tie the one that splits the operand with fewer entries further.
   For p = 2**31 - 1 at n = 1024 that is three 12-bit limbs of ``y`` and
   ``x`` whole; for p = 2**61 - 1, three limbs on each side; for a 64 x 64
   ``x`` with entries up to 2**24 against a 64 x 3999 block, two limbs of
-  ``x`` and ``y`` whole.  ``y``'s limbs go as extra columns of one BLAS
-  call per limb of ``x``, and ``x`` is split as it is converted.  The
-  limb products are recombined a piece of rows at a time before the next
-  piece's are computed: a row block of the stream is one piece, and so is
-  all of ``x`` when its limb products are narrow (a mat-vec, a block of
-  ten trial vectors); a wide product holds at most one BLAS call's rows of
-  them at once.  Recombination goes by Horner steps: mod p in uint64,
-  shifting by at most ``64 - bitlen(p)`` bits at a time so no step leaves
-  64 bits for any p below 2**63; in ``int64`` by wrapping shift-adds,
-  exact wherever the true entry fits.  A piece costs ten numpy calls for
-  p = 2**31 - 1 and seventy for p = 2**61 - 1 (3-bit shift steps), which
-  a Z_p verify at n = 1024 pays per 128-row block of each product.
+  ``x`` and ``y`` whole.  ``y``'s limbs stand side by side as the columns
+  of one float64 array.  Rows of ``x`` are split as they are converted,
+  straight into the reused buffer, each row's limbs on consecutive rows,
+  so one BLAS call covers every limb product of those rows.  The limb
+  products of a span of rows (a row block of the stream, or all of ``x``
+  when they are narrow) go to int64 in one call, one plane per limb
+  product, and are recombined into the output by in-place Horner steps,
+  high limbs first: over y's limbs for every limb of x at once, then over
+  x's limbs; mod p in uint64, shifting by at most ``64 - bitlen(p)`` bits
+  at a time so no step leaves 64 bits for any p below 2**63; in
+  ``int64`` by wrapping shift-adds, exact wherever the true entry fits.
+  Recombining a span costs ten numpy calls for p = 2**31 - 1 and seventy
+  for p = 2**61 - 1 (3-bit shift steps), which a Z_p verify at n = 1024
+  pays once per 128-row block of each product.  A whole two-limb int64
+  product at n = 64, 19 columns, takes about fifteen numpy calls and costs
+  about as much as ``einsum`` there, hence the limits above.
 
 The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
@@ -95,6 +102,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -274,7 +282,7 @@ class _Dense:
 
     def _magnitude(self) -> int:
         if self._bound is None:
-            self._bound = max(-int(self._a.min()), int(self._a.max()))
+            self._bound = _max_abs(self._a)
         return self._bound
 
     __hash__ = None
@@ -374,12 +382,19 @@ def _same_ring(x, y) -> None:
 
 
 _FLOAT_EXACT = 1 << 53
-# Multiply-adds up to which int64 ``einsum`` beats the limb tier on a
-# product past 2**53 (scripts/bench_limb_split.py, BENCH_wide_products.json).
-_EINSUM_MACS = 1 << 18
+# Past 2**53, int64 ``einsum`` keeps a product of at most this many
+# multiply-adds, and one of at most two columns, whose limb products pay
+# for converting all of x for little BLAS work.  In BENCH_lean_limbs.json
+# the limb tier took 0.97x einsum's time at 64 x 64 x 19 (77,824 in int64,
+# 1.35x in Z_p, and no less than einsum inside a whole verify), 0.75x at
+# 128 x 128 x 8 (131,072), and on two columns 1.2-6.3x up to n = 256 and
+# 0.95-1.03x at n = 512 and 1024.
+_EINSUM_MACS = 3 << 15
 # Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
 # of a large x is ever made, and calls stay few and large.
 _FLOAT_BLOCK = 1 << 17
+# The plan of a product with neither operand split.
+_WHOLE = (1, 0, 1, 0)
 
 
 @functools.cache
@@ -397,12 +412,15 @@ def _blas_thread_calls():
     return get, put
 
 
-def _block(xb: np.ndarray, product, p: int | None) -> np.ndarray:
-    """``product(xb)``, reduced mod ``p`` when given, adding ``rows * inner
-    * cols`` to the multiply count."""
+def _max_abs(v: np.ndarray) -> int:
+    """The largest entry magnitude of ``v``, by one scan."""
+    return max(-int(v.min()), int(v.max()))
+
+
+def _block(xb: np.ndarray, product) -> np.ndarray:
+    """``product(xb)``, adding ``rows * inner * cols`` to the multiply
+    count."""
     part = product(xb)
-    if p:
-        part %= p
     _ops.multiplies += part.size * xb.shape[1]
     return part
 
@@ -421,21 +439,138 @@ def _fill(blocks, rows: int) -> np.ndarray:
     return out
 
 
-def _float_product(y: np.ndarray, rows: int, dtype=np.int64, split=None):
-    """The block product of ``_exact_rows`` on float64 BLAS, for a left
-    operand of ``rows`` rows: ``xb @ y`` as ``dtype``, exact when every
-    partial sum is an integer of magnitude at most 2**53.
+def _magnitudes(v: np.ndarray) -> np.ndarray:
+    # abs wraps INT64_MIN onto itself, which reads as 2**63 in uint64.
+    return np.abs(v).view(np.uint64)
 
-    ``y`` is converted here, once; each block of x is converted into one
-    reused buffer as it is reached (half a block at a time against a small
-    ``y``), so it and its product stay in cache and no float64 copy of x is
-    made.  The package's wide ``y`` are blocks of trial vectors,
-    which ``verify`` bounds to ``_FLOAT_BLOCK`` entries (times their limb
-    count) whenever they have more columns than rows.
 
-    With ``split = (width, count, signed)`` it multiplies each of the
-    ``count`` limbs of the block (see ``_limbs``) by ``y`` instead and
-    returns the ``(count, rows, cols)`` stack.
+def _split(v: np.ndarray, width: int, count: int, dst: np.ndarray, tmp: np.ndarray | None) -> None:
+    """Write the ``count`` limbs of ``v``, low first, into ``dst[0]``,
+    ``dst[1]``, ... as float64: the two's complement digits ``(v >> width
+    * l) & (2**width - 1)`` below the top limb ``v >> width * (count -
+    1)``, which carries v's sign, so that v is the sum of ``limb[l] <<
+    (width * l)``.  A single limb is ``v`` itself.  Each digit is formed
+    in ``tmp``, an int64 array of v's shape, and then converted: a bitwise
+    ufunc writing float64 itself took about twice as long."""
+    if count == 1:
+        np.copyto(dst[0], v)
+        return
+    mask = (1 << width) - 1
+    for l in range(count):
+        # Past bit 63 every digit is the sign's, as at bit 63.
+        shift = min(width * l, 63)
+        if shift:
+            np.right_shift(v, shift, out=tmp)
+        if l < count - 1:
+            np.bitwise_and(tmp if shift else v, mask, out=tmp)
+        np.copyto(dst[l], tmp)
+
+
+def _limb_plan(rows: int, inner: int, cols: int, mx: int, my: int, signed: bool = False) -> tuple[int, int, int, int]:
+    """``(nx, a, ny, b)`` for a ``rows x inner`` x and an ``inner x cols``
+    y: split x into nx limbs of a bits (one limb is x itself) and y into ny
+    limbs of b bits, with the fewest limb products for which
+    ``inner * max|x limb| * (2**b - 1) <= 2**53``.  Among plans with as few
+    products, the one converting the fewest limb entries,
+    ``inner * (rows * nx + cols * ny)``, wins: the operand with fewer
+    entries is the one split further.
+
+    ``signed`` operands are split into two's complement digits (see
+    ``_split``), whose top limb takes the sign as one more bit, so every
+    limb stays below ``2**a`` (or ``2**b``) in magnitude.  The search stops
+    once nx alone passes the fewest products found."""
+    best, key = None, None
+    bits, nx = mx.bit_length(), 0
+    while nx < bits and (key is None or nx < key[0]):
+        nx += 1
+        a = bits if nx == 1 else -(-(bits + signed) // nx)
+        top = mx if nx == 1 else (1 << a) - 1
+        b = (_FLOAT_EXACT // (inner * top) + 1).bit_length() - 1
+        if b:
+            ny = 1 if my.bit_length() <= b else -(-(my.bit_length() + signed) // b)
+            cost = (nx * ny, rows * nx + cols * ny)
+            if key is None or cost < key:
+                best, key = (nx, a, ny, b), cost
+    return best
+
+
+def _shift_add(acc: np.ndarray, shift: int, add: np.ndarray, p: int | None, out: np.ndarray) -> None:
+    """``acc * 2**shift + add`` on uint64 arrays, into ``out``, which may
+    be ``acc``: wrapping for ``p`` None, else mod p for ``acc`` in [0, p)
+    and ``add`` in [0, 2**63).
+
+    Mod p the shift goes in steps of ``64 - bitlen(p)`` bits, so every
+    intermediate stays below 2**64 for every p below 2**63.
+    """
+    if p is None:
+        np.left_shift(acc, shift, out=out)
+        out += add
+        return
+    step = 64 - p.bit_length()
+    while shift:
+        s = min(step, shift)
+        np.left_shift(acc, s, out=out)
+        out %= p
+        acc, shift = out, shift - s
+    np.add(acc, add, out=out)
+    out %= p
+
+
+def _recombine(u: np.ndarray, a: int, b: int, p: int | None, out: np.ndarray) -> None:
+    """The sum of ``u[l, m] << (a l + b m)`` into ``out``, wrapping or mod
+    p, for limb products ``u`` (uint64, ``(nx, ny, rows, cols)``, at least
+    two of them, below 2**63 mod p), by in-place Horner steps, high limbs
+    first: over y's limbs for every limb of x at once, then over x's limbs.
+    The last step writes into ``out``; ``u`` is overwritten."""
+    nx, ny = u.shape[:2]
+    r = u[:, -1]
+    if p:
+        r %= p
+    for m in range(ny - 2, -1, -1):
+        _shift_add(r, b, u[:, m], p, out[None] if m == 0 and nx == 1 else r)
+    for l in range(nx - 2, -1, -1):
+        _shift_add(r[-1], a, r[l], p, out if l == 0 else r[-1])
+
+
+def _scratch(pool: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of ``shape``: a view of ``pool[name]`` when the
+    pool holds one of ``dtype`` at least that large, else a new one, which
+    the pool then keeps.  Without a pool, a new array each time."""
+    size = math.prod(shape)
+    if pool is None:
+        return np.empty(shape, dtype)
+    buf = pool.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = pool[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, dtype=np.int64, scratch: dict | None = None):
+    """The block product of a left operand of ``rows`` rows times ``y`` on
+    float64 BLAS: ``xb @ y`` as ``dtype``, reduced mod ``p`` when given,
+    under the limb split ``plan = (nx, a, ny, b)`` of ``_limb_plan``;
+    ``_WHOLE`` splits neither operand.  It is exact when every partial sum
+    of every limb product is an integer of magnitude at most 2**53.
+
+    ``y`` is split into its ny limbs here, once, and they stand side by
+    side as the columns of one float64 array.  Rows of x are split as they
+    are converted, into one reused buffer, with their nx limbs stacked as
+    rows, so one BLAS call covers every limb product of those rows and no
+    float64 copy of x is made.  The limb products are recombined into the
+    output at once, by in-place shift-adds (Horner steps, high limbs
+    first: over y's limbs for every limb of x, then over x's limbs), mod p
+    in uint64, and otherwise wrapping, exact wherever the true entry fits.
+
+    A BLAS call converts at most ``_FLOAT_BLOCK`` entries of x, and half
+    as many against a y of fewer entries, such as a block of trial
+    vectors, which ``verify`` bounds to ``_FLOAT_BLOCK`` entries whenever
+    it has more columns than rows.
+
+    The buffers that only a call of the block product uses, for x's limbs
+    and the limb products, come from ``scratch`` (see ``_scratch``), so
+    the products that share one pool reuse them: those of a verify call
+    or of an empirical rate.  The block product never suspends while it
+    holds them.
 
     Each call runs its BLAS calls on one OpenBLAS thread and restores the
     caller's count before it returns, so a stream left suspended or dropped
@@ -444,7 +579,7 @@ def _float_product(y: np.ndarray, rows: int, dtype=np.int64, split=None):
     make meanwhile also run on one thread.
     """
     inner, cols = y.shape
-    width, count, signed = split or (64, 1, False)
+    nx, a, ny, b = plan
     # BLAS packs y again on every call.  A y of a block's size or more is
     # multiplied by whole blocks, so it is packed as few times as possible.
     # A smaller y, such as a block of trial vectors, by half blocks: the
@@ -456,104 +591,71 @@ def _float_product(y: np.ndarray, rows: int, dtype=np.int64, split=None):
     # 10% faster with halves; an n = 1024 matmul ran 10-19% slower with
     # halves.
     block = _FLOAT_BLOCK if inner * cols >= _FLOAT_BLOCK else _FLOAT_BLOCK // 2
-    step = min(rows, block // inner or 1)
-    # The temporaries are allocated once, before any block's output: freed,
-    # they then lie below it in the heap, and the next product reuses their
-    # pages instead of faulting in fresh ones, which nearly doubled an
-    # n = 512 product on a 2-vCPU Xeon VM.
-    yf = y.astype(np.float64)
-    xf = np.empty((step, inner))
-    of = np.empty((step, cols))
+    step = min(rows, block // (nx * inner) or 1)
+    # Limb products are recombined a span of rows at a time: the rows of as
+    # many BLAS calls as hold at most _FLOAT_BLOCK limb products, and of at
+    # least one.  A verify's row block is one span, so a Z_p product pays
+    # the recombination's dozens of numpy calls once per row block.
+    span = max(step, min(rows, _FLOAT_BLOCK // (nx * ny * cols)) // step * step)
+    # The temporaries are allocated once, before any block's output, or
+    # taken from the scratch pool: freed, they then lie below it in the
+    # heap, and the next product reuses their pages instead of faulting in
+    # fresh ones, which nearly doubled an n = 512 product on a 2-vCPU Xeon
+    # VM.
+    if ny == 1:
+        yf = y.astype(np.float64)
+    else:
+        yf = np.empty((inner, ny, cols))
+        _split(y, b, ny, yf.transpose(1, 0, 2), _scratch(scratch, "int", y.shape, np.int64))
+        yf = yf.reshape(inner, ny * cols)
+    # Row i's limbs of x are rows i nx .. i nx + nx - 1 of xf, so the limb
+    # products of consecutive BLAS calls fill consecutive rows of of.
+    xf = _scratch(scratch, "x", (step * nx, inner), np.float64)
+    of = _scratch(scratch, "out", (span * nx, ny * cols), np.float64)
+    tmp = _scratch(scratch, "int", (step, inner), np.int64) if nx > 1 else None
+    ints = _scratch(scratch, "limbs", (nx, ny, span, cols), np.int64) if nx * ny > 1 else None
     threads = _blas_thread_calls()
 
+    def piece(xp: np.ndarray, part: np.ndarray) -> None:
+        # Rows xp, at most a span, of x times y, into the same rows of the
+        # output.
+        k = len(xp)
+        for j in range(0, k, step):
+            q = min(step, k - j)
+            xs = xf if q == step else xf[: q * nx]
+            if nx == 1:
+                np.copyto(xs, xp[j : j + q])
+            else:
+                _split(xp[j : j + q], a, nx, xs.reshape(q, nx, inner).transpose(1, 0, 2), tmp[:q])
+            np.matmul(xs, yf, out=of[j * nx : (j + q) * nx])
+        os = of if k == span else of[: k * nx]
+        if ints is None:
+            np.copyto(part, os, casting="unsafe")
+            if p:
+                part %= p
+            return
+        # Every limb product to int64 at once, one contiguous plane each.
+        planes = ints if k == span else ints[:, :, :k]
+        np.copyto(planes, os.reshape(k, nx, ny, cols).transpose(1, 2, 0, 3), casting="unsafe")
+        _recombine(planes.view(np.uint64), a, b, p, part.view(np.uint64))
+
     def product(xb: np.ndarray) -> np.ndarray:
-        m = len(xb)
-        out = np.empty((count, m, cols), dtype=dtype)
+        out = np.empty((len(xb), cols), dtype=dtype)
         before = threads[0]() if threads else 1
         if before != 1:
             threads[1](1)
         try:
-            for limb, part in zip(_limbs(xb, width, count, signed), out):
-                for j in range(0, m, step):
-                    k = min(step, m - j)
-                    np.copyto(xf[:k], limb[j : j + k])
-                    np.matmul(xf[:k], yf, out=of[:k])
-                    part[j : j + k] = of[:k]
+            if len(xb) <= span:
+                piece(xb, out)
+            else:
+                for j in range(0, len(xb), span):
+                    piece(xb[j : j + span], out[j : j + span])
         finally:
             if before != 1:
                 threads[1](before)
-        return out if split else out[0]
+        return out
 
     return product
-
-
-def _magnitudes(v: np.ndarray) -> np.ndarray:
-    # abs wraps INT64_MIN onto itself, which reads as 2**63 in uint64.
-    return np.abs(v).view(np.uint64)
-
-
-def _limbs(v: np.ndarray, width: int, count: int, signed: bool):
-    """Yield the ``count`` limbs of ``v``, low first: ``v`` is the sum of
-    ``limb[l] << (width * l)``, and each limb has ``v``'s sign (``v`` is
-    nonnegative unless ``signed``) and a magnitude below ``2**width``.  A
-    single limb is ``v`` itself."""
-    if count == 1:
-        yield v
-        return
-    mag = _magnitudes(v) if signed else v.view(np.uint64)
-    mask = np.uint64((1 << width) - 1)
-    negative = v < 0 if signed else None
-    for l in range(count):
-        limb = ((mag >> np.uint64(width * l)) & mask).view(np.int64)
-        if signed:
-            np.negative(limb, out=limb, where=negative)
-        yield limb
-
-
-def _limb_plan(rows: int, inner: int, cols: int, mx: int, my: int) -> tuple[int, int, int, int]:
-    """``(nx, a, ny, b)`` for a ``rows x inner`` x and an ``inner x cols``
-    y: split x into nx limbs of a bits (one limb is x itself) and y into ny
-    limbs of b bits, with the fewest limb products for which
-    ``inner * max|x limb| * (2**b - 1) <= 2**53``.  Among plans with as few
-    products, the one converting the fewest limb entries,
-    ``inner * (rows * nx + cols * ny)``, wins: the operand with fewer
-    entries is the one split further."""
-    best, key = None, None
-    for nx in range(1, mx.bit_length() + 1):
-        a = -(-mx.bit_length() // nx)
-        top = mx if nx == 1 else (1 << a) - 1
-        b = (_FLOAT_EXACT // (inner * top) + 1).bit_length() - 1
-        if b:
-            ny = -(-my.bit_length() // b)
-            cost = (nx * ny, rows * nx + cols * ny)
-            if key is None or cost < key:
-                best, key = (nx, a, ny, b), cost
-    return best
-
-
-def _shift_add(acc: np.ndarray, shift: int, add: np.ndarray, p: int | None) -> np.ndarray:
-    """``acc * 2**shift + add`` on int64 arrays, in place in ``acc``, which
-    it returns: wrapping for ``p`` None, else mod p for ``acc`` in [0, p)
-    and ``add`` in [0, 2**63).  In place, so no step faults in fresh
-    pages for its result.
-
-    Mod p the shift goes in steps of ``64 - bitlen(p)`` bits, so every
-    intermediate stays below 2**64 in uint64 for every p below 2**63.
-    """
-    u = acc.view(np.uint64)
-    if p is None:
-        u <<= np.uint64(shift)
-        u += add.view(np.uint64)
-        return acc
-    pu, step = np.uint64(p), 64 - p.bit_length()
-    while shift:
-        s = min(step, shift)
-        u <<= np.uint64(s)
-        u %= pu
-        shift -= s
-    u += add.view(np.uint64)
-    u %= pu
-    return acc
 
 
 def _check_entry(xi: list, yj: list, i: int, j: int) -> None:
@@ -582,103 +684,66 @@ def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
     the others run the exact check.
     """
     inner = x.shape[1]
-    cert = _float_product(_magnitudes(y), len(x), np.float64)(_magnitudes(x))
+    cert = _float_product(_magnitudes(y), len(x), dtype=np.float64)(_magnitudes(x))
     for i, j in np.argwhere(cert > float((1 << 63) - (inner + 2) * (1 << 11))).tolist():
         _check_entry(x[i].tolist(), y[:, j].tolist(), i, j)
 
 
-def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None):
-    """The block product of ``_exact_rows`` for ``x @ y`` exactly, reduced
-    mod ``p`` or, for ``p`` None, in int64 (past 2**63 - 1 an int64 product
-    is checked first, then takes the tier its size picks), from limb
-    products on float64 BLAS; ``mx``, ``my`` bound the operands' magnitudes.
-
-    ``y`` is split here, once.  The limb products are recombined
-    ``_FLOAT_BLOCK // min(inner, limb columns)`` rows at a time, where the
-    limb columns are ``nx * ny * cols`` per row: a row block of
-    ``_exact_rows`` is one piece, a narrow product over all of x is one
-    piece too, and a wide one holds no more limb products at a time than
-    one BLAS call's rows make."""
+def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None, scratch: dict | None = None):
+    """The block product for ``x @ y`` exactly, reduced mod ``p`` or, for
+    ``p`` None, in int64 (past 2**63 - 1 an int64 product is checked
+    first), from limb products on float64 BLAS under ``_limb_plan``'s
+    split; ``mx``, ``my`` bound the operands' magnitudes."""
     (rows, inner), cols = x.shape, y.shape[1]
-    nx, a, ny, b = _limb_plan(rows, inner, cols, mx, my)
-    ys = y if ny == 1 else np.stack(list(_limbs(y, b, ny, p is None)), axis=1).reshape(inner, ny * cols)
-    limb_products = _float_product(ys, rows, split=(a, nx, p is None))
-    step = _FLOAT_BLOCK // min(inner, nx * ny * cols) or 1
-
-    def recombine(xb: np.ndarray) -> np.ndarray:
-        # Horner steps, high limbs first: over y's limbs for every limb of
-        # x at once, then over x's limbs.
-        prods = limb_products(xb).reshape(nx, len(xb), ny, cols)
-        r = prods[:, :, -1] % p if p else prods[:, :, -1]
-        for m in range(ny - 2, -1, -1):
-            r = _shift_add(r, b, prods[:, :, m], p)
-        acc = r[-1]
-        for l in range(nx - 2, -1, -1):
-            acc = _shift_add(acc, a, r[l], p)
-        return acc
-
-    return lambda xb: _fill((recombine(xb[i : i + step]) for i in range(0, len(xb), step)), len(xb))
+    return _float_product(y, rows, _limb_plan(rows, inner, cols, mx, my, p is None), p, scratch=scratch)
 
 
-def _exact_product(x: _Dense, y: _Dense, ring: RingSpec):
-    """``(product, p)`` for ``x @ y`` computed exactly in ``ring``: the
-    block product of the tier chosen from ``inner * max|x| * max|y|``, a
-    bound on every partial sum of the whole product (see the module
-    docstring), and the modulus its blocks still need reducing by.  Past
-    2**63 - 1 an int64 product is checked first, then takes the tier its
-    size picks: ``_check_int64`` runs here and nowhere else, so any
-    ``IntegerOverflow`` is raised by this call, before a row exists."""
-    xa = x._a
-    rows, inner = xa.shape
-    y2 = y._a.reshape(inner, -1)
-    cols = y2.shape[1]
-    mx, my = x._magnitude(), y._magnitude()
-    bound, p = inner * mx * my, ring.modulus
+def _einsum_product(y: np.ndarray, p: int | None):
+    """The block product ``xb @ y`` on int64 ``einsum``, reduced mod ``p``
+    when given: exact when every partial sum fits int64, and mod 2**64
+    otherwise.  Over a transposed y, so both operands are read along rows."""
+    yt = np.ascontiguousarray(y.T)
+
+    def product(xb: np.ndarray) -> np.ndarray:
+        out = np.einsum("ik,jk->ij", xb, yt)
+        if p:
+            out %= p
+        return out
+
+    return product
+
+
+def _exact_product(x: np.ndarray, y: np.ndarray, p: int | None, mx: int, my: int, scratch: dict | None = None):
+    """The block product for ``x @ y`` computed exactly, mod ``p`` or in
+    int64 for ``p`` None, from bounds ``mx >= max|x|`` and ``my >= max|y|``:
+    the tier chosen from ``inner * mx * my``, a bound on every partial sum
+    of the whole product (see the module docstring).  Past 2**63 - 1 an
+    int64 product is checked first, then takes the tier its size picks:
+    ``_check_int64`` runs here and nowhere else, so any ``IntegerOverflow``
+    is raised by this call, before a row exists.  ``scratch`` is the pool
+    of buffers its BLAS tiers share (see ``_float_product``)."""
+    (rows, inner), cols = x.shape, y.shape[1]
+    bound = inner * mx * my
     if bound > INT64_MAX and p is None:
-        _check_int64(xa, y2)
+        _check_int64(x, y)
     if bound <= _FLOAT_EXACT and cols > 1 and inner > 1:
-        return _float_product(y2, rows), p
-    if (bound <= INT64_MAX or p is None) and (cols == 1 or inner == 1 or rows * inner * cols <= _EINSUM_MACS):
-        # Over a transposed y, so both operands are read along rows.
-        yt = np.ascontiguousarray(y2.T)
-        return (lambda xb: np.einsum("ik,jk->ij", xb, yt)), p
-    # Already reduced mod p.
-    return _limb_product(xa, y2, mx, my, p), None
-
-
-def _exact_rows(x: _Dense, y: _Dense, ring: RingSpec):
-    """The row stream of ``x @ y`` computed exactly in ``ring``: its row
-    blocks in order, one per ``step = _FLOAT_BLOCK // inner`` rows of x (at
-    least one), each through ``_block``.  Blocks are computed lazily, as
-    they are read, so a reader that stops early computes, and is charged
-    for, only the rows it read."""
-    product, p = _exact_product(x, y, ring)
-    xa = x._a
-    step = _FLOAT_BLOCK // xa.shape[1] or 1
-    return map(lambda i: _block(xa[i : i + step], product, p), range(0, len(xa), step))
-
-
-def _row_split(x: _Dense, step: int) -> tuple[Matrix, Matrix]:
-    """Rows ``:step`` and ``step:`` of ``x`` as matrices sharing its storage
-    and its magnitude bound, so a product over either picks its tier from
-    x's bound without scanning the rows again, and ``_exact_rows`` of the
-    second streams x's row blocks from ``step`` on."""
-    bound = x._magnitude()
-    parts = Matrix._wrap(x._a[:step], x.ring), Matrix._wrap(x._a[step:], x.ring)
-    for part in parts:
-        part._bound = bound
-    return parts
+        return _float_product(y, rows, p=p, scratch=scratch)
+    if (bound <= INT64_MAX or p is None) and (cols <= 2 or inner == 1 or rows * inner * cols <= _EINSUM_MACS):
+        return _einsum_product(y, p)
+    return _limb_product(x, y, mx, my, p, scratch)
 
 
 def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
     """``x @ y`` computed exactly in ``ring``, in ``y``'s shape (1-D for a
-    vector): the chosen block product over all of x, counting ``rows *
-    inner * cols`` scalar multiplies.  One call, not ``_fill`` over
-    ``_exact_rows``: filled from 128-row blocks, an n = 1024 mat-vec ran
-    11% slower and an n = 1024 matmul 4% (interleaved, 2-vCPU Xeon VM)."""
-    product, p = _exact_product(x, y, ring)
+    vector): the chosen block product over all of x, from both operands'
+    own magnitudes, counting ``rows * inner * cols`` scalar multiplies.
+    One call, not row blocks: filled from 128-row blocks, an n = 1024
+    mat-vec ran 11% slower and an n = 1024 matmul 4% (interleaved, 2-vCPU
+    Xeon VM)."""
     xa = x._a
-    return _block(xa, product, p).reshape(len(xa), *y._a.shape[1:])
+    ya = y._a.reshape(xa.shape[1], -1)
+    product = _exact_product(xa, ya, ring.modulus, x._magnitude(), y._magnitude())
+    return _block(xa, product).reshape(len(xa), *y._a.shape[1:])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -25,13 +25,14 @@ page faults that weigh as much as the arithmetic at n = 64.  ``mix64_np``
 avalanches the words in place; a single output is mixed in Python ints,
 since numpy runs in-place ufuncs on a one-element array through a slower
 path.  A law with one cut point (a two-value law such as ``u01``) compares
-every word with the cut, and the uint8 result is the index; a law with more
-cuts takes one binary search per word (``searchsorted``) and gathers into
-its intp index.  For p < 2**32 the Z_p draw ((w + 1) p - 1) >> 64 takes two
-multiplies on 32-bit halves of w, (w_hi p + (((w_lo + 1) p - 1) >> 32)) >>
-32: the inner term is below 2**64 and the outer sum below 2**64 - 2**32, so
-nothing carries.  Larger p takes four 32-bit limb products and a carry.  No
-draw writes to the words it reads.
+every word with the cut and picks its value from the result, which on
+{0, 1} is the value itself; a law with more cuts takes one binary search
+per word (``searchsorted``) and gathers into its intp index.  For p < 2**32
+the Z_p draw ((w + 1) p - 1) >> 64 takes two multiplies on 32-bit halves
+of w, (w_hi p + (((w_lo + 1) p - 1) >> 32)) >> 32: the inner term is below
+2**64 and the outer sum below 2**64 - 2**32, so nothing carries.  Larger
+p takes four 32-bit limb products and a carry.  No draw writes to the
+words it reads.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class DiscreteDistribution:
     with exact positive rational masses summing to one, kept as integer
     ``weights`` over one ``total``."""
 
-    __slots__ = ("support", "weights", "total", "_heaviest", "_support_arr", "_upper", "_cut")
+    __slots__ = ("support", "weights", "total", "_heaviest", "_mag", "_support_arr", "_upper", "_cut")
 
     def __init__(self, support, probs) -> None:
         support = tuple(int(v) for v in support)
@@ -167,12 +168,14 @@ class DiscreteDistribution:
         self._set(support, tuple(q.numerator * (total // q.denominator) for q in probs), total)
 
     def _set(self, support: tuple[int, ...], weights: tuple[int, ...], total: int) -> None:
-        if any(v < INT64_MIN or v > INT64_MAX for v in support):
+        lo, hi = min(support), max(support)
+        if lo < INT64_MIN or hi > INT64_MAX:
             raise InvalidDistribution("support values must fit the signed 64-bit range")
         self.support = support
         self.weights = weights
         self.total = total
         self._heaviest = max(weights)
+        self._mag = max(-lo, hi)
         self._support_arr = np.array(support, dtype=np.int64)
         self._support_arr.flags.writeable = False
         # Inverse-CDF cut points: value i is chosen when the raw word falls in
@@ -224,7 +227,7 @@ class DiscreteDistribution:
 
     def _magnitude(self) -> int:
         """The largest support value in absolute value."""
-        return max(-int(self._support_arr.min()), int(self._support_arr.max()))
+        return self._mag
 
     def _weight_of_zero(self) -> int:
         """The weight of the support value 0, or 0 if 0 is not one."""
@@ -234,7 +237,9 @@ class DiscreteDistribution:
         """Support values the raw 64-bit words select through the cut points,
         as a new int64 array; ``words`` is left unchanged."""
         if self._cut is not None:
-            return self._support_arr[(words >= self._cut).view(np.uint8)]
+            hit = words >= self._cut
+            v0, v1 = self.support
+            return hit.astype(np.int64) if (v0, v1) == (0, 1) else np.where(hit, v1, v0)
         index = np.searchsorted(self._upper, words, side="right")
         # Gathered into the index itself; every index is in range, so "clip"
         # clips nothing and only spares the copy "raise" would make.
@@ -330,9 +335,17 @@ def p_max(dist: DiscreteDistribution) -> Fraction:
     return Fraction(dist._heaviest, dist.total)
 
 
+def _two_point(w0: int, w1: int) -> DiscreteDistribution:
+    """The law on {0, 1} with integer weights ``w0``, ``w1`` of gcd 1, built
+    without the general constructor's Fraction arithmetic."""
+    dist = DiscreteDistribution.__new__(DiscreteDistribution)
+    dist._set((0, 1), (w0, w1), w0 + w1)
+    return dist
+
+
 def uniform_binary() -> DiscreteDistribution:
     """Fair coin on {0, 1}, the classic fingerprint distribution."""
-    return DiscreteDistribution((0, 1), (Fraction(1, 2), Fraction(1, 2)))
+    return _two_point(1, 1)
 
 
 def bernoulli(p) -> DiscreteDistribution:
@@ -340,7 +353,7 @@ def bernoulli(p) -> DiscreteDistribution:
     p = Fraction(p)
     if not 0 < p < 1:
         raise InvalidProbability(f"need 0 < p < 1, got {p}")
-    return DiscreteDistribution((0, 1), (1 - p, p))
+    return _two_point(p.denominator - p.numerator, p.numerator)
 
 
 def uniform_support(values) -> DiscreteDistribution:
@@ -374,6 +387,20 @@ def sample_vector(
     return Vector._wrap(dist._draw(draw_words(rng, n)), ring)
 
 
+def _trial_keys(components: np.ndarray) -> np.ndarray:
+    """The ``components`` (a uint64 array of indices) as the column of their
+    offsets ``(components[i] + 1) * GOLDEN``: output ``components[i] + 1``
+    of a substream mixes its seed plus that offset."""
+    return ((components + _U1) * _U_GOLDEN)[:, None]
+
+
+def _draw_trials(dist: DiscreteDistribution, keys: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """``_sample_trial_block`` for the components whose ``_trial_keys`` are
+    ``keys``, which a caller drawing many blocks forms once."""
+    # Row i, column t: output components[i] + 1 of substream start + t.
+    return dist._draw(mix64_np(keys + _outputs(seed & MASK64, start + 1, stop + 1)))
+
+
 def _sample_trial_block(
     dist: DiscreteDistribution, components: np.ndarray, seed: int, start: int, stop: int
 ) -> np.ndarray:
@@ -384,10 +411,7 @@ def _sample_trial_block(
     ``sample_vector`` draws from ``substream(seed, start + t)``, bit for
     bit, so all n indices give those vectors whole; tests pin both.
     """
-    subs = _outputs(seed & MASK64, start + 1, stop + 1)
-    # Row i, column t: output components[i] + 1 of substream start + t.
-    words = (components + _U1)[:, None] * _U_GOLDEN + subs
-    return dist._draw(mix64_np(words))
+    return _draw_trials(dist, _trial_keys(components), seed, start, stop)
 
 
 def parse_dist(text: str, ring: RingSpec) -> DiscreteDistribution:

@@ -14,7 +14,16 @@ One trial engine, ``_trials``, runs every iteration.  It checks w vectors
 at once, A(BR) against CR: BR is formed whole, and the row streams of A(BR)
 and CR from the exact product chooser in ``matrix`` are compared block by
 block, ``step = matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at
-once up to n = 362).  Trials run in blocks of
+once up to n = 362).  A product plan, ``_Plan``, is formed once per call,
+when the engine starts: the bounds max|A|, max|B| and max|C| (read once per
+matrix, which keeps them), rho, the law's largest |support value|, which
+bounds every trial vector, and n max|B| rho, which bounds BR.  Every
+product of every block picks its tier and limb split from them, so no
+trial block is scanned; BR is scanned only where its bound carries
+A(BR)'s past a tier boundary (2**63 - 1 for one column, 2**53 for more),
+and its own magnitude may then pick a cheaper tier.  The plan also holds
+the call's scratch buffers, which all its BLAS products share.  Trials
+run in blocks of
 ``width = min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))``
 columns, at least one, each drawn only when reached, so memory does not
 grow with k.  A block holds at most 2**20 entries, and one wider than it is
@@ -37,14 +46,15 @@ reads A and C once, and B twice (B r_0 on one column, BR' on the rest); no
 row of trial 0 is computed twice.  Every later block ends at the next
 multiple of the width, or at k.
 
-Once a block overflows, the width is one for the rest of the run.  Column
-t of BR, A(BR) and CR depends only on r_t, so the block's first
-overflowing trial overflows when run alone too, and the run ends inside
-that block: it raises that trial's one-column error after every earlier
-trial.  Every ``IntegerOverflow`` is raised before any row of its block is
-compared.  The probe raises trial 0's own; if block 0 overflows after it,
-trial 0's remaining rows are read from the probe's streams before trials
-1, 2, ... run one at a time.
+Once a block's set-up overflows, its trials run one at a time.  Column t
+of BR, A(BR) and CR depends only on r_t, so the block's first overflowing
+trial overflows when run alone too, and the run ends inside that block: it
+raises that trial's one-column error after every earlier trial.  When the
+block's BR was formed (A(BR) or CR overflowed), each trial takes its B r_t
+from BR's column instead of forming it again.  Every ``IntegerOverflow`` is
+raised before any row of its block is compared.  The probe raises trial
+0's own; if block 0 overflows after it, trial 0's remaining rows are read
+from the probe's streams before trials 1, 2, ... run one at a time.
 
 ``verify`` and ``freivalds_iteration`` stop reading a block once its first
 trial differs in some row: no earlier trial of the block can fail and no
@@ -60,11 +70,13 @@ failing one, and for the failing block of w trials n^2 w for BR plus 2nw
 per row of A and C read, that is up to the end e of the row block where
 its first trial first differs, w (n^2 + 2n e), or all n rows when that
 trial passes, 3n^2 w.  Trial 0 on its own is a block of w = 1:
-n^2 + 2n e.
+n^2 + 2n e.  A trial rerun on its own after its block's set-up overflowed
+is charged 2n per row of A and C read, plus n^2 when BR was not formed.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +86,8 @@ import numpy as np
 
 from . import matrix
 from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
-from .matrix import Matrix, Vector, _exact_dot, _exact_rows, _fill, _row_split
-from .sampling import DiscreteDistribution, _sample_trial_block, p_max
+from .matrix import INT64_MAX, Matrix, Vector, _block, _exact_product, _fill, _max_abs
+from .sampling import DiscreteDistribution, _draw_trials, _trial_keys, p_max
 
 # Entries of the (n x w) vector block per verify block: bounds the block's
 # memory at a few MiB while keeping products few and large.
@@ -133,37 +145,75 @@ def _check_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> None:
         raise DimensionMismatch(f"vector length {r.rows} does not match n = {a.cols}")
 
 
-def _row_masks(a: Matrix, br: Matrix, c: Matrix, r: Matrix):
-    """The row stream of A(BR) != CR from ``_exact_rows``.  Both products
-    are set up by this call, so it raises their ``IntegerOverflow`` before
-    a mask row exists."""
-    ring = a.ring
-    return map(np.not_equal, _exact_rows(a, br, ring), _exact_rows(c, r, ring))
+class _Plan:
+    """The products of one verify call, planned when it starts, from n, the
+    ring, max|A|, max|B|, max|C| (one scan each, kept by the matrices) and
+    rho, a bound on every entry of every trial vector: the law's largest
+    |support value|.  Every product of every block takes its tier and limb
+    split from these bounds (``matrix._exact_product``), so no trial block
+    is scanned.  BR is bounded by n max|B| rho (and by p - 1 over Z_p), and
+    scanned, one n x w block, only where that bound lifts n max|A| max|BR|
+    past a tier boundary: 2**63 - 1 for a single column, which takes
+    ``einsum`` below it, and 2**53 for a wider block.  There the block's own
+    max|BR| may still pick a cheaper tier or fewer limbs for A(BR), the ones
+    a scan of every operand would pick.  The call's BLAS products share
+    one pool of scratch buffers, so a call allocates each buffer once."""
+
+    __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "step", "scratch")
+
+    def __init__(self, a: Matrix, b: Matrix, c: Matrix, rho: int) -> None:
+        n, p = a.rows, a.ring.modulus
+        self.a, self.b, self.c, self.p, self.rho = a.data, b.data, c.data, p, rho
+        self.ma, self.mb, self.mc = a._magnitude(), b._magnitude(), c._magnitude()
+        self.mbr = n * self.mb * rho if p is None else min(n * self.mb * rho, p - 1)
+        self.abr = n * self.ma * self.mbr
+        self.step = matrix._FLOAT_BLOCK // n or 1
+        self.scratch = {}
+
+    def br(self, r: np.ndarray) -> np.ndarray:
+        """BR, whole; raises its ``IntegerOverflow`` before any entry."""
+        return _block(self.b, _exact_product(self.b, r, self.p, self.mb, self.rho, self.scratch))
+
+    def masks(self, br: np.ndarray, r: np.ndarray, rows: slice | None = None):
+        """The stream of A(BR) != CR over ``rows`` of A and C (all of
+        them for None), in row blocks of ``step`` rows, each computed when
+        it is read.  Both products are set up by this call, so it raises
+        their ``IntegerOverflow`` before a mask row exists."""
+        a, c, p = self.a, self.c, self.p
+        if rows is not None:
+            a, c = a[rows], c[rows]
+        limit = INT64_MAX if br.shape[1] == 1 else matrix._FLOAT_EXACT
+        ab = _exact_product(a, br, p, self.ma, _max_abs(br) if self.abr > limit else self.mbr, self.scratch)
+        cr = _exact_product(c, r, p, self.mc, self.rho, self.scratch)
+        step = self.step
+        if len(a) <= step:
+            # One row block, read without slicing: a slice per read cost
+            # about a microsecond at n = 64.
+            return (np.not_equal(_block(a, ab), _block(c, cr)) for _ in (0,))
+        return (np.not_equal(_block(a[i : i + step], ab), _block(c[i : i + step], cr)) for i in range(0, len(a), step))
 
 
-def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: Matrix):
-    """Stream the mask A(BR) != CR in row blocks, pairing the row streams
-    of A(BR) and CR.  BR is formed whole first; any ``IntegerOverflow`` of
-    the three products is raised by this call, before a mask row exists."""
-    return _row_masks(a, Matrix._wrap(_exact_dot(b, r, a.ring), a.ring), c, r)
+def _carried_rows(plan: _Plan, r0: np.ndarray, br0: np.ndarray, head: np.ndarray, r1: np.ndarray, br1: np.ndarray):
+    """``(R, mask rows)`` for R = ``r0`` and ``r1`` side by side when
+    column 0's B r, ``br0``, is formed, its mask over row block 0,
+    ``head``, is read, and A has rows past that block.  Row block 0 is
+    multiplied for ``r1``'s columns only, and the rows the probe left
+    unread are streamed once against all of R, so no row of column 0 is
+    computed twice.  Any ``IntegerOverflow`` is raised by this call, before
+    a mask row is compared."""
+    step = len(head)
+    r = np.concatenate((r0, r1), axis=1)
+    tail = plan.masks(np.concatenate((br0, br1), axis=1), r, slice(step, None))
+    top = next(plan.masks(br1, r1, slice(step)))
+    return r, chain((np.concatenate((head, top), axis=1),), tail)
 
 
-def _carried_rows(a: Matrix, b: Matrix, c: Matrix, r: np.ndarray, r1: np.ndarray, br0: Matrix, head: np.ndarray):
-    """``_mask_rows`` of R = ``r`` when column 0's B r, ``br0``, is formed
-    and its mask over row block 0, ``head``, is read, and A has rows past
-    that block; ``r1`` is R without column 0.  BR is formed for those
-    columns, row block 0 is multiplied for them only, and the rows the
-    probe left unread are streamed once against all of R, so no row of
-    column 0 is computed twice.  Any ``IntegerOverflow`` is raised by this
-    call, before a mask row is compared."""
-    ring, step = a.ring, len(head)
-    r1 = Matrix._wrap(r1, ring)
-    br1 = _exact_dot(b, r1, ring)
-    (a0, a1), (c0, c1) = _row_split(a, step), _row_split(c, step)
-    br = Matrix._wrap(np.concatenate((br0.data, br1), axis=1), ring)
-    tail = _row_masks(a1, br, c1, Matrix._wrap(r, ring))
-    top = next(_row_masks(a0, Matrix._wrap(br1, ring), c0, r1))
-    return chain((np.concatenate((head, top), axis=1),), tail)
+def _mask_rows(a: Matrix, b: Matrix, c: Matrix, r: np.ndarray):
+    """Stream the mask A(BR) != CR in row blocks.  BR is formed whole
+    first; any ``IntegerOverflow`` of the three products is raised by this
+    call, before a mask row exists."""
+    plan = _Plan(a, b, c, _max_abs(r))
+    return plan.masks(plan.br(r), r)
 
 
 def _first_failure(rows, n: int) -> tuple[int, int] | None:
@@ -179,12 +229,14 @@ def _first_failure(rows, n: int) -> tuple[int, int] | None:
         if i == n or part[:, 0].any():
             break
     mask = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # count_nonzero: a third of ``any``'s call overhead on a small mask.
+    if not np.count_nonzero(mask):
+        return None
     # Column-major order: the first True is the first failing column's
     # smallest differing row.
     flat = mask.T.ravel()
     # The method, not np.argmax: a microsecond less per call at n = 64.
-    first = int(flat.argmax())
-    return divmod(first, len(mask)) if flat[first] else None
+    return divmod(int(flat.argmax()), len(mask))
 
 
 def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
@@ -195,7 +247,7 @@ def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
     multiplies.
     """
     _check_block(a, b, c, r)
-    return _fill(_mask_rows(a, b, c, r), a.rows)
+    return _fill(_mask_rows(a, b, c, r.data), a.rows)
 
 
 def freivalds_iteration(
@@ -210,8 +262,17 @@ def freivalds_iteration(
     """
     col = Matrix._wrap(r.data.reshape(-1, 1), r.ring)
     _check_block(a, b, c, col)
-    hit = _first_failure(_mask_rows(a, b, c, col), a.rows)
+    hit = _first_failure(_mask_rows(a, b, c, col.data), a.rows)
     return (False, hit[1]) if hit else (True, None)
+
+
+@functools.lru_cache(maxsize=16)
+def _keys(n: int) -> np.ndarray:
+    """``_trial_keys`` of components 0..n-1, read-only, kept for the sizes
+    verified last."""
+    keys = _trial_keys(np.arange(n, dtype=np.uint64))
+    keys.flags.writeable = False
+    return keys
 
 
 def _trials(
@@ -223,39 +284,56 @@ def _trials(
     docstring gives the block schedule and the overflow rule that every
     caller shares.
     """
-    n, ring = a.rows, a.ring
-    components = np.arange(n, dtype=np.uint64)
+    n = a.rows
+    plan = _Plan(a, b, c, dist._magnitude())
+    keys = _keys(n)
     width = min(max(1, _BLOCK_ENTRIES // n), max(n, matrix._FLOAT_BLOCK // n))
     end = min(stop, width)
     # The probe: B r_0 whole, then row block 0 of trial 0's mask.
-    r0 = _sample_trial_block(dist, components, seed, 0, 1)
-    col = Matrix._wrap(r0, ring)
-    br0 = Matrix._wrap(_exact_dot(b, col, ring), ring)
-    rest = _row_masks(a, br0, c, col)
+    r0 = _draw_trials(dist, keys, seed, 0, 1)
+    br0 = plan.br(r0)
+    rest = plan.masks(br0, r0)
     head = next(rest)
-    r, rows, start = r0, chain((head,), rest), 1
     # Block 0 carries the rows the probe left unread, if any.
     # count_nonzero: a third of ``any``'s call overhead on a small mask.
     if end > 1 and len(head) < n and not np.count_nonzero(head):
-        r1 = _sample_trial_block(dist, components, seed, 1, end)
-        carried = np.concatenate((r0, r1), axis=1)
-        try:
-            r, rows, start = carried, _carried_rows(a, b, c, carried, r1, br0, head), end
-        except IntegerOverflow:
-            width = 1
-    yield 0, r, rows
-    while start < stop:
-        end = min(stop, width * (start // width + 1))
-        r = _sample_trial_block(dist, components, seed, start, end)
-        try:
-            rows = _mask_rows(a, b, c, Matrix._wrap(r, ring))
-        except IntegerOverflow:
-            if end - start == 1:
-                raise
-            width = 1
-            continue
-        yield start, r, rows
-        start = end
+        yield from _block_trials(plan, 1, _draw_trials(dist, keys, seed, 1, end), (r0, br0, head, rest))
+    else:
+        yield 0, r0, chain((head,), rest)
+        end = 1
+    while end < stop:
+        start, end = end, min(stop, width * (end // width + 1))
+        yield from _block_trials(plan, start, _draw_trials(dist, keys, seed, start, end))
+
+
+def _block_trials(plan: _Plan, start: int, r: np.ndarray, carry=None):
+    """The block of trials ``start``.. drawn as the columns of ``r``, as one
+    ``(first trial, R, mask rows)``, or, when its set-up overflows, as one
+    per trial.  With ``carry``, the probe's r_0, B r_0, its mask over row
+    block 0 and the rest of its stream, the block carries trial 0
+    (``_carried_rows``), and on overflow the probe's own rows come first.
+    A trial run on its own takes its B r from the block's BR when that was
+    formed, and raises its ``IntegerOverflow`` when it is reached, after
+    every earlier trial."""
+    br = None
+    try:
+        br = plan.br(r)
+        if carry is None:
+            rows = plan.masks(br, r)
+        else:
+            r, rows = _carried_rows(plan, *carry[:3], r, br)
+    except IntegerOverflow:
+        if carry is None and r.shape[1] == 1:
+            raise
+    else:
+        yield start - (carry is not None), r, rows
+        return
+    if carry is not None:
+        r0, _, head, rest = carry
+        yield 0, r0, chain((head,), rest)
+    for t in range(r.shape[1]):
+        rt = r[:, t : t + 1]
+        yield start + t, rt, plan.masks(plan.br(rt) if br is None else br[:, t : t + 1], rt)
 
 
 def verify(a: Matrix, b: Matrix, c: Matrix, cfg: VerifyConfig) -> Verdict:

@@ -523,10 +523,11 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
             assert matmul(x, y).data.tolist() == expected
     # Past 2^63 - 1 an int64 product is checked first, then takes the tier
     # its size picks; past 2^53, einsum keeps a product only while it has
-    # one column, an inner dimension of 1 or is small, and Z_p past 2^63 - 1
-    # always takes limbs.  float64 BLAS needs more than one column and an
-    # inner dimension past 1: with one, numpy leaves BLAS for a slow loop.
-    small = cols == 1 or inner == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
+    # at most two columns, an inner dimension of 1 or is small, and Z_p past
+    # 2^63 - 1 always takes limbs.  float64 BLAS needs more than one column
+    # and an inner dimension past 1: with one, numpy leaves BLAS for a slow
+    # loop.
+    small = cols <= 2 or inner == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
     check = ring == INT64 and bound > INT64_MAX
     limbs = (bound > 2**53 and not small) or (ring != INT64 and bound > INT64_MAX)
     assert ("check" in used) == check
@@ -743,6 +744,87 @@ def test_int64_products_past_2_63_still_run_the_overflow_check():
         matmul(Matrix(n, n, INT64, xa), Matrix(n, w, INT64, ya))
 
 
+# ---------------------------------------------------------------- lean limb tier
+#
+# The limb tier splits x as it converts it, stacks its limbs as the rows of
+# one BLAS call and recombines by in-place shift-adds.  Each product is
+# checked against Python integers through the limb tier itself and through
+# matmul, whichever tier the chooser then picks.
+
+
+def _bounded(rng, rows, cols, mag, ring):
+    """Entries within ``mag`` (nonnegative over Z_p), one of them at the
+    edge: -mag over int64, so INT64_MIN appears when mag is 2**63."""
+    lo = 0 if ring.modulus else -mag
+    hi = mag if ring.modulus or mag < 2**63 else mag - 1
+    vals = [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+    vals[rng.randrange(rows)][rng.randrange(cols)] = mag if ring.modulus else -mag
+    return vals
+
+
+@pytest.mark.parametrize("n, w", [(8, 4), (64, 19)])
+@pytest.mark.parametrize("ring", [INT64, _BIG_PRIME], ids=str)
+@pytest.mark.parametrize("bits", [54, 58, 63])
+def test_limb_products_match_python_ints_between_2_53_and_2_63(n, w, ring, bits):
+    # n max|x| max|y| in (2^53, 2^63 - 1], within 2^34 of 2^63 in the
+    # largest case: no int64 product may run the overflow check.
+    rng = random.Random(n * 1000 + bits)
+    mx = 1 << ((bits - n.bit_length()) // 2)
+    my = ((1 << bits) - 1) // (n * mx) if bits == 63 else 1 << (bits - n.bit_length() - mx.bit_length() + 2)
+    assert 2**53 < n * mx * my <= INT64_MAX
+    p = ring.modulus
+    for _ in range(3):
+        x_rows, y_rows = _bounded(rng, n, n, mx, ring), _bounded(rng, n, w, my, ring)
+        x, y = np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64)
+        expected = brute_matmul(x_rows, y_rows, p)
+        assert matrix_mod._limb_product(x, y, mx, my, p)(x).tolist() == expected
+        with _tier_spy() as used:
+            assert matmul(Matrix(n, n, ring, x_rows), Matrix(n, w, ring, y_rows)).data.tolist() == expected
+        assert "check" not in used
+
+
+@pytest.mark.parametrize("w", [1, 4, 19])
+def test_limb_products_of_int64_min_entries(w):
+    # Two's complement limbs of INT64_MIN: every low limb is 0 and the top
+    # limb carries the sign.  Products whose entries fit take limbs exactly,
+    # and those that do not raise the int64 overflow check's error.
+    rng = random.Random(w)
+    n = 8
+    for trial in range(20):
+        x_rows = [[rng.choice([INT64_MIN, INT64_MAX, -1, 0, 1, rng.randint(-(2**40), 2**40)]) for _ in range(n)] for _ in range(n)]
+        y_rows = [[rng.choice([0, 0, 0, 1, -1]) for _ in range(w)] for _ in range(n)]
+        x, y = np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64)
+        expected = _checked_ref(x_rows, y_rows, None)
+        if expected is None:
+            with pytest.raises(IntegerOverflow):
+                matmul(Matrix(n, n, INT64, x_rows), Matrix(n, w, INT64, y_rows))
+            continue
+        assert matrix_mod._limb_product(x, y, 2**63, 1, None)(x).tolist() == expected
+        assert matmul(Matrix(n, n, INT64, x_rows), Matrix(n, w, INT64, y_rows)).data.tolist() == expected
+
+
+@pytest.mark.parametrize("n, w", [(8, 4), (64, 19)])
+def test_int64_products_past_2_63_are_checked_then_exact_on_limbs(n, w):
+    # One large entry on each side lifts the bound past 2^63 - 1 while every
+    # true entry fits: the check passes and the limb tier agrees with Python
+    # integers; one more large entry makes a term of 2^64, which the check
+    # reports before any row exists.
+    rng = random.Random(n + w)
+    x_rows = [[rng.randint(-(2**20), 2**20) for _ in range(n)] for _ in range(n)]
+    y_rows = [[rng.randint(-(2**20), 2**20) for _ in range(w)] for _ in range(n)]
+    x_rows[5][7], y_rows[3][w - 1] = 2**40, -(2**30)
+    assert n * 2**40 * 2**30 > INT64_MAX
+    x, y = np.array(x_rows, dtype=np.int64), np.array(y_rows, dtype=np.int64)
+    expected = brute_matmul(x_rows, y_rows)
+    assert matrix_mod._limb_product(x, y, 2**40, 2**30, None)(x).tolist() == expected
+    with _tier_spy() as used:
+        assert matmul(Matrix(n, n, INT64, x_rows), Matrix(n, w, INT64, y_rows)).data.tolist() == expected
+    assert "check" in used
+    y_rows[7][0] = 2**24
+    with pytest.raises(IntegerOverflow, match=r"^product term at entry \(5, 0\) leaves the 64-bit range$"):
+        matmul(Matrix(n, n, INT64, x_rows), Matrix(n, w, INT64, y_rows))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=9),
@@ -775,7 +857,7 @@ def test_streamed_products_match_python_ints(rows, inner, cols, block, ring, mag
         if expected is None:
             # The chooser applies the int64 overflow rule, before any row.
             with pytest.raises(IntegerOverflow):
-                matrix_mod._exact_product(Matrix._wrap(x, ring), Matrix._wrap(y, ring), ring)
+                matrix_mod._exact_product(x, y, p, mx, my)
         else:
             assert matrix_mod._limb_product(x, y, mx, my, p)(x).tolist() == expected
 

@@ -168,6 +168,26 @@ def test_masses_are_canonical_integer_weights():
     assert hash(uniform_support((0, 1))) == hash(uniform_binary())
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**30), Fraction(10**30 - 1, 10**30), "1/7", 0.25])
+def test_two_point_laws_equal_the_general_constructors(q):
+    # uniform_binary and bernoulli skip the general constructor's Fraction
+    # arithmetic; every field the sampler and the analysis read must still
+    # equal the general law's.
+    q = Fraction(q)
+    for fast, general in (
+        (bernoulli(q), DiscreteDistribution((0, 1), (1 - q, q))),
+        (uniform_binary(), DiscreteDistribution((0, 1), (Fraction(1, 2), Fraction(1, 2)))),
+    ):
+        assert fast == general
+        assert (fast.support, fast.weights, fast.total) == (general.support, general.weights, general.total)
+        assert fast._upper.tolist() == general._upper.tolist()
+        assert int(fast._cut) == int(general._cut)
+        assert fast._support_arr.tolist() == general._support_arr.tolist()
+        assert (fast._heaviest, fast._magnitude()) == (general._heaviest, general._magnitude())
+        assert hash(fast) == hash(general) and repr(fast) == repr(general)
+        assert fast.probs == general.probs
+
+
 def test_field_uniform_makes_no_fraction_per_value(monkeypatch):
     import freicheck.sampling as sampling_mod
 

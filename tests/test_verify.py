@@ -721,9 +721,79 @@ def test_a_stopped_stream_leaves_the_callers_blas_threads(monkeypatch):
         assert (verdict.witness_iteration, verdict.mismatch_row) == (0, 0)
         assert get() == 2
         r = Matrix(n, 3, ring, [[rng.randrange(5) for _ in range(3)] for _ in range(n)])
-        stream = matrix_mod._exact_rows(a, r, ring)
+        stream = verify_mod._mask_rows(a, b, c, r.data)
         assert len(next(stream)) == _ROW_STEP
         assert get() == 2
         del stream
     finally:
         put(before)
+
+
+@pytest.mark.parametrize("mode", ["equal", "dense-random"])
+def test_one_verify_scans_each_operand_at_most_once(monkeypatch, mode):
+    # The plan reads max|A|, max|B| and max|C| once, when verify starts, and
+    # bounds every trial block by the law's largest |support value|.  So a
+    # fresh n = 64 instance is scanned once per operand, and beyond that only
+    # the block's BR, whose bound n max|A| max|BR| passes 2^53 (entries to
+    # 2^24); trial 0's single column stays below 2^63 - 1 and is not scanned.
+    n = 64
+    rng = np.random.default_rng(12)
+    a_arr, b_arr = (rng.integers(-(2**24), 2**24, size=(n, n), endpoint=True) for _ in range(2))
+    c_arr = np.einsum("ik,kj->ij", a_arr, b_arr)
+    if mode == "dense-random":
+        c_arr = c_arr + rng.integers(-3, 3, size=(n, n), endpoint=True)
+    a, b, c = (Matrix(n, n, INT64, m) for m in (a_arr, b_arr, c_arr))
+    scans, real = [], matrix_mod._max_abs
+
+    def spy(v):
+        scans.append(v)
+        return real(v)
+
+    monkeypatch.setattr(matrix_mod, "_max_abs", spy)
+    monkeypatch.setattr(verify_mod, "_max_abs", spy)
+    verdict = verify(a, b, c, _cfg(k=20, seed=5))
+    assert verdict.accepted == (mode == "equal")
+    for m in (a, b, c):
+        assert sum(np.shares_memory(v, m.data) for v in scans) == 1
+    others = [v.shape for v in scans if not any(np.shares_memory(v, m.data) for m in (a, b, c))]
+    assert others == ([(n, 19)] if mode == "equal" else [])
+    # A second verify of the same matrices reads their kept bounds.
+    scans.clear()
+    assert verify(a, b, c, _cfg(k=20, seed=5)) == verdict
+    assert all(not np.shares_memory(v, m.data) for v in scans for m in (a, b, c))
+
+
+def test_an_overflowing_block_reruns_its_trials_from_its_br(monkeypatch):
+    # A = I but A[7][0] = 2^62, B = C = I: trial t overflows in A(B r_t),
+    # row 7, exactly when its r_0 is 2, while B R never overflows.  The
+    # block of trials 1..9 forms BR, its A(BR) set-up overflows, and its
+    # trials then run one at a time from BR's columns: B is multiplied once
+    # for the probe and once for the block, and each trial run on its own
+    # before the overflowing one reads n^2 multiplies of A and n^2 of C.
+    n, k = 8, 10
+    a_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_rows[n - 1][0] = 1 << 62
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, b, c = Matrix.from_rows(a_rows, INT64), Matrix.from_rows(eye, INT64), Matrix.from_rows(a_rows, INT64)
+    dist = uniform_support((0, 1, 2))
+    widths, real = [], verify_mod._Plan.br
+
+    def spy(plan, r):
+        widths.append(r.shape[1])
+        return real(plan, r)
+
+    monkeypatch.setattr(verify_mod._Plan, "br", spy)
+    seen = set()
+    for seed in range(40):
+        firsts = [sample_vector(dist, n, substream(seed, t))[0] for t in range(k)]
+        if firsts[0] == 2 or 2 not in firsts:
+            continue
+        f = firsts.index(2)
+        widths.clear()
+        reset_scalar_multiplies()
+        with pytest.raises(IntegerOverflow, match=r"^product term at entry \(7, 0\) leaves the 64-bit range$"):
+            verify(a, b, c, _cfg(k=k, seed=seed, dist=dist))
+        assert widths == [1, k - 1]
+        assert scalar_multiplies() == 3 * n * n + (k - 1) * n * n + 2 * n * n * (f - 1)
+        seen.add(f)
+    assert len(seen) >= 2
