@@ -47,18 +47,40 @@ Rows:
   wider than any block it makes;
 * ``einsum_vs_limbs``: the same products on the int64 ``einsum`` tier and on
   the limb tier, whatever the chooser picks.  This is the table the
-  chooser's ``einsum`` limits are read from.
+  chooser's ``einsum`` limits are read from;
+* ``split_compare``: one int64 verify block's mask, A(BR) != CR for an n x w
+  block R of u01 vectors, C = AB, at n = 8 to 362 and w = 2 to 19, with
+  entries of A and B up to 2^e, e the largest (at most 24) for which the
+  block's bounds stay within 2^63 - 1, so that they pass 2^53.
+  ``products`` forms BR, A(BR) and CR with the product chooser and
+  compares them with ``!=``; ``parts`` forms BR on float64 BLAS and
+  compares the two sides as one product in two parts,
+  ``matrix._parts_differ``, whatever the block's size (only on a tree that
+  has it); ``plan`` is the mask as ``verify``'s plan forms it, which takes
+  ``parts`` only for blocks within its size limits and is ``products`` on
+  a tree without them.  Each time is the median of R batches of 20 calls,
+  per call, with the minor page faults (``ru_minflt``) per call over all
+  of them;
+* ``verify_sizes``: accepting ``verify`` calls, timed the same way, at n =
+  8 (k = 5) and n = 64, 128, 256, 362 and 363 (k = 20, int64, entries up to
+  2^24 or the largest for which the rounds fit), and over zp 2^61 - 1 at n =
+  64 (k = 20).
 
 ``threads`` times BLAS itself, not the program, so only this checkout's
-medians are reported.
+medians are reported.  ``split_compare`` and ``verify_sizes`` report, per
+tree, the median time and page faults per call; with ``--parent``, the
+change's ``plan`` over the parent's, and the change's ``parts`` over its
+own ``products``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -81,6 +103,14 @@ EINSUM_SHAPES = [
     (1024, 1), (1024, 2), (1024, 3), (1024, 4), (1024, 10), (1024, 100),
 ]
 WIDE_RINGS = [("int64", None), ("zp", P26)]
+SPLIT_SIZES = [8, 16, 32, 64, 128, 256, 362]
+SPLIT_WIDTHS = [2, 4, 8, 19]
+# (n, k, ring, entry bound) of each accepting verify timed in verify_sizes.
+VERIFY_SIZES = [(8, 5, "int64", 2**24), (64, 20, "int64", 2**24), (128, 20, "int64", 2**24),
+                (256, 20, "int64", 2**23), (362, 20, "int64", 2**23), (363, 20, "int64", 2**22),
+                (64, 20, "zp", P61)]
+# Calls per timed batch in split_compare and verify_sizes.
+BATCH = 20
 # Interpreter pairs with --parent.
 PAIRS = 5
 
@@ -93,6 +123,30 @@ def _median_ms(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return round(statistics.median(times) * 1e3, 3)
+
+
+def _per_call(fn, repeats: int) -> dict:
+    """Median milliseconds per call over ``repeats`` batches of ``BATCH``
+    calls, after one warm-up batch, and minor page faults per call."""
+    for _ in range(BATCH):
+        fn()
+    times, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(BATCH):
+            fn()
+        times.append((time.perf_counter() - t0) / BATCH)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"ms": round(statistics.median(times) * 1e3, 4), "minflt": round(faults / (repeats * BATCH), 2)}
+
+
+def _entry_bits(n: int) -> int:
+    """The largest e <= 24 with n^2 4^e <= 2^63 - 1: a verify block of u01
+    vectors with entries of A and B up to 2^e stays within int64."""
+    e = 24
+    while n * n * 4**e > 2**63 - 1:
+        e -= 1
+    return e
 
 
 def _ring(fc, kind: str, p: int | None):
@@ -118,6 +172,13 @@ def generate(data: Path) -> None:
     for kind, p, bound in MATMUL:
         a, b, c = fc.generate_instance(spec(256, _ring(fc, kind, p), "equal", 2, bound or 256))
         np.savez(data / f"matmul_{_name(kind, p)}_{bound}.npz", a=a.data, b=b.data, c=c.data)
+    for n in SPLIT_SIZES:
+        a, b, c = fc.generate_instance(spec(n, fc.matrix.RingSpec.int64(), "equal", 3, 2 ** _entry_bits(n)))
+        np.savez(data / f"split_{n}.npz", a=a.data, b=b.data, c=c.data)
+    for n, k, kind, bound in VERIFY_SIZES:
+        ring = _ring(fc, kind, bound if kind == "zp" else None)
+        a, b, c = fc.generate_instance(spec(n, ring, "equal", 4, bound if kind == "int64" else 256))
+        np.savez(data / f"sizes_{n}_{kind}.npz", a=a.data, b=b.data, c=c.data)
     rng = np.random.default_rng(7)
     for kind, p in WIDE_RINGS:
         for n, w in EINSUM_SHAPES:
@@ -171,6 +232,60 @@ def measure(data: Path, repeats: int) -> dict:
     out["wide_products"] = _wide_products(fc, matrix, data, repeats)
     out["threads"] = _threads(matrix, data, repeats)
     out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
+    out["split_compare"] = _split_compare(fc, matrix, data, repeats)
+    out["verify_sizes"] = _verify_sizes(fc, data, repeats)
+    return out
+
+
+def _split_compare(fc, matrix, data: Path, repeats: int) -> list[dict]:
+    # The package exports the function ``verify``; the module is this one.
+    verify_mod = importlib.import_module("freicheck.verify")
+
+    rows = []
+    for n in SPLIT_SIZES:
+        arrays = np.load(data / f"split_{n}.npz")
+        a, b, c = (fc.Matrix(n, n, fc.matrix.RingSpec.int64(), arrays[k]) for k in "abc")
+        for w in SPLIT_WIDTHS:
+            r = np.random.default_rng(n * w).integers(0, 2, (n, w))
+            ma, mb, mc = (int(np.abs(m.data).max()) for m in (a, b, c))
+
+            def products():
+                br = matrix._exact_product(b.data, r, None, mb, 1)(b.data)
+                ab = matrix._exact_product(a.data, br, None, ma, int(np.abs(br).max()))(a.data)
+                return ab != matrix._exact_product(c.data, r, None, mc, 1)(c.data)
+
+            def plan():
+                p = verify_mod._Plan(a, b, c, 1)
+                return matrix._fill(p.masks(p.br(r), r), n)
+
+            row = {"n": n, "w": w, "entry_bits": _entry_bits(n)}
+            s = matrix._part_width(n, ma, n * mb, mc, 1) if hasattr(matrix, "_parts_differ") else None
+            if s is not None:
+
+                def parts():
+                    br = matrix._on_one_thread(np.matmul, b.data.astype(np.float64), r.astype(np.float64))
+                    return matrix._parts_differ(a.data, c.data, np.concatenate((br, -r)), s)
+
+                assert not parts().any()
+                row["parts"] = _per_call(parts, repeats)
+            assert not products().any() and not plan().any()
+            row.update(products=_per_call(products, repeats), plan=_per_call(plan, repeats))
+            rows.append(row)
+    return rows
+
+
+def _verify_sizes(fc, data: Path, repeats: int) -> dict:
+    out = {}
+    for n, k, kind, bound in VERIFY_SIZES:
+        ring = _ring(fc, kind, bound if kind == "zp" else None)
+        arrays = np.load(data / f"sizes_{n}_{kind}.npz")
+        a, b, c = (fc.Matrix(n, n, ring, arrays[x]) for x in "abc")
+        cfg = fc.VerifyConfig(k, 5, fc.uniform_binary())
+        assert fc.verify(a, b, c, cfg).accepted
+        label = f"{_name(kind, bound if kind == 'zp' else None)} n={n} k={k}"
+        if kind == "int64":
+            label += f" entries<=2^{bound.bit_length() - 1}"
+        out[label] = _per_call(lambda: fc.verify(a, b, c, cfg), repeats)
     return out
 
 
@@ -315,6 +430,10 @@ def _compare(parent: list[float], change: list[float]) -> dict:
     return row
 
 
+def _ratio(times: list[float], base: list[float]) -> float:
+    return round(statistics.median(times) / statistics.median(base), 3)
+
+
 def _machine() -> dict:
     cpu = None
     try:
@@ -350,6 +469,23 @@ def _ratios(parent: dict, change: dict) -> dict:
          "change_limbs_over_einsum": round(statistics.median(row["limbs_ms"]) / statistics.median(row["einsum_ms"]), 2)}
         for before, row in zip(parent["einsum_vs_limbs"], change["einsum_vs_limbs"])
     ]
+    doc["split_compare"] = [
+        {"n": row["n"], "w": row["w"], "entry_bits": row["entry_bits"],
+         "plan": _compare(before["plan"]["ms"], row["plan"]["ms"]),
+         "change_products_ms": _medians(row["products"]["ms"]),
+         **({"change_parts_ms": _medians(row["parts"]["ms"]),
+             "change_parts_over_products": _ratio(row["parts"]["ms"], row["products"]["ms"])}
+            if "parts" in row else {}),
+         "minflt": {"parent_plan": _medians(before["plan"]["minflt"]),
+                    **{f"change_{k}": _medians(row[k]["minflt"]) for k in ("products", "parts", "plan") if k in row}}}
+        for before, row in zip(parent["split_compare"], change["split_compare"])
+    ]
+    doc["verify_sizes"] = {
+        key: {**_compare(parent["verify_sizes"][key]["ms"], row["ms"]),
+              "change_over_parent": _ratio(row["ms"], parent["verify_sizes"][key]["ms"]),
+              "minflt": {"parent": _medians(parent["verify_sizes"][key]["minflt"]), "change": _medians(row["minflt"])}}
+        for key, row in change["verify_sizes"].items()
+    }
     return doc
 
 
@@ -387,7 +523,8 @@ def main() -> None:
         doc["pairs"] = PAIRS
         doc.update(_ratios(parent, change))
     else:
-        doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products", "einsum_vs_limbs")})
+        doc.update({k: change[k] for k in ("verify", "verify_reject", "matmul", "wide_products", "einsum_vs_limbs",
+                                           "split_compare", "verify_sizes")})
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

@@ -68,7 +68,23 @@ that the bound proves exact:
   for p = 2**61 - 1 (3-bit shift steps), which a Z_p verify at n = 1024
   pays once per 128-row block of each product.  A whole two-limb int64
   product at n = 64, 19 columns, takes about fifteen numpy calls and costs
-  about as much as ``einsum`` there, hence the limits above.
+  about as much as ``einsum`` there, hence the limits above for products
+  that must be formed.
+
+The verifier never needs A(BR) or CR, only whether they differ, so an
+int64 block of trial vectors whose comparison passes 2**53 need form
+neither.  ``verify._Plan`` takes this for blocks within its size limits,
+where the products would run on ``einsum``: BR is formed by one float64
+BLAS call where n max|B| rho is at most 2**53, and ``_parts_differ``
+forms the mask of [A | C] [BR; -R], which is A(BR) - CR, as one BLAS call.
+``_split`` splits [A | C] at 2**s into its low digits and its high limb,
+each row's two limbs on consecutive rows, so the call gives the limb
+products L and H, and A(BR) - CR = 2**s H + L.  ``_part_width`` picks s
+from the bounds and states the inequalities under which every partial sum
+of L and H is an integer a double holds; an entry then differs exactly
+where L != -2**s H, and nothing is recombined or formed as int64.  BR
+and the mask took 0.65-0.67x the time of BR and the two ``einsum``
+products at n = 64, 19 columns (``BENCH_split_compare.json``).
 
 The ``int64`` overflow rule is that of checking every product term and
 every partial sum, in ascending inner index, entry by entry in row-major
@@ -386,9 +402,11 @@ _FLOAT_EXACT = 1 << 53
 # multiply-adds, and one of at most two columns, whose limb products pay
 # for converting all of x for little BLAS work.  In BENCH_lean_limbs.json
 # the limb tier took 0.97x einsum's time at 64 x 64 x 19 (77,824 in int64,
-# 1.35x in Z_p, and no less than einsum inside a whole verify), 0.75x at
-# 128 x 128 x 8 (131,072), and on two columns 1.2-6.3x up to n = 256 and
-# 0.95-1.03x at n = 512 and 1024.
+# 1.35x in Z_p), 0.75x at 128 x 128 x 8 (131,072), and on two columns
+# 1.2-6.3x up to n = 256 and 0.95-1.03x at n = 512 and 1024.  ``verify``
+# compares an int64 block of at least 8 columns within this limit in two
+# parts instead of forming its products (see the module docstring), and
+# keeps these tiers above it, where the limb tier is faster.
 _EINSUM_MACS = 3 << 15
 # Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
 # of a large x is ever made, and calls stay few and large.
@@ -410,6 +428,23 @@ def _blas_thread_calls():
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+def _on_one_thread(call, *args):
+    """``call(*args)`` with numpy's bundled OpenBLAS on one thread, the
+    caller's count restored before it returns, so a stream left suspended
+    or dropped never holds the pin (a no-op without that OpenBLAS).  The
+    count is process-global: BLAS calls that other threads of the process
+    make meanwhile also run on one thread."""
+    threads = _blas_thread_calls()
+    before = threads[0]() if threads else 1
+    if before != 1:
+        threads[1](1)
+    try:
+        return call(*args)
+    finally:
+        if before != 1:
+            threads[1](before)
 
 
 def _max_abs(v: np.ndarray) -> int:
@@ -494,6 +529,29 @@ def _limb_plan(rows: int, inner: int, cols: int, mx: int, my: int, signed: bool 
     return best
 
 
+def _part_width(inner: int, mx: int, my: int, mu: int, mv: int) -> int | None:
+    """The s at which ``[x | u] @ [y; v]``, for ``x`` and ``u`` of
+    ``inner`` columns each, is exact on float64 BLAS with ``[x | u]`` split
+    into two limbs at 2**s (``_parts_differ``), from bounds ``mx >=
+    max|x|``, ``my >= max|y|``, ``mu >= max|u|`` and ``mv >= max|v|``;
+    None where no s is.
+
+    ``_split``'s low limb of an entry lies in [0, 2**s) and its high limb,
+    the entry shifted right by s, has magnitude at most ceil(m / 2**s) for
+    an entry bounded by m.  Every partial sum of both limb products is then
+    an integer of magnitude at most 2**53 when
+
+        inner * (2**s - 1) * (my + mv) <= 2**53,
+        inner * (ceil(mx / 2**s) * my + ceil(mu / 2**s) * mv) <= 2**53.
+
+    The first fixes the largest s; the second only eases as s grows, so
+    that s is the one returned if any is."""
+    s = (_FLOAT_EXACT // max(inner * (my + mv), 1) + 1).bit_length() - 1
+    if inner * (-(-mx >> s) * my + -(-mu >> s) * mv) <= _FLOAT_EXACT:
+        return s
+    return None
+
+
 def _shift_add(acc: np.ndarray, shift: int, add: np.ndarray, p: int | None, out: np.ndarray) -> None:
     """``acc * 2**shift + add`` on uint64 arrays, into ``out``, which may
     be ``acc``: wrapping for ``p`` None, else mod p for ``acc`` in [0, p)
@@ -572,11 +630,8 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
     or of an empirical rate.  The block product never suspends while it
     holds them.
 
-    Each call runs its BLAS calls on one OpenBLAS thread and restores the
-    caller's count before it returns, so a stream left suspended or dropped
-    never holds the pin (a no-op without numpy's bundled OpenBLAS).  The
-    count is process-global: BLAS calls that other threads of the process
-    make meanwhile also run on one thread.
+    Each call runs its BLAS calls on one OpenBLAS thread
+    (``_on_one_thread``).
     """
     inner, cols = y.shape
     nx, a, ny, b = plan
@@ -614,7 +669,6 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
     of = _scratch(scratch, "out", (span * nx, ny * cols), np.float64)
     tmp = _scratch(scratch, "int", (step, inner), np.int64) if nx > 1 else None
     ints = _scratch(scratch, "limbs", (nx, ny, span, cols), np.int64) if nx * ny > 1 else None
-    threads = _blas_thread_calls()
 
     def piece(xp: np.ndarray, part: np.ndarray) -> None:
         # Rows xp, at most a span, of x times y, into the same rows of the
@@ -639,23 +693,38 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
         np.copyto(planes, os.reshape(k, nx, ny, cols).transpose(1, 2, 0, 3), casting="unsafe")
         _recombine(planes.view(np.uint64), a, b, p, part.view(np.uint64))
 
+    def spans(xb: np.ndarray, out: np.ndarray) -> None:
+        for j in range(0, len(xb), span):
+            piece(xb[j : j + span], out[j : j + span])
+
     def product(xb: np.ndarray) -> np.ndarray:
         out = np.empty((len(xb), cols), dtype=dtype)
-        before = threads[0]() if threads else 1
-        if before != 1:
-            threads[1](1)
-        try:
-            if len(xb) <= span:
-                piece(xb, out)
-            else:
-                for j in range(0, len(xb), span):
-                    piece(xb[j : j + span], out[j : j + span])
-        finally:
-            if before != 1:
-                threads[1](before)
+        _on_one_thread(piece if len(xb) <= span else spans, xb, out)
         return out
 
     return product
+
+
+def _parts_differ(x: np.ndarray, u: np.ndarray, yv: np.ndarray, s: int, scratch: dict | None = None) -> np.ndarray:
+    """The mask ``[x | u] @ yv != 0``, for int64 ``x`` and ``u`` of
+    ``inner`` columns each and a float64 ``yv`` of ``2 inner`` rows, exact
+    under ``_part_width``'s inequalities at ``s``.
+
+    ``[x | u]`` is split by ``_split`` into its low digits, row 2i of one
+    float64 array, and its high limb, row 2i + 1, so that one BLAS call
+    gives both limb products, L and H, and ``[x | u] @ yv`` is 2**s H + L.
+    Both are exact integers, so an entry is nonzero exactly where L !=
+    -2**s H: nothing is recombined.  The split array and its int64 digits
+    come from ``scratch`` (see ``_scratch``)."""
+    rows, inner = x.shape
+    xs = _scratch(scratch, "parts", (rows, 2, 2, inner), np.float64)
+    tmp = _scratch(scratch, "int", (rows, inner), np.int64)
+    _split(x, s, 2, xs[:, :, 0].transpose(1, 0, 2), tmp)
+    _split(u, s, 2, xs[:, :, 1].transpose(1, 0, 2), tmp)
+    parts = _on_one_thread(np.matmul, xs.reshape(2 * rows, 2 * inner), yv).reshape(rows, 2, -1)
+    low, high = parts[:, 0], parts[:, 1]
+    high *= -(2.0**s)
+    return np.not_equal(low, high)
 
 
 def _check_entry(xi: list, yj: list, i: int, j: int) -> None:

@@ -17,9 +17,19 @@ block, ``step = matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at
 once up to n = 362).  A product plan, ``_Plan``, is formed once per call,
 when the engine starts: the bounds max|A|, max|B| and max|C| (read once per
 matrix, which keeps them), rho, the law's largest |support value|, which
-bounds every trial vector, and n max|B| rho, which bounds BR.  Every
-product of every block picks its tier and limb split from them, so no
-trial block is scanned; BR is scanned only where its bound carries
+bounds every trial vector, and n max|B| rho, which bounds BR.  The plan
+holds the block tier.  An int64 block of w columns, w at least
+``_PARTS_COLS`` (8) and n^2 w from ``_PARTS_MACS`` (16,384) to
+``matrix._EINSUM_MACS`` (98,304), is compared in two float64 parts where
+A(BR) or CR passes 2**53, neither passes 2**63 - 1 and some split 2**s
+keeps every step exact (``matrix._part_width``, whose inequalities then
+bound BR by 2**53): BR is formed on float64 BLAS, and the mask is
+that of [A | C] [BR; -R] in two parts, one BLAS call
+(``matrix._parts_differ``), so neither A(BR) nor CR is formed, scanned or
+recombined.  The plan decides this, and s, once, at the first such block,
+so a call that ends in the probe pays nothing for it.  Every other
+product of every block picks its tier and limb split from the bounds, so
+no trial block is scanned; BR is scanned only where its bound carries
 A(BR)'s past a tier boundary (2**63 - 1 for one column, 2**53 for more),
 and its own magnitude may then pick a cheaper tier.  The plan also holds
 the call's scratch buffers, which all its BLAS products share.  Trials
@@ -86,12 +96,36 @@ import numpy as np
 
 from . import matrix
 from .errors import ConfigInvalid, DimensionMismatch, IntegerOverflow, RingMismatch
-from .matrix import INT64_MAX, Matrix, Vector, _block, _exact_product, _fill, _max_abs
+from .matrix import (
+    INT64_MAX,
+    Matrix,
+    Vector,
+    _block,
+    _exact_product,
+    _fill,
+    _max_abs,
+    _on_one_thread,
+    _part_width,
+    _parts_differ,
+)
 from .sampling import DiscreteDistribution, _draw_trials, _trial_keys, p_max
 
 # Entries of the (n x w) vector block per verify block: bounds the block's
 # memory at a few MiB while keeping products few and large.
 _BLOCK_ENTRIES = 1 << 20
+# Blocks compared in two parts (``_Plan.parts``) have at least _PARTS_COLS
+# columns and _PARTS_MACS multiply-adds per product, n^2 w, and at most
+# ``matrix._EINSUM_MACS``: the int64 ``einsum`` products they replace.
+# Below, the fixed cost of the split, about ten numpy calls over all of A
+# and C, outweighs those products; above, the limb tier is faster than one
+# product of twice the inner dimension.  A block's BR and mask, parts over
+# products, in three runs of scripts/bench_limb_split.py on a 2-vCPU Xeon
+# VM (BENCH_split_compare.json, 'split_compare', holds the last):
+# 0.65-0.67x at n = 64, w = 19; 0.87-0.96x at w = 8 and 1.02-1.24x at w =
+# 4; 0.99-1.03x at n = 32, w = 8 and 0.80-0.82x at w = 19; 1.08-1.13x at
+# n = 128, w = 19 (311,296) and 1.2-2.5x at n = 256.
+_PARTS_COLS = 8
+_PARTS_MACS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -149,17 +183,36 @@ class _Plan:
     """The products of one verify call, planned when it starts, from n, the
     ring, max|A|, max|B|, max|C| (one scan each, kept by the matrices) and
     rho, a bound on every entry of every trial vector: the law's largest
-    |support value|.  Every product of every block takes its tier and limb
-    split from these bounds (``matrix._exact_product``), so no trial block
-    is scanned.  BR is bounded by n max|B| rho (and by p - 1 over Z_p), and
-    scanned, one n x w block, only where that bound lifts n max|A| max|BR|
+    |support value|.  BR is bounded by n max|B| rho (and by p - 1 over Z_p).
+
+    The plan holds the tier of a block of w columns, w at least
+    ``_PARTS_COLS`` and n^2 w from ``_PARTS_MACS`` to
+    ``matrix._EINSUM_MACS``, the sizes at which the products would run on
+    ``einsum`` (``parts``, decided at the first such block): over int64,
+    where A(BR) or CR passes 2**53 and neither passes 2**63 - 1, the
+    block is compared in two float64 parts at the s of
+    ``matrix._part_width``, if one keeps every step exact.  Its
+    inequalities then bound BR, n max|B| rho, by 2**53: the low one does
+    for s > 0, and for s = 0 the high one, n (max|A| max|BR| + max|C|
+    rho) <= 2**53, does whenever max|A| > 0, which a comparison past 2**53
+    then requires.  So BR is formed on float64 BLAS and stays float64,
+    and the mask is that of [A | C] [BR; -R] (``matrix._parts_differ``):
+    A(BR) and CR are never formed, and BR is never scanned.  The product
+    tiers below serve the probe's single column, other blocks, Z_p, n = 1,
+    bounds past 2**63 - 1 (which run ``_check_int64``) and comparisons
+    within 2**53, where a scan of BR may still pick the plain float64
+    tier.
+
+    Every other product takes its tier and limb split from the bounds
+    (``matrix._exact_product``), so no trial block is scanned.  BR is
+    scanned, one n x w block, only where its bound lifts n max|A| max|BR|
     past a tier boundary: 2**63 - 1 for a single column, which takes
     ``einsum`` below it, and 2**53 for a wider block.  There the block's own
     max|BR| may still pick a cheaper tier or fewer limbs for A(BR), the ones
     a scan of every operand would pick.  The call's BLAS products share
     one pool of scratch buffers, so a call allocates each buffer once."""
 
-    __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "step", "scratch")
+    __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "s", "step", "scratch")
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix, rho: int) -> None:
         n, p = a.rows, a.ring.modulus
@@ -167,11 +220,32 @@ class _Plan:
         self.ma, self.mb, self.mc = a._magnitude(), b._magnitude(), c._magnitude()
         self.mbr = n * self.mb * rho if p is None else min(n * self.mb * rho, p - 1)
         self.abr = n * self.ma * self.mbr
+        # s is -1 until the first block compared in two parts decides it.
+        self.s = -1
         self.step = matrix._FLOAT_BLOCK // n or 1
         self.scratch = {}
 
+    def parts(self) -> int | None:
+        """The s at which blocks within the size limits compare A(BR) with
+        CR in two float64 parts, or None, decided once, at the first such
+        block."""
+        if self.s == -1:
+            n = len(self.a)
+            cmp = max(self.abr, n * self.mc * self.rho)
+            self.s = None
+            if self.p is None and n > 1 and matrix._FLOAT_EXACT < cmp <= INT64_MAX:
+                self.s = _part_width(n, self.ma, self.mbr, self.mc, self.rho)
+        return self.s
+
     def br(self, r: np.ndarray) -> np.ndarray:
-        """BR, whole; raises its ``IntegerOverflow`` before any entry."""
+        """BR, whole; raises its ``IntegerOverflow`` before any entry.  A
+        block compared in two parts gets BR as float64, from one BLAS call,
+        exact because ``parts`` bounds n max|B| rho by 2**53: formed by
+        ``_exact_product`` and converted, an n = 64 accept with 19 such
+        columns took 1.09x as long."""
+        w = r.shape[1]
+        if w >= _PARTS_COLS and _PARTS_MACS <= len(r) ** 2 * w <= matrix._EINSUM_MACS and self.parts() is not None:
+            return _block(self.b, lambda b: _on_one_thread(np.matmul, b.astype(np.float64), r.astype(np.float64)))
         return _block(self.b, _exact_product(self.b, r, self.p, self.mb, self.rho, self.scratch))
 
     def masks(self, br: np.ndarray, r: np.ndarray, rows: slice | None = None):
@@ -182,15 +256,35 @@ class _Plan:
         a, c, p = self.a, self.c, self.p
         if rows is not None:
             a, c = a[rows], c[rows]
+        step = self.step
+        if br.dtype.kind == "f":
+            differ = self._parts(br, r)
+            if len(a) <= step:
+                return (differ(a, c) for _ in (0,))
+            return (differ(a[i : i + step], c[i : i + step]) for i in range(0, len(a), step))
         limit = INT64_MAX if br.shape[1] == 1 else matrix._FLOAT_EXACT
         ab = _exact_product(a, br, p, self.ma, _max_abs(br) if self.abr > limit else self.mbr, self.scratch)
         cr = _exact_product(c, r, p, self.mc, self.rho, self.scratch)
-        step = self.step
         if len(a) <= step:
             # One row block, read without slicing: a slice per read cost
             # about a microsecond at n = 64.
             return (np.not_equal(_block(a, ab), _block(c, cr)) for _ in (0,))
         return (np.not_equal(_block(a[i : i + step], ab), _block(c[i : i + step], cr)) for i in range(0, len(a), step))
+
+    def _parts(self, br: np.ndarray, r: np.ndarray):
+        """The mask of rows of A and C as ``matrix._parts_differ`` of [A |
+        C] [BR; -R], which is A(BR) - CR, each row block charged as the
+        two products it replaces."""
+        n, cols = len(self.a), r.shape[1]
+        y = np.empty((2 * n, cols))
+        y[:n] = br
+        np.negative(r, out=y[n:], casting="unsafe")
+
+        def differ(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+            matrix._ops.multiplies += 2 * a.size * cols
+            return _parts_differ(a, c, y, self.s, self.scratch)
+
+        return differ
 
 
 def _carried_rows(plan: _Plan, r0: np.ndarray, br0: np.ndarray, head: np.ndarray, r1: np.ndarray, br1: np.ndarray):

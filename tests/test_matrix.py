@@ -979,3 +979,142 @@ def test_zp_add_sub_with_moduli_near_the_int64_limit(p, x, y):
     a, b = Matrix(1, 1, ring, [[x]]), Matrix(1, 1, ring, [[y]])
     assert mat_add(a, b)[0, 0] == (x + y) % p
     assert mat_sub(a, b)[0, 0] == (x - y) % p
+
+
+# ---------------------------------------------------------------- two-part comparison
+
+
+def _part_width_reference(inner, mx, my, mu, mv):
+    """The largest s in 0..62 meeting both of ``_part_width``'s
+    inequalities, by Python integers, or None."""
+    ok = [
+        s
+        for s in range(63)
+        if inner * (2**s - 1) * (my + mv) <= 2**53
+        and inner * (-(-mx // 2**s) * my + -(-mu // 2**s) * mv) <= 2**53
+    ]
+    return max(ok) if ok else None
+
+
+def _limbs(m, s):
+    """The low digits and the high limb of ``m`` at 2^s, as ``_split``
+    forms them, in Python integers."""
+    rows = m.tolist()
+    return [[v % 2**s for v in row] for row in rows], [[v >> s for v in row] for row in rows]
+
+
+def _two_parts(x, u, y, v, s):
+    """``_parts_differ``'s mask of [x | u] [y; v] at 2^s, with H and L,
+    its high and low limb products, as Python integers."""
+    mask = matrix_mod._parts_differ(x, u, np.concatenate((y, v)).astype(np.float64), s)
+    (x0, x1), (u0, u1) = _limbs(x, s), _limbs(u, s)
+    yl, vl = y.tolist(), v.tolist()
+
+    def side(xa, ua):
+        return [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(brute_matmul(xa, yl), brute_matmul(ua, vl))]
+
+    return mask, side(x1, u1), side(x0, u0)
+
+
+@pytest.mark.parametrize("n, w", [(2, 2), (8, 4), (64, 19)])
+def test_two_part_mask_matches_python_ints(n, w):
+    # x = A, y = BR, v = -R with R the first w unit columns, so [x | u] [y;
+    # v] = x y - u[:, :w]; u's first w columns are x y minus delta, which is
+    # 0, +-1, +-2^s or +-(2^s - 1) at random entries.  Row 0 of x is a unit
+    # row and row 0 of y is below 2^(s - 1), so in row 0 H cancels alone
+    # where delta is +-1 and L where it is +-2^s.  2^s H + L must be the
+    # Python difference.
+    rng = np.random.default_rng(10 * n + w)
+    mx, my = 1 << 20, 1 << 30
+    s = matrix_mod._part_width(n, mx, my, n * mx * my + 2**20, 1)
+    assert s == _part_width_reference(n, mx, my, n * mx * my + 2**20, 1) and s > 2
+    deltas = [0, 1, -1, 2**s, -(2**s), 2**s - 1, 1 - 2**s]
+    seen = set()
+    for _ in range(12):
+        x = rng.integers(-mx, mx, (n, n), endpoint=True)
+        x[0], x[0, 0] = 0, 1
+        y = rng.integers(-my, my, (n, w), endpoint=True)
+        y[0] = rng.integers(1, 2 ** (s - 1), w)
+        right = brute_matmul(x.tolist(), y.tolist())
+        delta = [[deltas[k] for k in row] for row in rng.integers(len(deltas), size=(n, w)).tolist()]
+        u = rng.integers(-my, my, (n, n), endpoint=True)
+        u[:, :w] = [[right[i][t] - delta[i][t] for t in range(w)] for i in range(n)]
+        v = -np.eye(n, w, dtype=np.int64)
+        mask, high, low = _two_parts(x, u, y, v, s)
+        for i in range(n):
+            for t in range(w):
+                assert 2**s * high[i][t] + low[i][t] == delta[i][t]
+                assert mask[i, t] == (delta[i][t] != 0)
+                seen.add((delta[i][t], high[i][t] == 0, low[i][t] == 0))
+    assert {d for d, _, _ in seen} == set(deltas)
+    # Cancelling in H but not in L, in L but not in H, in both, and in
+    # neither while the sides agree.
+    assert {(h, lo) for d, h, lo in seen if d} >= {(True, False), (False, True)}
+    assert {(h, lo) for d, h, lo in seen if not d} >= {(True, True), (False, False)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    w=st.integers(min_value=1, max_value=5),
+    s=st.integers(min_value=1, max_value=40),
+    vbits=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_two_part_mask_at_its_bounds_over_random_signs(n, w, s, vbits, seed):
+    # Every entry at its bound with a random sign: y and v at the largest
+    # bounds the low inequality allows at s, and x and u at the largest the
+    # high one then allows (within int64), so partial sums reach the
+    # limits; row 0 of x and column 0 of y have one sign throughout.
+    rng = np.random.default_rng(seed)
+    mv = 1 << vbits
+    my = 2**53 // (n * (2**s - 1)) - mv
+    if my < 1:
+        return
+    room = 2**53 // n
+    mx = min(2**s * (room // (2 * my)), 2**62)
+    mu = min(2**s * ((room - -(-mx // 2**s) * my) // mv), 2**62)
+    assert matrix_mod._part_width(n, mx, my, mu, mv) == _part_width_reference(n, mx, my, mu, mv) == s
+
+    def signs(shape):
+        return rng.choice(np.array([-1, 1], dtype=np.int64), size=shape)
+
+    x, y, u, v = mx * signs((n, n)), my * signs((n, w)), mu * signs((n, n)), mv * signs((n, w))
+    x[0], y[:, 0] = mx, my
+    mask, high, low = _two_parts(x, u, y, v, s)
+    left, right = brute_matmul(x.tolist(), y.tolist()), brute_matmul(u.tolist(), v.tolist())
+    for i in range(n):
+        for t in range(w):
+            assert 2**s * high[i][t] + low[i][t] == left[i][t] + right[i][t]
+            assert mask[i, t] == (left[i][t] + right[i][t] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    bits=st.tuples(*(st.integers(min_value=0, max_value=62) for _ in range(4))),
+)
+def test_part_width_is_the_largest_exact_s(n, bits):
+    mx, my, mu, mv = (1 << b for b in bits)
+    s = matrix_mod._part_width(n, mx, my, mu, mv)
+    assert s == _part_width_reference(n, mx, my, mu, mv)
+    # verify's plan forms y = BR on float64 BLAS on the strength of this:
+    # with either product past 2^53, an s bounds n max|y| by 2^53.
+    if s is not None and n * max(mx * my, mu * mv) > 2**53:
+        assert n * my <= 2**53
+
+
+def test_part_width_at_its_inequalities():
+    # n = 8, s = 10: my at the low inequality's bound, then one past it (s
+    # drops to 9); mx at the high one's bound at s = 10, then 2^10 past it
+    # (no s).  At s = 9 the high inequality fails for these mx.
+    n, mv, s = 8, 1, 10
+    my = 2**53 // (n * (2**s - 1)) - mv
+    mx = 2**s * ((2**53 // n - 1) // my)
+    assert matrix_mod._part_width(n, mx, my, 1, mv) == s
+    assert matrix_mod._part_width(n, mx, my + 1, 1, mv) is None
+    assert matrix_mod._part_width(n, mx // 2, my + 1, 1, mv) == s - 1
+    assert matrix_mod._part_width(n, mx + 2**s, my, 1, mv) is None
+    mu = 2**s * (2**53 // n - -(-mx // 2**s) * my)
+    assert matrix_mod._part_width(n, mx, my, mu, mv) == s
+    assert matrix_mod._part_width(n, mx, my, mu + 1, mv) is None

@@ -733,9 +733,9 @@ def test_a_stopped_stream_leaves_the_callers_blas_threads(monkeypatch):
 def test_one_verify_scans_each_operand_at_most_once(monkeypatch, mode):
     # The plan reads max|A|, max|B| and max|C| once, when verify starts, and
     # bounds every trial block by the law's largest |support value|.  So a
-    # fresh n = 64 instance is scanned once per operand, and beyond that only
-    # the block's BR, whose bound n max|A| max|BR| passes 2^53 (entries to
-    # 2^24); trial 0's single column stays below 2^63 - 1 and is not scanned.
+    # fresh n = 64 instance is scanned once per operand and nothing more:
+    # with entries to 2^24 the trial block is compared in two parts, which
+    # need no max|BR|, and trial 0's single column stays below 2^63 - 1.
     n = 64
     rng = np.random.default_rng(12)
     a_arr, b_arr = (rng.integers(-(2**24), 2**24, size=(n, n), endpoint=True) for _ in range(2))
@@ -756,7 +756,7 @@ def test_one_verify_scans_each_operand_at_most_once(monkeypatch, mode):
     for m in (a, b, c):
         assert sum(np.shares_memory(v, m.data) for v in scans) == 1
     others = [v.shape for v in scans if not any(np.shares_memory(v, m.data) for m in (a, b, c))]
-    assert others == ([(n, 19)] if mode == "equal" else [])
+    assert others == []
     # A second verify of the same matrices reads their kept bounds.
     scans.clear()
     assert verify(a, b, c, _cfg(k=20, seed=5)) == verdict
@@ -797,3 +797,297 @@ def test_an_overflowing_block_reruns_its_trials_from_its_br(monkeypatch):
         assert scalar_multiplies() == 3 * n * n + (k - 1) * n * n + 2 * n * n * (f - 1)
         seen.add(f)
     assert len(seen) >= 2
+
+
+# ---------------------------------------------------------------- two-part tier
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that gets one entry per call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _at_bounds(rng, shape, bound):
+    return bound * rng.choice(np.array([-1, 1], dtype=np.int64), size=shape)
+
+
+def _inequality_case(which, past, seed):
+    """(A, B, C, R) at n = 8, w = 3 whose plan meets one of
+    ``matrix._part_width``'s inequalities as nearly as integers allow at s
+    = 10, or passes it by one unit, and then fails the other at s = 9 too.
+    "low": max|B| at n (2^10 - 1)(n max|B| rho + rho) <= 2^53, one past
+    it in B.  "high": max|C| at n (ceil(max|A| / 2^10) n max|B| rho +
+    ceil(max|C| / 2^10) rho) <= 2^53, one past it in C[n - 1, 0].  Row 0
+    of A and column 0 of B are at their bounds, so max|AB| is max|A| n
+    max|B|."""
+    n, w, s = 8, 3, 10
+    rng = np.random.default_rng(seed)
+    mb = (2**53 // (n * (2**s - 1)) - 1) // n
+    ma, mc = 2**18, None
+    if which == "low":
+        mb += past
+    else:
+        ma = 2**s * (2**53 // (16 * n * mb))
+        mc = 2**s * (2**53 // n - -(-ma // 2**s) * n * mb) + past
+    a, b = _at_bounds(rng, (n, n), ma), _at_bounds(rng, (n, n), mb)
+    a[0], b[:, 0] = ma, mb
+    c = np.einsum("ik,kj->ij", a, b)
+    if mc is not None:
+        c[n - 1, 0] = mc
+    r = rng.integers(-1, 1, (n, w), endpoint=True)
+    r[0, 0] = 1
+    return a, b, c, r
+
+
+@pytest.mark.parametrize("which", ["low", "high"])
+def test_the_two_part_tier_at_its_inequalities(monkeypatch, which):
+    # At each inequality the block is compared in two parts; one unit past
+    # it no s is exact and the product tiers run.  The mask is the one Python
+    # integers give either way.  The size limits are lifted for these 8 x 3
+    # blocks.
+    monkeypatch.setattr(verify_mod, "_PARTS_COLS", 2)
+    monkeypatch.setattr(verify_mod, "_PARTS_MACS", 0)
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    for past in (0, 1):
+        for seed in range(4):
+            arrays = _inequality_case(which, past, seed)
+            a, b, c, r = (Matrix(len(x), len(x[0]), INT64, x) for x in arrays)
+            plan = verify_mod._Plan(a, b, c, int(np.abs(arrays[3]).max()))
+            assert plan.mbr <= 2**53 < a.rows * c._magnitude() * plan.rho <= matrix_mod.INT64_MAX
+            assert plan.abr <= matrix_mod.INT64_MAX
+            assert plan.parts() == (None if past else 10)
+            differ.clear()
+            mask = verify_mod.fingerprint_block(a, b, c, r)
+            assert len(differ) == (0 if past else 1)
+            abr = brute_matmul(a.data.tolist(), brute_matmul(b.data.tolist(), r.data.tolist()))
+            cr = brute_matmul(c.data.tolist(), r.data.tolist())
+            assert mask.tolist() == [[x != y for x, y in zip(u, v)] for u, v in zip(abr, cr)]
+
+
+def _entries_2_24(n, seed, error=None):
+    """A and B with entries to 2^24 at size n and C = AB, plus 1 in each
+    (row, column) of ``error``."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(-(2**24), 2**24, (n, n), endpoint=True) for _ in range(2))
+    c = np.einsum("ik,kj->ij", a, b)
+    for i, j in error or ():
+        c[i, j] += 1
+    return tuple(Matrix(n, n, INT64, m) for m in (a, b, c))
+
+
+@pytest.mark.parametrize("accept", [True, False], ids=["accept", "trial-block reject"])
+def test_wide_int64_blocks_past_2_53_form_no_product(monkeypatch, accept):
+    # n = 64, k = 20, entries to 2^24: A(BR) and CR pass 2^53 (n max|C| rho
+    # about 2^58).  Trials 1..19 are compared in two parts: no int64
+    # einsum of more than one column, no recombination, and no scan but
+    # the one of each operand.  The reject's single differing column is
+    # missed by trial 0 and caught in the trial block.
+    n = 64
+    a, b, c = _entries_2_24(n, 3, None if accept else [(i, 9) for i in (5, 40)])
+    seed = 0
+    if not accept:
+        while verify(a, b, c, _cfg(k=20, seed=seed)).witness_iteration in (None, 0):
+            seed += 1
+    a, b, c = (Matrix(n, n, INT64, m.data) for m in (a, b, c))  # no kept bounds
+    einsums = _count_calls(monkeypatch, matrix_mod, "_einsum_product")
+    recombines = _count_calls(monkeypatch, matrix_mod, "_recombine")
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    scans = _count_calls(monkeypatch, matrix_mod, "_max_abs")
+    monkeypatch.setattr(verify_mod, "_max_abs", matrix_mod._max_abs)
+    cfg = _cfg(k=20, seed=seed)
+    reset_scalar_multiplies()
+    got = verify(a, b, c, cfg)
+    count = scalar_multiplies()
+    assert len(differ) == 1
+    assert [y.shape[1] for y, *_ in einsums] == [1, 1, 1]  # the probe's B r, A(B r) and C r
+    assert recombines == []
+    scanned = [v for v, in scans]
+    assert len(scanned) == 3 and all(any(np.shares_memory(v, m.data) for m in (a, b, c)) for v in scanned)
+    assert got == _reference_verdict(a, b, c, cfg)
+    assert got.accepted == accept and (accept or got.witness_iteration >= 1)
+    if accept:
+        assert count == 3 * 20 * n * n
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zp 2^61-1", "zp 2^31-1", "zp 2^26-5", "one column", "n = 1", "small", "narrow", "large", "cli-files", "verify-large",
+     "within 2^53"],
+)
+def test_the_two_part_tier_is_left_to_other_blocks(monkeypatch, case):
+    # Z_p (at p = 2^26 - 5 the int64 bounds would allow two parts, but they
+    # would compare A(BR) with CR unreduced), single columns, n = 1, blocks
+    # of fewer than _PARTS_MACS
+    # multiply-adds per product (n = 8, k = 5), fewer than _PARTS_COLS
+    # columns (n = 128, k = 5) or more than matrix._EINSUM_MACS (n = 128, k
+    # = 20), all with entries to 2^24, and bounds that
+    # stay within 2^53 (the shapes of perfbench's cli-files, n = 256, and
+    # verify-large, n = 1024, both int64 with entries in [-256, 256]) keep
+    # the product tiers.
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    decided = []
+    real = verify_mod._Plan.parts
+
+    def parts(plan):
+        decided.append(real(plan))
+        return decided[-1]
+
+    monkeypatch.setattr(verify_mod._Plan, "parts", parts)
+    rng = np.random.default_rng(7)
+    cfg = _cfg(k=20, seed=4)
+    if case.startswith("zp"):
+        p = {"zp 2^61-1": 2**61 - 1, "zp 2^31-1": 2**31 - 1, "zp 2^26-5": 2**26 - 5}[case]
+        ring, n = RingSpec.prime_field(p), 64
+        a, b = (Matrix(n, n, ring, rng.integers(0, p, (n, n))) for _ in range(2))
+        if p < 2**31:
+            assert matrix_mod._part_width(n, p - 1, p - 1, p - 1, 1) is not None
+        assert verify(a, b, matmul(a, b), cfg).accepted
+    elif case in ("one column", "n = 1"):
+        n = 64 if case == "one column" else 1
+        a, b, c = _entries_2_24(n, 5, [(n - 1, 0)])
+        r = Matrix(n, 1, INT64, rng.integers(1, 3, (n, 1)))
+        assert freivalds_iteration(a, b, c, Vector(INT64, r.data[:, 0])) == (False, n - 1)
+        assert verify_mod.fingerprint_block(a, b, c, r).tolist() == [[i == n - 1] for i in range(n)]
+        if n == 1:
+            assert not verify(a, b, c, cfg).accepted
+            r2 = Matrix(1, 3, INT64, [[1, 2, 3]])
+            assert verify_mod.fingerprint_block(a, b, c, r2).tolist() == [[True] * 3]
+            # A block of 69,999 trials passes the size limits; an inner
+            # dimension of 1 still keeps the product tiers.
+            a, b = Matrix(1, 1, INT64, [[2**27 + 1]]), Matrix(1, 1, INT64, [[-(2**27) - 3]])
+            assert verify(a, b, matmul(a, b), _cfg(k=70_000)).accepted
+    elif case in ("small", "narrow", "large"):
+        n = 8 if case == "small" else 128
+        a_arr, b_arr = (m.data.copy() for m in _entries_2_24(n, 6)[:2])
+        a_arr[0], b_arr[:, 0] = 2**24, 2**24  # (AB)[0, 0] = n 2^48
+        a, b = Matrix(n, n, INT64, a_arr), Matrix(n, n, INT64, b_arr)
+        c = matmul(a, b)
+        assert n * c._magnitude() > 2**53
+        assert verify(a, b, c, _cfg(k=20 if case == "large" else 5, seed=4)).accepted
+    else:
+        n, bound = {"cli-files": (256, 256), "verify-large": (1024, 256), "within 2^53": (64, 2**19)}[case]
+        a, b = (Matrix(n, n, INT64, rng.integers(-bound, bound, (n, n), endpoint=True)) for _ in range(2))
+        c = matmul(a, b)
+        assert n * c._magnitude() <= 2**53
+        assert verify(a, b, c, cfg).accepted
+    assert differ == [] and all(s is None for s in decided)
+
+
+def test_a_br_past_2_53_keeps_the_product_tiers(monkeypatch):
+    # max|A| = 1 and n max|B| = 2^54: A(BR) is within 2^63 - 1 and past
+    # 2^53, but BR is not exact in float64, so the block keeps the product
+    # tiers.  Row 0 of BR is 2^54 + 65 for R of ones, which float64 would
+    # round.
+    n, w = 64, 19
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    rng = np.random.default_rng(2)
+    a_arr = rng.integers(-1, 1, (n, n), endpoint=True)
+    b_arr = rng.integers(-1, 1, (n, n), endpoint=True)
+    b_arr[0], b_arr[0, n - 1] = 2**48 + 1, 2**48 + 2
+    ab = brute_matmul(a_arr.tolist(), b_arr.tolist())
+    a, b = Matrix(n, n, INT64, a_arr), Matrix(n, n, INT64, b_arr)
+    r = Matrix(n, w, INT64, np.ones((n, w), dtype=np.int64))
+    for cells in ([], [(5, 0)], [(n - 1, n - 1)]):
+        c_rows = [row[:] for row in ab]
+        for i, j in cells:
+            c_rows[i][j] += 1
+        c = Matrix(n, n, INT64, c_rows)
+        plan = verify_mod._Plan(a, b, c, 1)
+        assert plan.mbr > 2**53 and 2**53 < plan.abr <= matrix_mod.INT64_MAX
+        mask = verify_mod.fingerprint_block(a, b, c, r)
+        abr = brute_matmul(a_arr.tolist(), brute_matmul(b_arr.tolist(), r.data.tolist()))
+        cr = brute_matmul(c_rows, r.data.tolist())
+        assert mask.tolist() == [[x != y for x, y in zip(u, v)] for u, v in zip(abr, cr)]
+    assert differ == []
+
+
+def test_a_block_past_2_63_keeps_the_overflow_check(monkeypatch):
+    # n max|A| max|BR| passes 2^63 - 1 while two parts would hold every
+    # step: the block keeps the checked tiers, and a trial whose A(Br)
+    # leaves int64 raises the error the one-at-a-time loop raises.  Row 7
+    # of A is 2^38 throughout and B is 2^14 throughout, so row 7 of A(B r)
+    # is 2^58 times the number of ones in r, past 2^63 - 1 from 32 ones on.
+    # C is 0 but at (0, 0), so a trial that does not overflow rejects.
+    n = 64
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    rng = np.random.default_rng(4)
+    a_arr = rng.integers(-1, 1, (n, n), endpoint=True)
+    a_arr[7] = 2**38
+    b_arr = np.full((n, n), 2**14, dtype=np.int64)
+    c_arr = np.zeros((n, n), dtype=np.int64)
+    c_arr[0, 0] = 2**50
+    a, b, c = (Matrix(n, n, INT64, m) for m in (a_arr, b_arr, c_arr))
+    plan = verify_mod._Plan(a, b, c, 1)
+    assert 2**53 < n * c._magnitude() <= matrix_mod.INT64_MAX < plan.abr
+    assert matrix_mod._part_width(n, 2**38, plan.mbr, c._magnitude(), 1) is not None
+    assert plan.parts() is None
+    # A block of 19 columns of ones overflows in row 7 of every column.
+    with pytest.raises(IntegerOverflow) as err:
+        verify_mod.fingerprint_block(a, b, c, Matrix(n, 19, INT64, np.ones((n, 19), dtype=np.int64)))
+    with pytest.raises(IntegerOverflow) as first:
+        freivalds_iteration(a, b, c, Vector(INT64, [1] * n))
+    assert str(err.value) == str(first.value)
+    seen = set()
+    for seed in range(12):
+        cfg = _cfg(k=20, seed=seed)
+        got, expected = [], []
+        for call, out in ((verify, got), (_reference_verdict, expected)):
+            try:
+                out.append(call(a, b, c, cfg))
+            except IntegerOverflow as err:
+                out.append(str(err))
+        assert got == expected, seed
+        seen.add(isinstance(got[0], str))
+    # Some calls raised and some rejected, all as the loop does.
+    assert seen == {True, False} and differ == []
+
+
+@pytest.mark.parametrize("n, float_block", [(12, _ROW_BLOCK_ENTRIES), (363, None)])
+def test_the_two_part_tier_across_row_blocks_and_the_carried_block(monkeypatch, n, float_block):
+    # Patched, n = 12 is three row blocks of 4 rows; n = 363 is blocks of
+    # 361 rows and 2.  The size limits are lifted, so blocks of both are
+    # compared in two parts whatever their size.  Block 0 carries trial 0
+    # when it passed the probe and is then compared in two parts too.
+    # Entries to 2^24 at n = 12 and to 2^20 at n = 363 put n max|C| rho
+    # past 2^53.
+    if float_block is not None:
+        monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", float_block)
+    monkeypatch.setattr(verify_mod, "_PARTS_COLS", 2)
+    monkeypatch.setattr(verify_mod, "_PARTS_MACS", 0)
+    monkeypatch.setattr(matrix_mod, "_EINSUM_MACS", n * n * 20)
+    carried = _count_calls(monkeypatch, verify_mod, "_carried_rows")
+    differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
+    bits = 24 if n == 12 else 20
+    rng = np.random.default_rng(n)
+    a_arr, b_arr = (rng.integers(-(2**bits), 2**bits, (n, n), endpoint=True) for _ in range(2))
+    ab = np.einsum("ik,kj->ij", a_arr, b_arr)
+    a, b = Matrix(n, n, INT64, a_arr), Matrix(n, n, INT64, b_arr)
+    step = matrix_mod._FLOAT_BLOCK // n
+    seen = set()
+    for cells in ([], [(0, n - 1)], [(n - 1, 0)], [(step, 3), (n - 1, 3)], [(i, 5) for i in range(n)]):
+        c_arr = ab.copy()
+        for i, j in cells:
+            c_arr[i, j] += 1
+        c = Matrix(n, n, INT64, c_arr)
+        assert n * c._magnitude() > 2**53
+        for k, seed in itertools.product((2, 20), range(4)):
+            cfg = _cfg(k=k, seed=seed, dist=bernoulli(Fraction(1, 4)))
+            carried.clear()
+            differ.clear()
+            reset_scalar_multiplies()
+            got = verify(a, b, c, cfg)
+            count = scalar_multiplies()
+            assert got == _reference_verdict(a, b, c, cfg), (cells, k, seed)
+            if n == 12:
+                assert got == _python_verdict(a, b, c, cfg)
+            if got.accepted:
+                assert count == 3 * k * n * n
+            seen.add((got.accepted, bool(carried), bool(differ)))
+    assert {(True, True, True), (False, True, True)} <= seen
