@@ -37,10 +37,12 @@ trial that overflows.
 ``analyze_instance`` is the one analysis path, and the exact and empirical
 functions return parts of its report.  It checks every argument before any
 product (see its docstring for the order), forms AB once and E = AB - C at
-most once.  For t trials it counts n**3 + r m t scalar multiplies, for E_S
-of r rows and m columns (r = rank(E) where a rank is computed), or
-n**3 + 3 n**2 t when the verifier's rounds run.  The exact probability adds
-none.
+most once, on E's m differing columns alone: every quantity above reads
+only those columns, and a nonzero E with one row or one column has rank 1
+without an elimination.  For t trials it counts n**3 + r m t scalar
+multiplies, for E_S of r rows and m columns (r = rank(E) where a rank is
+computed), or n**3 + 3 n**2 t when the verifier's rounds run.  The exact
+probability adds none.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ from .matrix import (
     Matrix,
     RingSpec,
     Vector,
+    _add_sub,
     _block,
     _exact_product,
     _fill,
     _is_prime,
     mat_add,
-    mat_sub,
     matmul,
     mats_equal,
     outer,
@@ -167,27 +169,30 @@ def _word_prime(i: int) -> int:
 
 def _exact_rank(e: Matrix) -> np.ndarray:
     """The indices, in E's row order, of rank(E) rows of E that span its row
-    space: the pivot rows of an elimination mod a prime (``_rank_mod``) of
-    E's nonzero rows and columns.
+    space.  ``e`` holds E's nonzero columns (``_profile``'s n x m block;
+    zero columns are allowed and only cost time).  A nonzero E with one
+    nonzero row or one column has rank 1, and its first nonzero row spans
+    it.  Otherwise the rows are the pivot rows of an elimination mod a
+    prime (``_rank_mod``) of E's nonzero rows.
 
     Over Z_p the prime is p: in int64 when p * p <= 2^63 - 1
     (p <= 3,037,000,499), on an object array of Python integers past it.
     Over Z a minor that is nonzero mod a prime is nonzero, so the rank mod
     any prime is at most the rank.  Elimination runs mod the word primes,
     largest first, and r is the largest rank seen mod any of them.  r is the
-    rank once it equals the smaller side of the nonzero submatrix, or once
-    the product of the primes tried exceeds a Hadamard bound on every
-    (r + 1)-minor: the smaller of the products of the r + 1 largest column
-    norms and of the r + 1 largest row norms, each norm rounded up.  Such a
-    minor is 0 mod every prime tried, so it is a multiple of their product
-    smaller than it in size: it is 0.  The rows kept are the pivot rows of a
-    prime that reached r: they are independent mod that prime, so over Q,
-    and r of them span E's row space.
+    rank once it equals the number of nonzero rows or of columns, whichever
+    is smaller, or once the product of the primes tried exceeds a Hadamard
+    bound on every (r + 1)-minor: the smaller of the products of the r + 1
+    largest column norms and of the r + 1 largest row norms, each norm
+    rounded up.  Such a minor is 0 mod every prime tried, so it is a
+    multiple of their product smaller than it in size: it is 0.  The rows
+    kept are the pivot rows of a prime that reached r: they are independent
+    mod that prime, so over Q, and r of them span E's row space.
     """
-    p = e.ring.modulus
-    nonzero = e.data != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    sub = e.data[np.ix_(rows, nonzero.any(axis=0))]
+    rows = np.flatnonzero(e.data.any(axis=1))
+    if len(rows) < 2 or e.cols == 1:
+        return rows[:1]
+    sub, p = e.data[rows], e.ring.modulus
     if p is not None:
         return np.sort(rows[_rank_mod(sub if p * p <= INT64_MAX else sub.astype(object), p)])
     basis, product, norms = [], 1, None
@@ -237,21 +242,24 @@ def _profile(
     d: Matrix, c: Matrix, need_e: bool, ranked: bool = True
 ) -> tuple[DifferenceProfile, Matrix | None, Matrix | None]:
     """Profile of E = D - C, with the rank when ``ranked`` and n <= RANK_LIMIT.
-    When D != C and either the rank or ``need_e`` asks for it, also E and
-    E_S: E's nonzero columns by rows that span E's row space, the rank's
+    When D != C and either the rank or ``need_e`` asks for it, also E on
+    its m differing columns, an n x m block formed from D's and C's columns
+    alone, and E_S: that block's rows spanning E's row space, the rank's
     basis rows (``_exact_rank``) or, with no rank, every nonzero row."""
     diff = d.data != c.data
-    cols = tuple(int(j) for j in np.flatnonzero(diff.any(axis=0)))
-    entries = int(diff.sum())
+    cols = np.flatnonzero(diff.any(axis=0))
+    entries = int(np.count_nonzero(diff))
+    profile_cols = tuple(cols.tolist())
     if entries == 0:
-        return DifferenceProfile(cols, 0, 0), None, None
+        return DifferenceProfile(profile_cols, 0, 0), None, None
     ranked = ranked and d.rows <= RANK_LIMIT
     if not (ranked or need_e):
-        return DifferenceProfile(cols, entries, None), None, None
-    e = mat_sub(d, c)
-    rows = _exact_rank(e) if ranked else np.flatnonzero(diff.any(axis=1))
-    e_s = Matrix._wrap(e.data[np.ix_(rows, cols)], e.ring)
-    return DifferenceProfile(cols, entries, len(rows) if ranked else None), e, e_s
+        return DifferenceProfile(profile_cols, entries, None), None, None
+    d_cols, c_cols = (Matrix._wrap(np.take(x.data, cols, axis=1), x.ring) for x in (d, c))
+    e = _add_sub(d_cols, c_cols, -1, cols)
+    rows = _exact_rank(e) if ranked else np.flatnonzero(e.data.any(axis=1))
+    e_s = Matrix._wrap(e.data[rows], e.ring)
+    return DifferenceProfile(profile_cols, entries, len(rows) if ranked else None), e, e_s
 
 
 def difference_profile(a: Matrix, b: Matrix, c: Matrix) -> DifferenceProfile:
@@ -378,11 +386,13 @@ def analyze_instance(
 
     Every argument is checked before any product, in this order: shapes and
     rings, ``dist`` against the ring, ``trials`` (when given), then the
-    enumeration budget (when ``exact``).  AB is formed once and E = AB - C at
-    most once: for the rank (n <= RANK_LIMIT), the exact probability, and a
-    rate whose rounds cannot overflow (``_rounds_fit``) and, over Z, whose
-    E_S R_S cannot either: m max|E| rho <= 2**63 - 1.  That reads all of E,
-    not only the rows of E_S, so the same path runs with a rank or without.
+    enumeration budget (when ``exact``).  AB is formed once, and E = AB - C
+    at most once and only on its m differing columns, an n x m block: for
+    the rank (n <= RANK_LIMIT), the exact probability, and a rate whose
+    rounds cannot overflow (``_rounds_fit``) and, over Z, whose E_S R_S
+    cannot either: m max|E| rho <= 2**63 - 1.  max|E| is read from the
+    whole block, not only from the rows of E_S, so the same path runs with
+    a rank or without.
     An instance with AB = C is refused once its profile is known, if an
     exact probability or a rate was asked for.
     """

@@ -850,7 +850,10 @@ def column(x: Matrix, i: int) -> Vector:
     return Vector._wrap(x.data[:, i].copy(), x.ring)
 
 
-def _add_sub(a: Matrix, b: Matrix, sign: int) -> Matrix:
+def _add_sub(a: Matrix, b: Matrix, sign: int, cols: np.ndarray | None = None) -> Matrix:
+    """a + b or a - b.  When a and b hold columns ``cols`` (ascending) of
+    two larger matrices, an overflow names its entry by those matrices'
+    column: row-major order over the columns kept is their order there."""
     _same_ring(a, b)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(
@@ -867,8 +870,8 @@ def _add_sub(a: Matrix, b: Matrix, sign: int) -> Matrix:
         # numpy wraps; a result whose sign the operands' signs rule out wrapped.
         wrapped = ((x ^ out) & ((x ^ y) if sign < 0 else (y ^ out))) < 0
         if wrapped.any():
-            pos = tuple(int(i) for i in np.argwhere(wrapped)[0])
-            raise IntegerOverflow(f"entry {pos} leaves the 64-bit range")
+            i, j = (int(k) for k in np.argwhere(wrapped)[0])
+            raise IntegerOverflow(f"entry {(i, j if cols is None else int(cols[j]))} leaves the 64-bit range")
     return Matrix._wrap(out, a.ring)
 
 

@@ -37,6 +37,7 @@ words it reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -335,9 +336,12 @@ def p_max(dist: DiscreteDistribution) -> Fraction:
     return Fraction(dist._heaviest, dist.total)
 
 
+@functools.lru_cache(maxsize=64)
 def _two_point(w0: int, w1: int) -> DiscreteDistribution:
     """The law on {0, 1} with integer weights ``w0``, ``w1`` of gcd 1, built
-    without the general constructor's Fraction arithmetic."""
+    without the general constructor's Fraction arithmetic, and once per
+    weight pair: a law is never changed after it is built and its arrays
+    are read-only, so every caller can share one."""
     dist = DiscreteDistribution.__new__(DiscreteDistribution)
     dist._set((0, 1), (w0, w1), w0 + w1)
     return dist

@@ -20,6 +20,7 @@ import freicheck.analysis as analysis_mod
 from freicheck import (
     BudgetExceeded,
     ConfigInvalid,
+    DifferenceProfile,
     DiscreteDistribution,
     GenerationFailed,
     InstanceActuallyEqual,
@@ -738,10 +739,10 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
     # One AB (n^3), one E, and (rows of E_S) m per trial, E_S being the one
     # basis row of E's rank-1 row space by its one nonzero column: 8,010
     # multiplies at n=20, t=10, with the exact probability, the rank and the
-    # rate from one E.
+    # rate from one E, formed by one subtraction on that column.
     n, t = 20, 10
     a, b, c = generate_instance(InstanceSpec(n, INT64, "single-column", 4, entry_bound=1 << 24))
-    calls = {"matmul": 0, "mat_sub": 0}
+    calls = {"matmul": 0, "_add_sub": 0}
     for name in calls:
         def spy(*args, _name=name, _orig=getattr(analysis_mod, name)):
             calls[_name] += 1
@@ -751,7 +752,7 @@ def test_analysis_forms_the_product_and_the_error_once(monkeypatch):
     reset_scalar_multiplies()
     report = analyze_instance(a, b, c, U01, exact=True, trials=t, seed=2)
     assert scalar_multiplies() == n**3 + 1 * 1 * t == 8_010
-    assert calls == {"matmul": 1, "mat_sub": 1}
+    assert calls == {"matmul": 1, "_add_sub": 1}
     assert report.exact_fap == Fraction(1, 2)
     assert report.instance_profile.difference_rank == 1
 
@@ -845,6 +846,64 @@ def test_exact_rank_matches_fraction_elimination(case):
         assert fraction_rank([data[i] for i in rows], ring.modulus) == len(rows)
 
 
+_E_VALUES = (0, 0, 0, 1, -1, 2, WORD, -2 * WORD)
+
+
+@st.composite
+def _error_case(draw):
+    """(ring, A, B, E): small A and B and an error E over int64, Z_5 or
+    Z_(2^61 - 1), with most entries 0, so that zero rows and columns and
+    one-row and one-column errors all occur; over int64 some entries are
+    multiples of the first word prime."""
+    ring = draw(st.sampled_from([INT64, ZP5, ZP61]))
+    n, p = draw(st.integers(1, 6)), ring.modulus
+    entry = st.integers(-9, 9) if p is None else st.integers(0, p - 1)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    e = draw(st.lists(st.lists(st.sampled_from(_E_VALUES), min_size=n, max_size=n), min_size=n, max_size=n))
+    return ring, draw(square), draw(square), e if p is None else [[x % p for x in row] for row in e]
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_error_case())
+# Equal columns between differing ones.
+@example((INT64, _eye(4), _eye(4), [[1, 0, 2, 0], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 5, 0]]))
+# One differing entry.
+@example((INT64, _eye(3), _eye(3), [[0, 0, 0], [0, 0, 0], [0, -1, 0]]))
+# One nonzero row.
+@example((ZP5, _eye(3), _eye(3), [[0, 0, 0], [4, 0, 2], [0, 0, 0]]))
+# One column of multiples of the first word prime: the elimination mod that
+# prime sees only zeros there, and the rank is still 1.
+@example((INT64, _eye(4), _eye(4), [[0, WORD, 0, 0], [0, 0, 0, 0], [0, -2 * WORD, 0, 0], [0, WORD, 0, 0]]))
+# One column over Z_p past 3,037,000,499.
+@example((ZP61, _eye(3), _eye(3), [[0, 0, 0], [0, 0, ZP61.modulus - 1], [0, 0, 7]]))
+def test_profile_matches_the_full_error(case):
+    ring, a_rows, b_rows, e_rows = case
+    p, n = ring.modulus, len(a_rows)
+    a, b = Matrix.from_rows(a_rows, ring), Matrix.from_rows(b_rows, ring)
+    d = matmul(a, b)
+    c_rows = [[x - y if p is None else (x - y) % p for x, y in zip(*rows)] for rows in zip(d.data.tolist(), e_rows)]
+    c = Matrix.from_rows(c_rows, ring)
+    full = mat_sub(d, c).data.tolist()
+    cols = [j for j in range(n) if any(row[j] for row in full)]
+    rank = fraction_rank(full, p)
+    profile, e, e_s = analysis_mod._profile(d, c, True)
+    assert profile == DifferenceProfile(tuple(cols), sum(x != 0 for row in full for x in row), rank)
+    if not cols:
+        assert e is None and e_s is None
+        return
+    # E is formed on its differing columns only, as an n x m block.
+    block = [[row[j] for j in cols] for row in full]
+    assert e.data.tolist() == block
+    # E_S: rank(E) nonzero rows of E, independent, so they span its row space.
+    basis = e_s.data.tolist()
+    assert len(basis) == rank == fraction_rank(basis, p)
+    assert all(any(row) and row in block for row in basis)
+
+
 def _half_rank_error(n, ring):
     """An n x n E = U V with an n/2 inner dimension, entries up to 2^20 in
     U and V: rank at most n/2, with entries far past 2^31 over Z."""
@@ -889,6 +948,20 @@ def test_a_full_rank_error_is_certified_by_one_prime(monkeypatch):
     calls.clear()
     assert len(analysis_mod._exact_rank(Matrix(2, 2, ZP_WORD, [[1, 2], [2, 4]]))) == 1
     assert calls == [(WORD, False)]
+
+
+def test_one_row_or_one_column_takes_no_elimination(monkeypatch):
+    # Rank 1 with its first nonzero row as the basis, over Z with entries
+    # past 2^24 and over a Z_p whose elimination would run on Python
+    # integers; also a row of multiples of the first word prime.
+    calls = _primes_spied(monkeypatch)
+    for ring in (INT64, ZP61):
+        for mode in ("single-entry", "single-column"):
+            a, b, c = generate_instance(InstanceSpec(64, ring, mode, 5, entry_bound=1 << 24))
+            assert difference_profile(a, b, c).difference_rank == 1
+    e = Matrix.from_rows([[0, 0, 0], [WORD, 0, -2 * WORD], [0, 0, 0]], INT64)
+    assert analysis_mod._exact_rank(e).tolist() == [1]
+    assert calls == []
 
 
 def test_a_deficient_rank_takes_more_primes_and_returns_the_right_rank(monkeypatch):

@@ -655,6 +655,30 @@ def test_verify_and_analyze_report_int64_overflow(tmp_path, capsys):
         assert doc["error"]["message"].endswith("leaves the 64-bit range")
 
 
+def test_an_overflowing_error_is_named_by_its_own_column(tmp_path, capsys):
+    # A = I, so AB - C = B - C, whose one differing entry (0, 1) is
+    # 2^62 - (-2^62) = 2^63.  E is formed on its one differing column; the
+    # message names the entry's column in E, not in that block.
+    ring = freicheck.RingSpec.int64()
+    mats = {
+        "a": [[1, 0], [0, 1]],
+        "b": [[0, 1 << 62], [0, 0]],
+        "c": [[0, -(1 << 62)], [0, 0]],
+    }
+    paths = {}
+    for name, rows in mats.items():
+        paths[name] = str(tmp_path / f"{name}.freimat")
+        write_matrix(freicheck.Matrix.from_rows(rows, ring), paths[name])
+    a, b, c = (freicheck.Matrix.from_rows(mats[k], ring) for k in "abc")
+    message = "entry (0, 1) leaves the 64-bit range"
+    dist = freicheck.uniform_binary()
+    assert _library_error(lambda: freicheck.analyze_instance(a, b, c, dist, exact=True)) == message
+    assert _library_error(lambda: freicheck.difference_profile(a, b, c)) == message
+    code, out, err = _run(capsys, "analyze", "--a", paths["a"], "--b", paths["b"], "--c", paths["c"], "--exact")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"kind": "IntegerOverflow", "message": message}}
+
+
 def _module_cli(*argv, unbuffered=False, **kwargs):
     """Run ``python -m freicheck.cli`` on ``argv`` in a fresh interpreter,
     with stdout block-buffered as usual for a pipe unless ``unbuffered``."""

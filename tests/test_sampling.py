@@ -168,6 +168,17 @@ def test_masses_are_canonical_integer_weights():
     assert hash(uniform_support((0, 1))) == hash(uniform_binary())
 
 
+def test_two_point_laws_are_built_once_per_weight_pair():
+    assert uniform_binary() is uniform_binary()
+    assert bernoulli(Fraction(1, 3)) is bernoulli(Fraction(2, 6))
+    assert bernoulli(Fraction(1, 3)) is not bernoulli(Fraction(2, 3))
+    # Shared by every caller, so nothing a caller can reach may change.
+    for arr in (bernoulli(Fraction(1, 3))._support_arr, bernoulli(Fraction(1, 3))._upper):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**30), Fraction(10**30 - 1, 10**30), "1/7", 0.25])
 def test_two_point_laws_equal_the_general_constructors(q):
     # uniform_binary and bernoulli skip the general constructor's Fraction
