@@ -23,8 +23,9 @@ then reports, per tree, the median and quartiles of its five times, and the
 change's speed-up as the ratio of the medians.  A row whose two quartile
 ranges overlap is marked ``"unresolved"``: fresh interpreters on a shared
 machine differ by tens of percent, and such a row shows no difference
-either way.  The change-only
-sections hold the medians over the change's interpreters.
+either way.  Every interpreter runs BLAS on one thread
+(``OPENBLAS_NUM_THREADS=1``), so the times compare with those of the
+recorded files, which were taken with the products pinned to one thread.
 
 Rows:
 
@@ -35,8 +36,6 @@ Rows:
   and the rows of A and C that the verifier needs;
 * ``matmul``: n = 256, Z_p for p = 2^31 - 1 and 2^61 - 1, and int64 entries
   below 2^28 in magnitude, whose bound n * 2^56 passes 2^63;
-* ``threads``: the n = 1024 float64 recompute ``a @ b`` on 1 and 2 OpenBLAS
-  threads, timed alternately after 2 s of warm-up;
 * ``wide_products``: ``_exact_dot`` on n x n by n x w products whose bound
   lies in (2^53, 2^63 - 1], int64 and Z_p for the largest prime below 2^26,
   with the tier it picks.  The int64 x has entries up to 2^24 and y up to
@@ -66,11 +65,9 @@ Rows:
   2^24 or the largest for which the rounds fit), and over zp 2^61 - 1 at n =
   64 (k = 20).
 
-``threads`` times BLAS itself, not the program, so only this checkout's
-medians are reported.  ``split_compare`` and ``verify_sizes`` report, per
-tree, the median time and page faults per call; with ``--parent``, the
-change's ``plan`` over the parent's, and the change's ``parts`` over its
-own ``products``.
+``split_compare`` and ``verify_sizes`` report, per tree, the median time
+and page faults per call; with ``--parent``, the change's ``plan`` over the
+parent's, and the change's ``parts`` over its own ``products``.
 """
 
 from __future__ import annotations
@@ -113,6 +110,8 @@ VERIFY_SIZES = [(8, 5, "int64", 2**24), (64, 20, "int64", 2**24), (128, 20, "int
 BATCH = 20
 # Interpreter pairs with --parent.
 PAIRS = 5
+# OpenBLAS threads of every measuring interpreter.
+BLAS_THREADS = "1"
 
 
 def _median_ms(fn, repeats: int) -> float:
@@ -230,7 +229,6 @@ def measure(data: Path, repeats: int) -> dict:
         label = _name(kind, p) + (f" entries < 2^{bound.bit_length()}" if bound else "")
         out["matmul"][label] = _median_ms(lambda: fc.matmul(a, b), repeats)
     out["wide_products"] = _wide_products(fc, matrix, data, repeats)
-    out["threads"] = _threads(matrix, data, repeats)
     out["einsum_vs_limbs"] = _einsum_vs_limbs(matrix, data, repeats)
     out["split_compare"] = _split_compare(fc, matrix, data, repeats)
     out["verify_sizes"] = _verify_sizes(fc, data, repeats)
@@ -263,7 +261,7 @@ def _split_compare(fc, matrix, data: Path, repeats: int) -> list[dict]:
             if s is not None:
 
                 def parts():
-                    br = matrix._on_one_thread(np.matmul, b.data.astype(np.float64), r.astype(np.float64))
+                    br = np.matmul(b.data.astype(np.float64), r.astype(np.float64))
                     return matrix._parts_differ(a.data, c.data, np.concatenate((br, -r)), s)
 
                 assert not parts().any()
@@ -326,32 +324,6 @@ def _wide_products(fc, matrix, data: Path, repeats: int) -> dict:
     return out
 
 
-def _threads(matrix, data: Path, repeats: int) -> dict:
-    calls = matrix._blas_thread_calls()
-    if calls is None:
-        return {"note": "numpy's OpenBLAS exports no thread-count calls"}
-    get, put = calls
-    arrays = np.load(data / "verify_int64.npz")
-    af, bf = arrays["a"].astype(np.float64), arrays["b"].astype(np.float64)
-    # OpenBLAS's worker shares a CPU with the main thread for about the
-    # first second of a process; time after that window.
-    end = time.perf_counter() + 2
-    while time.perf_counter() < end:
-        af @ bf
-    before = get()
-    times: dict[int, list[float]] = {1: [], 2: []}
-    try:
-        for _ in range(repeats):
-            for t in (1, 2):
-                put(t)
-                t0 = time.perf_counter()
-                af @ bf
-                times[t].append(time.perf_counter() - t0)
-    finally:
-        put(before)
-    return {f"{t} threads": round(statistics.median(v) * 1e3, 3) for t, v in times.items()}
-
-
 def _einsum_vs_limbs(matrix, data: Path, repeats: int) -> list[dict]:
     rows = []
     for kind, p in WIDE_RINGS:
@@ -384,7 +356,7 @@ def _einsum_vs_limbs(matrix, data: Path, repeats: int) -> list[dict]:
 
 
 def _child(src: Path, data: Path, repeats: int) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": BLAS_THREADS}
     cmd = [sys.executable, __file__, "--child", str(data), "--repeats", str(repeats)]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(res.stdout)
@@ -448,7 +420,7 @@ def _machine() -> dict:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_threads_env": BLAS_THREADS,
     }
 
 
@@ -517,7 +489,6 @@ def main() -> None:
         + f" --repeats {args.repeats}" + (f" --out {args.out.name}" if args.out else ""),
         "machine": _machine(),
         "repeats": args.repeats,
-        "change_only": _medians({"threads": change["threads"]}),
     }
     if parent:
         doc["pairs"] = PAIRS

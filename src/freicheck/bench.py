@@ -8,13 +8,14 @@ both methods at every size in turn, so noise early in a process, such as a
 slow first second, spreads over all sizes instead of inflating the first
 one's median.  Both methods go through the same exact product chooser, so
 with the default entry bound both use its fastest tier (float64 BLAS
-wherever the bound allows): the comparison is against the strongest exact
-recompute the package has.  Wall times are the median over repeats;
-scalar multiplication counts come from the exact counter, which charges
-``rows * inner * cols`` per product however the iterations are batched, so
-they are n^3 and 3*k*n^2 regardless of how noisy the clock is.  Consecutive
-doubled sizes also get a time ratio, the empirical growth signal (ideal: 8x
-for the cubic method, 4x for the quadratic one).
+wherever the bound allows, on the process's BLAS threads): the comparison
+is against the strongest exact recompute the package has.  Wall times are
+the median over repeats; scalar multiplication counts come from the exact
+counter, which charges ``rows * inner * cols`` per product however the
+iterations are batched, so they are n^3 and 3*k*n^2 regardless of how noisy
+the clock is.  Consecutive doubled sizes also get a time ratio, the
+empirical growth signal (ideal: 8x for the cubic method, 4x for the
+quadratic one).
 """
 
 from __future__ import annotations

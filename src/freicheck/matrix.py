@@ -100,13 +100,9 @@ arithmetic, exact mod 2**64, returns it on any tier.  The check covers the
 whole of ``x`` and runs when the product is set up, so an
 ``IntegerOverflow`` is raised before any row of the product exists.
 
-Products on float64 BLAS run on one OpenBLAS thread: n-by-w fingerprint
-blocks are memory-bound and gain little from a second thread, which, for
-about the first second of a process, can share a CPU with the main thread
-and slow every call many times over.  The count is set through numpy's
-bundled OpenBLAS around each call of a block product and restored before
-it returns, so a stream that its reader leaves suspended or drops never
-leaves it set; it is process-global.
+Products on float64 BLAS run on as many threads as the process's BLAS
+was started with, and are exact in any summation order, so the thread
+count cannot change a result; ``OPENBLAS_NUM_THREADS=1`` pins one thread.
 
 ``scalar_multiplies()`` exposes a process-wide count of ring multiplications
 performed by products.  The count is derived from operand shapes (the
@@ -116,8 +112,6 @@ so it is exact and deterministic regardless of which tier ran.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -415,38 +409,6 @@ _FLOAT_BLOCK = 1 << 17
 _WHOLE = (1, 0, 1, 0)
 
 
-@functools.cache
-def _blas_thread_calls():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
-    None when numpy links a BLAS that does not export them."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-def _on_one_thread(call, *args):
-    """``call(*args)`` with numpy's bundled OpenBLAS on one thread, the
-    caller's count restored before it returns, so a stream left suspended
-    or dropped never holds the pin (a no-op without that OpenBLAS).  The
-    count is process-global: BLAS calls that other threads of the process
-    make meanwhile also run on one thread."""
-    threads = _blas_thread_calls()
-    before = threads[0]() if threads else 1
-    if before != 1:
-        threads[1](1)
-    try:
-        return call(*args)
-    finally:
-        if before != 1:
-            threads[1](before)
-
-
 def _max_abs(v: np.ndarray) -> int:
     """The largest entry magnitude of ``v``, by one scan."""
     return max(-int(v.min()), int(v.max()))
@@ -629,9 +591,6 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
     the products that share one pool reuse them: those of a verify call
     or of an empirical rate.  The block product never suspends while it
     holds them.
-
-    Each call runs its BLAS calls on one OpenBLAS thread
-    (``_on_one_thread``).
     """
     inner, cols = y.shape
     nx, a, ny, b = plan
@@ -693,13 +652,10 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
         np.copyto(planes, os.reshape(k, nx, ny, cols).transpose(1, 2, 0, 3), casting="unsafe")
         _recombine(planes.view(np.uint64), a, b, p, part.view(np.uint64))
 
-    def spans(xb: np.ndarray, out: np.ndarray) -> None:
-        for j in range(0, len(xb), span):
-            piece(xb[j : j + span], out[j : j + span])
-
     def product(xb: np.ndarray) -> np.ndarray:
         out = np.empty((len(xb), cols), dtype=dtype)
-        _on_one_thread(piece if len(xb) <= span else spans, xb, out)
+        for j in range(0, len(xb), span):
+            piece(xb[j : j + span], out[j : j + span])
         return out
 
     return product
@@ -721,7 +677,7 @@ def _parts_differ(x: np.ndarray, u: np.ndarray, yv: np.ndarray, s: int, scratch:
     tmp = _scratch(scratch, "int", (rows, inner), np.int64)
     _split(x, s, 2, xs[:, :, 0].transpose(1, 0, 2), tmp)
     _split(u, s, 2, xs[:, :, 1].transpose(1, 0, 2), tmp)
-    parts = _on_one_thread(np.matmul, xs.reshape(2 * rows, 2 * inner), yv).reshape(rows, 2, -1)
+    parts = np.matmul(xs.reshape(2 * rows, 2 * inner), yv).reshape(rows, 2, -1)
     low, high = parts[:, 0], parts[:, 1]
     high *= -(2.0**s)
     return np.not_equal(low, high)

@@ -104,7 +104,6 @@ from .matrix import (
     _exact_product,
     _fill,
     _max_abs,
-    _on_one_thread,
     _part_width,
     _parts_differ,
 )
@@ -245,7 +244,7 @@ class _Plan:
         columns took 1.09x as long."""
         w = r.shape[1]
         if w >= _PARTS_COLS and _PARTS_MACS <= len(r) ** 2 * w <= matrix._EINSUM_MACS and self.parts() is not None:
-            return _block(self.b, lambda b: _on_one_thread(np.matmul, b.astype(np.float64), r.astype(np.float64)))
+            return _block(self.b, lambda b: np.matmul(b.astype(np.float64), r.astype(np.float64)))
         return _block(self.b, _exact_product(self.b, r, self.p, self.mb, self.rho, self.scratch))
 
     def masks(self, br: np.ndarray, r: np.ndarray, rows: slice | None = None):

@@ -2,9 +2,14 @@
 
 import importlib
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,33 +705,101 @@ def test_overflow_in_the_last_row_block_wins_over_a_mismatch_in_the_first(monkey
         assert str(err.value) == message
 
 
-def test_a_stopped_stream_leaves_the_callers_blas_threads(monkeypatch):
-    # The one-thread pin is set and restored around each row block's BLAS
-    # calls, so a reader that stops after block 0 (and a stream left
-    # suspended) never leaves it set.
-    threads = matrix_mod._blas_thread_calls()
-    if threads is None:
-        pytest.skip("numpy's BLAS exports no thread-count calls")
-    get, put = threads
-    monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", _ROW_BLOCK_ENTRIES)
-    n, ring = _ROW_BLOCK_N, RingSpec.prime_field(2**61 - 1)
-    rng = random.Random(3)
-    a, b = random_matrix(rng, n, ring), random_matrix(rng, n, ring)
-    c = _with_error(a, b, ring, [(0, j) for j in range(n)])
-    before = get()
-    put(2)
-    try:
-        # Over zp 2^61 - 1 even one column runs on limbs, on BLAS.
-        verdict = verify(a, b, c, _cfg(k=10, dist=uniform_support((1, 2))))
-        assert (verdict.witness_iteration, verdict.mismatch_row) == (0, 0)
-        assert get() == 2
-        r = Matrix(n, 3, ring, [[rng.randrange(5) for _ in range(3)] for _ in range(n)])
-        stream = verify_mod._mask_rows(a, b, c, r.data)
-        assert len(next(stream)) == _ROW_STEP
-        assert get() == 2
-        del stream
-    finally:
-        put(before)
+# Seeded products and verdicts of every float64 BLAS tier, pickled to
+# stdout, each with the tiers it ran.
+_BLAS_THREADS_CHILD = """
+import importlib
+import pickle
+import sys
+
+import numpy as np
+
+from freicheck import Matrix, RingSpec, VerifyConfig, matmul, uniform_binary, verify
+
+matrix_mod = importlib.import_module("freicheck.matrix")
+verify_mod = importlib.import_module("freicheck.verify")
+tiers = []
+
+
+def spy(mod, name, tier):
+    real = getattr(mod, name)
+
+    def call(*args, **kwargs):
+        tiers.append(tier)
+        return real(*args, **kwargs)
+
+    setattr(mod, name, call)
+
+
+spy(matrix_mod, "_float_product", "float64")
+spy(matrix_mod, "_limb_product", "limbs")
+spy(matrix_mod, "_check_int64", "check")
+spy(verify_mod, "_parts_differ", "parts")
+int64, rng, out = RingSpec.int64(), np.random.default_rng(26), {}
+
+
+def run(name, call):
+    tiers.clear()
+    out[name] = call(), tuple(dict.fromkeys(tiers))
+
+
+def product(x, y):
+    return matmul(x, y).data.tobytes()
+
+
+def verdict(a, b, c, seed):
+    v = verify(a, b, c, VerifyConfig(20, seed, uniform_binary()))
+    witness = None if v.witness is None else v.witness.data.tobytes()
+    return v.accepted, v.error_bound, witness, v.witness_iteration, v.mismatch_row
+
+
+x, y = (Matrix(256, 256, int64, rng.integers(-(2**22), 2**22, size=(256, 256), endpoint=True)) for _ in range(2))
+run("float", lambda: product(x, y))
+zp = RingSpec.prime_field(2**61 - 1)
+x, y = (Matrix(128, 128, zp, rng.integers(0, 2**61 - 1, size=(128, 128))) for _ in range(2))
+run("limbs", lambda: product(x, y))
+xa, ya = (rng.integers(-(2**20), 2**20, size=(8, 8), endpoint=True) for _ in range(2))
+xa[5, 7], ya[3, 0] = 2**50, -(2**20)
+ya[7] = rng.integers(-4, 4, size=8, endpoint=True)
+run("check", lambda: product(Matrix(8, 8, int64, xa), Matrix(8, 8, int64, ya)))
+a_arr, b_arr = (rng.integers(-(2**24), 2**24, size=(64, 64), endpoint=True) for _ in range(2))
+c_arr = np.einsum("ik,kj->ij", a_arr, b_arr)
+a, b, c = (Matrix(64, 64, int64, m) for m in (a_arr, b_arr, c_arr))
+run("accept", lambda: verdict(a, b, c, 0))
+c_arr[40, 17] += 1
+run("reject", lambda: verdict(a, b, Matrix(64, 64, int64, c_arr), 2))
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def test_results_are_byte_identical_on_one_and_two_blas_threads():
+    # Every float64 BLAS product is an exact integer in any summation order,
+    # so the thread count a process starts BLAS with changes no product,
+    # verdict or witness: the float64 tier (bound 2^52), the limb tier over
+    # zp 2^61 - 1, an int64 product past 2^63 - 1 whose certificate clears
+    # it, and verify's two-part compare, which a reject past trial 0 reaches.
+    src = str(Path(verify_mod.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_CHILD], env=env, capture_output=True, timeout=120, check=True
+        )
+        runs[threads] = pickle.loads(child.stdout)
+    assert runs["1"] == runs["2"]
+    got = runs["1"]
+    assert {name: tiers for name, (_, tiers) in got.items()} == {
+        "float": ("float64",),
+        "limbs": ("limbs", "float64"),
+        "check": ("check", "float64"),
+        "accept": ("parts",),
+        "reject": ("parts",),
+    }
+    accepted, *_ = got["accept"][0]
+    rejected, _, witness, iteration, row = got["reject"][0]
+    assert accepted and not rejected and witness is not None
+    assert iteration > 0 and row == 40
 
 
 @pytest.mark.parametrize("mode", ["equal", "dense-random"])
