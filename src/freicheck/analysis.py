@@ -189,10 +189,11 @@ def _exact_rank(e: Matrix) -> np.ndarray:
     kept are the pivot rows of a prime that reached r: they are independent
     mod that prime, so over Q, and r of them span E's row space.
     """
-    rows = np.flatnonzero(e.data.any(axis=1))
+    rows = np.flatnonzero(e._a.any(axis=1))
     if len(rows) < 2 or e.cols == 1:
         return rows[:1]
-    sub, p = e.data[rows], e.ring.modulus
+    # Widened: the elimination's products need int64, or Python integers.
+    sub, p = e._a[rows].astype(np.int64, copy=False), e.ring.modulus
     if p is not None:
         return np.sort(rows[_rank_mod(sub if p * p <= INT64_MAX else sub.astype(object), p)])
     basis, product, norms = [], 1, None
@@ -246,7 +247,7 @@ def _profile(
     its m differing columns, an n x m block formed from D's and C's columns
     alone, and E_S: that block's rows spanning E's row space, the rank's
     basis rows (``_exact_rank``) or, with no rank, every nonzero row."""
-    diff = d.data != c.data
+    diff = d._a != c._a
     cols = np.flatnonzero(diff.any(axis=0))
     entries = int(np.count_nonzero(diff))
     profile_cols = tuple(cols.tolist())
@@ -255,10 +256,10 @@ def _profile(
     ranked = ranked and d.rows <= RANK_LIMIT
     if not (ranked or need_e):
         return DifferenceProfile(profile_cols, entries, None), None, None
-    d_cols, c_cols = (Matrix._wrap(np.take(x.data, cols, axis=1), x.ring) for x in (d, c))
+    d_cols, c_cols = (Matrix._wrap(np.take(x._a, cols, axis=1), x.ring) for x in (d, c))
     e = _add_sub(d_cols, c_cols, -1, cols)
-    rows = _exact_rank(e) if ranked else np.flatnonzero(e.data.any(axis=1))
-    e_s = Matrix._wrap(e.data[rows], e.ring)
+    rows = _exact_rank(e) if ranked else np.flatnonzero(e._a.any(axis=1))
+    e_s = Matrix._wrap(e._a[rows], e.ring)
     return DifferenceProfile(profile_cols, entries, len(rows) if ranked else None), e, e_s
 
 
@@ -322,7 +323,7 @@ def _exact_fap(e_s: Matrix, rank: int | None, dist: DiscreteDistribution) -> Fra
     if rank == m or m == 1:
         return Fraction(dist._weight_of_zero() ** m, dist.total ** m)
     p = e_s.ring.modulus
-    columns = [tuple(col) for col in e_s.data.T.tolist()]
+    columns = [tuple(col) for col in e_s._a.T.tolist()]
     low = _residual_table([tuple(-y for y in col) for col in columns[:m // 2]], dist, p, e_s.rows)
     high = _residual_table(columns[m // 2:-1], dist, p, e_s.rows)
     numerator = sum(w * low.get(key, 0) for key, w in _shifted(high, columns[-1], dist, p))
@@ -354,7 +355,7 @@ def _error_trials(
     A block has ``_TRIAL_BLOCK // k`` columns, at least one, for
     k = max(rows, m), and is drawn only when reached: so neither R_S nor its
     product passes ``_TRIAL_BLOCK`` entries."""
-    e, p, components = e_s.data, e_s.ring.modulus, np.array(cols, dtype=np.uint64)
+    e, p, components = e_s._a, e_s.ring.modulus, np.array(cols, dtype=np.uint64)
     me, rho, scratch = e_s._magnitude(), dist._magnitude(), {}
     width = max(1, _TRIAL_BLOCK // max(e_s.rows, e_s.cols))
     for start in range(0, stop, width):
@@ -476,7 +477,8 @@ def _draw_entries(ring: RingSpec, count: int, rng: SeededRng, bound: int) -> np.
 
 
 def _draw_matrix(ring: RingSpec, n: int, rng: SeededRng, bound: int) -> Matrix:
-    return Matrix._wrap(_draw_entries(ring, n * n, rng, bound).reshape(n, n), ring)
+    top = bound if ring.kind != PRIME_FIELD else ring.modulus - 1
+    return Matrix._wrap(_draw_entries(ring, n * n, rng, bound).reshape(n, n), ring, top)
 
 
 def _retry(draw, accept, what: str):
@@ -512,7 +514,7 @@ def _generate(spec: InstanceSpec, ranked: bool) -> tuple[Matrix, Matrix, Matrix,
         return lambda: _draw_entries(ring, count, rng, bound)
 
     v_support: tuple[int, ...] | None = None
-    arr = d.data.copy()
+    arr = d._a.astype(np.int64)
     if spec.mode == "equal":
         c = d
     elif spec.mode == "single-entry":
@@ -522,7 +524,7 @@ def _generate(spec: InstanceSpec, ranked: bool) -> tuple[Matrix, Matrix, Matrix,
         c = Matrix._wrap(arr, ring)
     elif spec.mode == "single-column":
         j = int(draw_words(rng, 1)[0] % np.uint64(n))
-        arr[:, j] = _retry(entries(), lambda x: (x != d.data[:, j]).any(), "a differing column")
+        arr[:, j] = _retry(entries(), lambda x: (x != d._a[:, j]).any(), "a differing column")
         c = Matrix._wrap(arr, ring)
     elif spec.mode == "rank-one":
         u = _retry(entries(), np.any, "a nonzero u")

@@ -81,12 +81,13 @@ _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 def format_matrix(m: Matrix) -> str:
     pieces = [f"{MAGIC}\n{m.rows} {m.cols} {m.ring}\n"]
-    flat, cols = m.data.ravel(), m.cols
+    flat, cols = m._a.ravel(), m.cols
     step = max(1, _BLOCK // 8)
     for lo in range(0, flat.size, step):
         v = flat[lo : lo + step]
         neg = v < 0
-        mag = np.abs(v).view(np.uint64)  # abs wraps INT64_MIN onto itself: 2**63
+        # Widened as read; abs wraps INT64_MIN onto itself: 2**63 in uint64.
+        mag = np.absolute(v, dtype=np.int64).view(np.uint64)
         width = neg + 2  # sign, first digit, then a space or a newline
         for power in _POW10[_POW10 <= mag.max()]:
             width += mag >= power
@@ -157,8 +158,9 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
     """Check the whole lines in ``raw[lo:hi]``, which begin at ``starts`` and
     are body rows ``row0``, ``row0 + 1``, ..., and write their entries in row
     order into the int64 array ``out`` unless it is None.  Returns the first
-    entry outside int64, as ``str(int(token))`` would print it, or None;
-    with ``out`` None it only checks the lines and returns None."""
+    entry outside int64, as ``str(int(token))`` would print it, and the
+    largest entry magnitude (0 once an entry is out of range); with ``out``
+    None it only checks the lines and returns ``(None, 0)``."""
     seg = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
     ink = ~_space(seg)
     edges = np.flatnonzero(np.diff(ink, prepend=False, append=False))
@@ -186,7 +188,7 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
         token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
         raise FormatError(f"bad entry at row {row0 + int(tok_row[0])} {token!r}")
     if out is None:
-        return None
+        return None, 0
 
     digits = tok_hi - tok_lo - signed
     # quad[i]: the value of the up to four digits that end at byte i, within
@@ -218,9 +220,10 @@ def _parse_block(raw: bytes, lo: int, hi: int, starts: np.ndarray, row0: int, co
         if over.any():
             t = int(np.argmax(over))
             token = raw[lo + tok_lo[t] : lo + tok_hi[t]].decode("ascii")
-            return ("-" if token[0] == "-" else "") + token.lstrip("+-").lstrip("0")
+            return ("-" if token[0] == "-" else "") + token.lstrip("+-").lstrip("0"), 0
+    top = int(mag.max())
     out *= 1 - 2 * (first == ord("-")).view(np.int8)  # -1 where a '-' leads
-    return None
+    return None, top
 
 
 def parse_matrix(text: str | bytes) -> Matrix:
@@ -261,13 +264,14 @@ def parse_matrix(text: str | bytes) -> Matrix:
     # body has room for it: never from the header alone.
     room = rows * cols <= (int(stops[nlines - 1]) - int(starts[2]) + 1) // 2
     data = np.empty(rows * cols if room else 0, dtype=np.int64)
-    wide = None
+    wide, bound = None, 0
     i = 2
     while i < nlines:
         j = max(i + 1, min(nlines, int(np.searchsorted(starts, starts[i] + _BLOCK))))
         # Past the first entry out of range, blocks are only checked.
         out = data[(i - 2) * cols : (j - 2) * cols] if room and not wide else None
-        wide = _parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols, out) or wide
+        over, top = _parse_block(raw, int(starts[i]), int(stops[j - 1]), starts[i:j], i - 2, cols, out)
+        wide, bound = wide or over, max(bound, top)
         i = j
     if wide:
         raise FormatError(f"entry {wide} outside the signed 64-bit range")
@@ -279,7 +283,7 @@ def parse_matrix(text: str | bytes) -> Matrix:
             Matrix(rows, cols, ring, data)
         except InvalidEntry as err:
             raise FormatError(str(err)) from err
-    return Matrix._wrap(data, ring)
+    return Matrix._wrap(data, ring, bound, exact=True)
 
 
 def read_matrix(path) -> Matrix:

@@ -9,10 +9,21 @@ a random fingerprint informative:
 * ``zp``: integers modulo a prime ``p``.  Entries are kept canonical in
   ``[0, p)`` and every operation reduces its result.
 
-Storage is a read-only numpy ``int64`` array.  Each ``Matrix`` and ``Vector``
-also keeps its largest entry magnitude, computed on first use and never at
-construction; the objects are immutable, so one scan serves every later
-product.
+Storage is a read-only numpy array at the narrowest signed width that holds
+the entries, int16 or int64 (``_width``; ``_INT16_TOP`` gives the reason
+int32 is not one), where int16 holds magnitudes up to 2**15 - 1, so that ``abs``
+never wraps.  A verifier is bound by the bytes it reads, not by
+arithmetic, and entries in [-256, 256] take int16: an n = 1024 verify
+reads A and B at a quarter of their int64 bytes.  The width comes from
+the entries' largest magnitude, which construction and the ``freimat``
+parser find in the scan that vets them and keep; a computed result takes
+the width of the bound its product or sum already holds, without a scan,
+and keeps its magnitude unread until a product asks (one scan, kept: the
+objects are immutable).  ``data`` reads the entries as int64, a copy for
+narrow storage; the package reads the stored array.  Products convert
+narrow rows to float64 directly.  What needs int64 widens what it reads:
+``einsum`` (against an int64 y), limb digits (``_split``, whose shifts
+pass 15 and 31 bits), sums and their wrap test, and Z_p reductions.
 
 Every product of ``Matrix``/``Vector`` operands (``matmul``, ``mat_vec``,
 ``outer`` and the verifier's fingerprint blocks) goes through one chooser,
@@ -23,13 +34,13 @@ tier's block product: a function of any run of rows of ``x``, with ``y``
 converted (and split into limbs) once, when the product is set up.
 ``_exact_dot`` applies it to all of ``x``, with both operands' own
 magnitudes.  ``verify`` streams it over row blocks of ``_FLOAT_BLOCK //
-inner`` rows, about 1 MiB of entries (a square ``x`` of up to 362 rows is
-one block), with bounds it plans once per call.  Each tier bounds its own
-temporaries, whatever the rows asked for.  The tier is the fastest one
+inner`` rows, about 1 MiB of entries, with bounds it plans once per call.
+Each tier bounds its own temporaries, whatever the rows asked for.  The tier is the fastest one
 that the bound proves exact:
 
-* at most 2**53, ``y`` has more than one column and the inner dimension
-  is past 1: float64 BLAS.  Every product and partial sum is then an
+* at most 2**53, the inner dimension is past 1, and ``y`` has more than
+  one column or a narrow ``x`` has more than ``_EINSUM_MACS`` entries:
+  float64 BLAS.  Every product and partial sum is then an
   integer a double holds exactly, in any summation order.  Rows of ``x``
   are converted into one reused buffer of at most a block (half a block
   when ``y`` is smaller than a block), so no float64 copy of ``x`` is
@@ -220,7 +231,10 @@ def parse_ring(text: str) -> RingSpec:
     raise InvalidRing(f"bad ring {text!r}; expected 'int64' or 'zp <p>'")
 
 
-def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
+def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> tuple[np.ndarray, int]:
+    """The entries of ``data`` as an array of ``shape`` at the narrowest
+    width that holds them (``_width``), and their largest magnitude, from
+    the one scan that vets them."""
     try:
         arr = np.asarray(data)
     except ValueError:
@@ -233,12 +247,10 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
     if arr.shape != shape:
         raise DimensionMismatch(f"data of shape {arr.shape} does not fill {shape}")
     if np.issubdtype(arr.dtype, np.integer):
-        if arr.dtype == np.uint64:
+        lo, hi = int(arr.min()), int(arr.max())
+        if hi > INT64_MAX:
             # numpy holds nonnegative integers past int64 in uint64.
-            big = arr[arr > INT64_MAX]
-            if big.size:
-                raise InvalidEntry(f"entry {big[0]} outside the signed 64-bit range")
-        out = arr.astype(np.int64, copy=True)
+            raise InvalidEntry(f"entry {arr[arr > INT64_MAX][0]} outside the signed 64-bit range")
     else:
         # Mixed, object or non-integer input: vet each value exactly.  A value
         # past 64 bits makes numpy guess float64 for the whole list, so vet
@@ -253,42 +265,52 @@ def _coerce_entries(data, shape: tuple[int, ...], ring: RingSpec) -> np.ndarray:
                 # str() refuses integers past 4,300 digits; Decimal prints any.
                 raise InvalidEntry(f"entry {Decimal(v)} outside the signed 64-bit range")
             vals.append(v)
-        out = np.array(vals, dtype=np.int64).reshape(shape)
-    if ring.kind == PRIME_FIELD:
+        arr, lo, hi = vals, min(vals), max(vals)
+    if ring.kind == PRIME_FIELD and (lo < 0 or hi >= ring.modulus):
         p = ring.modulus
-        bad = (out < 0) | (out >= p)
-        if bad.any():
-            pos = np.argwhere(bad)[0]
-            raise InvalidEntry(
-                f"entry {out[tuple(pos)]} at {tuple(int(i) for i in pos)} "
-                f"is not reduced mod {p}"
-            )
-    return out
+        out = np.array(arr, dtype=np.int64).reshape(shape)
+        pos = np.argwhere((out < 0) | (out >= p))[0]
+        raise InvalidEntry(
+            f"entry {out[tuple(pos)]} at {tuple(int(i) for i in pos)} "
+            f"is not reduced mod {p}"
+        )
+    bound = max(-lo, hi)
+    return np.array(arr, dtype=_width(bound)).reshape(shape), bound
 
 
 class _Dense:
-    """Shared storage of ``Matrix`` and ``Vector``: a read-only int64 array,
-    its ring, and the largest entry magnitude once something has asked."""
+    """Shared storage of ``Matrix`` and ``Vector``: a read-only array at the
+    narrowest width that holds the entries (``_width``: int16 or int64), its
+    ring, and the largest entry magnitude once known."""
 
     __slots__ = ("ring", "_a", "_bound")
 
-    def _set(self, arr: np.ndarray, ring: RingSpec) -> None:
+    def _set(self, arr: np.ndarray, bound: int | None, ring: RingSpec) -> None:
         arr.flags.writeable = False
         self.ring = ring
         self._a = arr
-        self._bound = None
+        self._bound = bound
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, ring: RingSpec):
-        # Internal constructor for arrays the callee already validated.
+    def _wrap(cls, arr: np.ndarray, ring: RingSpec, bound: int | None = None, exact: bool = False):
+        """Internal constructor for entries the caller already validated,
+        stored at the width of ``bound``, a bound on their magnitudes (kept
+        as the largest magnitude when ``exact``), or at ``arr``'s own width
+        for None.  Narrowing converts; nothing is scanned."""
         obj = cls.__new__(cls)
-        obj._set(np.ascontiguousarray(arr, dtype=np.int64), ring)
+        dtype = arr.dtype if bound is None else _width(bound)
+        obj._set(np.ascontiguousarray(arr, dtype=dtype), bound if exact else None, ring)
         return obj
 
     @property
     def data(self) -> np.ndarray:
-        """Read-only int64 view of the entries."""
-        return self._a
+        """The entries as a read-only int64 array: the stored array when it
+        is int64, and otherwise a new copy on each read."""
+        a = self._a
+        if a.dtype != np.int64:
+            a = a.astype(np.int64)
+            a.flags.writeable = False
+        return a
 
     def _magnitude(self) -> int:
         if self._bound is None:
@@ -306,7 +328,7 @@ class Matrix(_Dense):
     def __init__(self, rows: int, cols: int, ring: RingSpec, data) -> None:
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrix needs at least one row and one column")
-        self._set(_coerce_entries(data, (rows, cols), ring), ring)
+        self._set(*_coerce_entries(data, (rows, cols), ring), ring)
 
     @classmethod
     def from_rows(cls, rows, ring: RingSpec) -> "Matrix":
@@ -344,7 +366,7 @@ class Vector(_Dense):
         arr = np.asarray(data)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionMismatch("vector needs a one-dimensional, nonempty sequence")
-        self._set(_coerce_entries(data, (arr.size,), ring), ring)
+        self._set(*_coerce_entries(data, (arr.size,), ring), ring)
 
     def __len__(self) -> int:
         return self._a.shape[0]
@@ -362,7 +384,7 @@ class Vector(_Dense):
 
 
 def identity(n: int, ring: RingSpec) -> Matrix:
-    return Matrix._wrap(np.eye(n, dtype=np.int64), ring)
+    return Matrix._wrap(np.eye(n, dtype=np.int16), ring, 1, exact=True)
 
 
 class _OpCounter:
@@ -407,6 +429,24 @@ _EINSUM_MACS = 3 << 15
 _FLOAT_BLOCK = 1 << 17
 # The plan of a product with neither operand split.
 _WHOLE = (1, 0, 1, 0)
+# Bytes in a page, the span over which loads are matched against earlier
+# stores by their low address bits.
+_PAGE = 4096
+
+
+# The largest magnitude stored in int16, 2**15 - 1, so that abs never
+# wraps on it; past it, int64.  int32 is left out: an int32 operand reaches
+# the int64-only einsum tier in the small products it keeps (at n = 64 with
+# entries to 2**24, every one-column product), where widening it cost more
+# than reading int64, and perfbench's analyze-small rejects ran 16-20%
+# slower with such operands in int32 (2-vCPU Xeon VM).
+_INT16_TOP = (1 << 15) - 1
+
+
+def _width(bound: int) -> np.dtype:
+    """The narrowest storage width for entries of magnitude at most
+    ``bound``: int16 or int64."""
+    return np.dtype(np.int16 if bound <= _INT16_TOP else np.int64)
 
 
 def _max_abs(v: np.ndarray) -> int:
@@ -437,8 +477,9 @@ def _fill(blocks, rows: int) -> np.ndarray:
 
 
 def _magnitudes(v: np.ndarray) -> np.ndarray:
-    # abs wraps INT64_MIN onto itself, which reads as 2**63 in uint64.
-    return np.abs(v).view(np.uint64)
+    """``|v|`` at v's width.  abs wraps INT64_MIN onto itself, which reads
+    as 2**63 in uint64; a narrow width holds no such entry."""
+    return np.abs(v).view(np.uint64) if v.dtype == np.int64 else np.abs(v)
 
 
 def _split(v: np.ndarray, width: int, count: int, dst: np.ndarray, tmp: np.ndarray | None) -> None:
@@ -448,7 +489,9 @@ def _split(v: np.ndarray, width: int, count: int, dst: np.ndarray, tmp: np.ndarr
     1)``, which carries v's sign, so that v is the sum of ``limb[l] <<
     (width * l)``.  A single limb is ``v`` itself.  Each digit is formed
     in ``tmp``, an int64 array of v's shape, and then converted: a bitwise
-    ufunc writing float64 itself took about twice as long."""
+    ufunc writing float64 itself took about twice as long.  A narrow ``v``
+    is widened to int64 as it is read, so shifts and masks past its width
+    are exact."""
     if count == 1:
         np.copyto(dst[0], v)
         return
@@ -457,9 +500,9 @@ def _split(v: np.ndarray, width: int, count: int, dst: np.ndarray, tmp: np.ndarr
         # Past bit 63 every digit is the sign's, as at bit 63.
         shift = min(width * l, 63)
         if shift:
-            np.right_shift(v, shift, out=tmp)
+            np.right_shift(v, shift, out=tmp, dtype=np.int64)
         if l < count - 1:
-            np.bitwise_and(tmp if shift else v, mask, out=tmp)
+            np.bitwise_and(tmp if shift else v, mask, out=tmp, dtype=np.int64)
         np.copyto(dst[l], tmp)
 
 
@@ -625,13 +668,17 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
     # Row i's limbs of x are rows i nx .. i nx + nx - 1 of xf, so the limb
     # products of consecutive BLAS calls fill consecutive rows of of.
     xf = _scratch(scratch, "x", (step * nx, inner), np.float64)
-    of = _scratch(scratch, "out", (span * nx, ny * cols), np.float64)
+    # The limb products' buffer has a page's worth of bytes more than it
+    # holds (_PAGE // 8 doubles), so that each output can read it from a
+    # view whose address lies half a page from the output's (see product).
+    held = span * nx * ny * cols
+    raw = _scratch(scratch, "out", (held + _PAGE // 8,), np.float64)
     tmp = _scratch(scratch, "int", (step, inner), np.int64) if nx > 1 else None
     ints = _scratch(scratch, "limbs", (nx, ny, span, cols), np.int64) if nx * ny > 1 else None
 
-    def piece(xp: np.ndarray, part: np.ndarray) -> None:
+    def piece(xp: np.ndarray, part: np.ndarray, of: np.ndarray) -> None:
         # Rows xp, at most a span, of x times y, into the same rows of the
-        # output.
+        # output, through the limb products' buffer of.
         k = len(xp)
         for j in range(0, k, step):
             q = min(step, k - j)
@@ -654,8 +701,19 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
 
     def product(xb: np.ndarray) -> np.ndarray:
         out = np.empty((len(xb), cols), dtype=dtype)
+        # A load whose address agrees in its low 12 bits with a store just
+        # before it waits for that store (4K aliasing).  Two large arrays
+        # from the allocator often start at the same offset into a page, and
+        # then converting the limb products into the output stalls on every
+        # load: an n = 512 matmul's output conversion took 0.59 ms instead
+        # of 0.10 ms with the output 16 bytes past them modulo 4 KiB
+        # (2-vCPU Xeon VM).  Read from half a page away, no load waits.  An
+        # output of at most a page of entries skips this: reading the two
+        # addresses costs more than its conversion can lose.
+        skew = (out.ctypes.data - raw.ctypes.data - _PAGE // 2) % _PAGE // 8 if out.size > _PAGE else 0
+        of = raw[skew : skew + held].reshape(span * nx, ny * cols)
         for j in range(0, len(xb), span):
-            piece(xb[j : j + span], out[j : j + span])
+            piece(xb[j : j + span], out[j : j + span], of)
         return out
 
     return product
@@ -696,10 +754,11 @@ def _check_entry(xi: list, yj: list, i: int, j: int) -> None:
             raise IntegerOverflow(f"partial sum at entry ({i}, {j}) leaves the 64-bit range")
 
 
-def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
+def _check_int64(x: np.ndarray, y: np.ndarray, x_abs=None) -> None:
     """Raise ``IntegerOverflow`` at the first entry of ``x @ y``, in
     row-major order, with a product term or an ascending partial sum
-    outside int64.
+    outside int64.  ``x_abs``, when given, returns ``_magnitudes(x)``, so
+    that a caller checking many products of one x forms it once.
 
     The certificate ``c = sum_k |x_ik| |y_kj|`` bounds every term and
     partial sum of its entry.  Computed on float64 BLAS, in any summation
@@ -709,7 +768,8 @@ def _check_int64(x: np.ndarray, y: np.ndarray) -> None:
     the others run the exact check.
     """
     inner = x.shape[1]
-    cert = _float_product(_magnitudes(y), len(x), dtype=np.float64)(_magnitudes(x))
+    x_mag = _magnitudes(x) if x_abs is None else x_abs()
+    cert = _float_product(_magnitudes(y), len(x), dtype=np.float64)(x_mag)
     for i, j in np.argwhere(cert > float((1 << 63) - (inner + 2) * (1 << 11))).tolist():
         _check_entry(x[i].tolist(), y[:, j].tolist(), i, j)
 
@@ -726,8 +786,9 @@ def _limb_product(x: np.ndarray, y: np.ndarray, mx: int, my: int, p: int | None,
 def _einsum_product(y: np.ndarray, p: int | None):
     """The block product ``xb @ y`` on int64 ``einsum``, reduced mod ``p``
     when given: exact when every partial sum fits int64, and mod 2**64
-    otherwise.  Over a transposed y, so both operands are read along rows."""
-    yt = np.ascontiguousarray(y.T)
+    otherwise.  Over a transposed y, widened to int64 once, so both operands
+    are read along rows and ``einsum`` widens a narrow xb as it reads it."""
+    yt = np.ascontiguousarray(y.T) if y.itemsize == 8 else y.T.astype(np.int64)
 
     def product(xb: np.ndarray) -> np.ndarray:
         out = np.einsum("ik,jk->ij", xb, yt)
@@ -738,37 +799,49 @@ def _einsum_product(y: np.ndarray, p: int | None):
     return product
 
 
-def _exact_product(x: np.ndarray, y: np.ndarray, p: int | None, mx: int, my: int, scratch: dict | None = None):
+def _exact_product(
+    x: np.ndarray, y: np.ndarray, p: int | None, mx: int, my: int, scratch: dict | None = None,
+    x_abs=None, dtype=np.int64,
+):
     """The block product for ``x @ y`` computed exactly, mod ``p`` or in
     int64 for ``p`` None, from bounds ``mx >= max|x|`` and ``my >= max|y|``:
     the tier chosen from ``inner * mx * my``, a bound on every partial sum
     of the whole product (see the module docstring).  Past 2**63 - 1 an
     int64 product is checked first, then takes the tier its size picks:
     ``_check_int64`` runs here and nowhere else, so any ``IntegerOverflow``
-    is raised by this call, before a row exists.  ``scratch`` is the pool
-    of buffers its BLAS tiers share (see ``_float_product``)."""
+    is raised by this call, before a row exists.  ``x_abs`` is passed on to
+    it.  ``scratch`` is the pool of buffers its BLAS tiers share (see
+    ``_float_product``).  The plain float64 tier writes an int64 product as
+    ``dtype``, which must hold it; every other tier returns int64."""
     (rows, inner), cols = x.shape, y.shape[1]
     bound = inner * mx * my
     if bound > INT64_MAX and p is None:
-        _check_int64(x, y)
-    if bound <= _FLOAT_EXACT and cols > 1 and inner > 1:
-        return _float_product(y, rows, p=p, scratch=scratch)
+        _check_int64(x, y, x_abs)
+    # A narrow x converts to float64 faster than int64 einsum reads it, so
+    # a large one takes BLAS even on one column.
+    wide = cols > 1 or (x.itemsize < 8 and rows * inner > _EINSUM_MACS)
+    if bound <= _FLOAT_EXACT and wide and inner > 1:
+        return _float_product(y, rows, p=p, dtype=np.int64 if p else dtype, scratch=scratch)
     if (bound <= INT64_MAX or p is None) and (cols <= 2 or inner == 1 or rows * inner * cols <= _EINSUM_MACS):
         return _einsum_product(y, p)
     return _limb_product(x, y, mx, my, p, scratch)
 
 
-def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec) -> np.ndarray:
-    """``x @ y`` computed exactly in ``ring``, in ``y``'s shape (1-D for a
-    vector): the chosen block product over all of x, from both operands'
-    own magnitudes, counting ``rows * inner * cols`` scalar multiplies.
+def _exact_dot(x: _Dense, y: _Dense, ring: RingSpec, cls):
+    """``x @ y`` computed exactly in ``ring`` as a ``cls`` in ``y``'s shape
+    (a Vector for a vector): the chosen block product over all of x, from
+    both operands' own magnitudes, counting ``rows * inner * cols`` scalar
+    multiplies.  The result is stored at the width of the tier's bound,
+    ``inner * max|x| * max|y|``, or p - 1 over Z_p, so it needs no scan.
     One call, not row blocks: filled from 128-row blocks, an n = 1024
     mat-vec ran 11% slower and an n = 1024 matmul 4% (interleaved, 2-vCPU
     Xeon VM)."""
-    xa = x._a
+    xa, p = x._a, ring.modulus
     ya = y._a.reshape(xa.shape[1], -1)
-    product = _exact_product(xa, ya, ring.modulus, x._magnitude(), y._magnitude())
-    return _block(xa, product).reshape(len(xa), *y._a.shape[1:])
+    mx, my = x._magnitude(), y._magnitude()
+    bound = xa.shape[1] * mx * my if p is None else min(xa.shape[1] * mx * my, p - 1)
+    product = _exact_product(xa, ya, p, mx, my, dtype=_width(bound))
+    return cls._wrap(_block(xa, product).reshape(len(xa), *y._a.shape[1:]), ring, bound)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -778,7 +851,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    return Matrix._wrap(_exact_dot(a, b, a.ring), a.ring)
+    return _exact_dot(a, b, a.ring, Matrix)
 
 
 def mat_vec(x: Matrix, r: Vector) -> Vector:
@@ -786,7 +859,7 @@ def mat_vec(x: Matrix, r: Vector) -> Vector:
     _same_ring(x, r)
     if x.cols != len(r):
         raise DimensionMismatch(f"cannot apply {x.rows}x{x.cols} to length-{len(r)} vector")
-    return Vector._wrap(_exact_dot(x, r, x.ring), x.ring)
+    return _exact_dot(x, r, x.ring, Vector)
 
 
 def mats_equal(a: Matrix, b: Matrix) -> bool:
@@ -796,14 +869,14 @@ def mats_equal(a: Matrix, b: Matrix) -> bool:
         raise DimensionMismatch(
             f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    return bool(np.array_equal(a.data, b.data))
+    return bool(np.array_equal(a._a, b._a))
 
 
 def column(x: Matrix, i: int) -> Vector:
     """Column ``i`` as a vector; valid indices are 0 <= i < cols."""
     if not 0 <= i < x.cols:
         raise IndexOutOfRange(f"column {i} outside [0, {x.cols})")
-    return Vector._wrap(x.data[:, i].copy(), x.ring)
+    return Vector._wrap(x._a[:, i].copy(), x.ring)
 
 
 def _add_sub(a: Matrix, b: Matrix, sign: int, cols: np.ndarray | None = None) -> Matrix:
@@ -815,14 +888,16 @@ def _add_sub(a: Matrix, b: Matrix, sign: int, cols: np.ndarray | None = None) ->
         raise DimensionMismatch(
             f"cannot combine {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    x, y = a.data, b.data
-    if a.ring.kind == PRIME_FIELD:
-        p = a.ring.modulus
+    x, y, p = a._a, b._a, a.ring.modulus
+    if p:
         # Both operands lie in [0, p), so x - y and x - (p - y) stay inside
         # int64 for every 64-bit p, where x + y might not.
-        out = (x - y if sign < 0 else x - (p - y)) % p
-    else:
-        out = x - y if sign < 0 else x + y
+        out = np.subtract(x, y if sign < 0 else np.subtract(p, y, dtype=np.int64), dtype=np.int64)
+        out %= p
+        return Matrix._wrap(out, a.ring, p - 1)
+    # numpy widens as it reads, and a result of two int16 operands cannot wrap.
+    out = (np.subtract if sign < 0 else np.add)(x, y, dtype=np.int64)
+    if x.itemsize == 8 or y.itemsize == 8:
         # numpy wraps; a result whose sign the operands' signs rule out wrapped.
         wrapped = ((x ^ out) & ((x ^ y) if sign < 0 else (y ^ out))) < 0
         if wrapped.any():
@@ -844,6 +919,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def outer(u: Vector, v: Vector) -> Matrix:
     """Rank-one product u v^T."""
     _same_ring(u, v)
-    col = Matrix._wrap(u.data.reshape(-1, 1), u.ring)
-    row = Matrix._wrap(v.data.reshape(1, -1), u.ring)
-    return Matrix._wrap(_exact_dot(col, row, u.ring), u.ring)
+    col = Matrix._wrap(u._a.reshape(-1, 1), u.ring)
+    row = Matrix._wrap(v._a.reshape(1, -1), u.ring)
+    return _exact_dot(col, row, u.ring, Matrix)

@@ -388,7 +388,7 @@ def sample_vector(
         raise ValueError("need n >= 1 components")
     ring = RingSpec.int64() if ring is None else ring
     dist.validate_for_ring(ring)
-    return Vector._wrap(dist._draw(draw_words(rng, n)), ring)
+    return Vector._wrap(dist._draw(draw_words(rng, n)), ring, dist._magnitude())
 
 
 def _trial_keys(components: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ p_max**k certificate reported on accept.
 One trial engine, ``_trials``, runs every iteration.  It checks w vectors
 at once, A(BR) against CR: BR is formed whole, and the row streams of A(BR)
 and CR from the exact product chooser in ``matrix`` are compared block by
-block, ``step = matrix._FLOAT_BLOCK // n`` rows at a time (all n rows at
-once up to n = 362).  A product plan, ``_Plan``, is formed once per call,
+block, ``step = matrix._FLOAT_BLOCK // n`` rows at a time, about 1 MiB of
+entries of A and of C.  A product plan, ``_Plan``, is formed once per call,
 when the engine starts: the bounds max|A|, max|B| and max|C| (read once per
 matrix, which keeps them), rho, the law's largest |support value|, which
 bounds every trial vector, and n max|B| rho, which bounds BR.  The plan
@@ -43,17 +43,19 @@ whole block, and that bound keeps the block in cache.  From n = 1024 up the
 width is 2**20 // n.  Trial j draws its vector from substream
 ``(seed, j)``, so the width moves no draw.
 
-Trial 0 is probed first: B r_0 is formed whole and only row block 0 of
-A(Br_0) and Cr_0 is compared, so a wrong product that the first vector
-exposes there costs one pass over B and the first ``step`` rows of A and
-C.  Block 0 carries the rows the probe left unread: when A has more than
-one row block (n > 362), k > 1 and trial 0 passed the probe, block 0 is
-trials 0..w-1, w = min(k, width).  BR' is formed for trials 1..w-1, row
-block 0 of A(BR') and CR' is computed for those columns only, and the rest
-of A and C is streamed once against all w columns, with B r_0 carried
-from the probe.  Otherwise trial 0 is block 0 on its own.  An accept thus
-reads A and C once, and B twice (B r_0 on one column, BR' on the rest); no
-row of trial 0 is computed twice.  Every later block ends at the next
+Trial 0 is probed first: B r_0 is formed whole, A(Br_0) and Cr_0 are set
+up over all rows, and only their first ``_PROBE_ROWS`` (64) rows, or a row
+block when that is shorter, are compared, so a wrong product that the
+first vector exposes there costs one pass over B and those rows of A and
+C.  Trial 0's stream goes on in row blocks of ``step`` rows from there.
+Block 0 carries the rows the probe left unread: when A has more rows than
+the probe, k > 1 and trial 0 passed the probe, block 0 is trials 0..w-1,
+w = min(k, width).  BR' is formed for trials 1..w-1, the probe's rows of
+A(BR') and CR' are computed for those columns only, and the rest of A and
+C is streamed once against all w columns, in the row blocks of trial 0's
+stream, with B r_0 carried from the probe.  Otherwise trial 0 is block 0
+on its own.  An accept thus reads A and C once, and B twice (B r_0 on one
+column, BR' on the rest); no row of trial 0 is computed twice.  Every later block ends at the next
 multiple of the width, or at k.
 
 Once a block's set-up overflows, its trials run one at a time.  Column t
@@ -79,9 +81,11 @@ read: 3kn^2 on accept; on reject, 3n^2 per trial of every block before the
 failing one, and for the failing block of w trials n^2 w for BR plus 2nw
 per row of A and C read, that is up to the end e of the row block where
 its first trial first differs, w (n^2 + 2n e), or all n rows when that
-trial passes, 3n^2 w.  Trial 0 on its own is a block of w = 1:
-n^2 + 2n e.  A trial rerun on its own after its block's set-up overflowed
-is charged 2n per row of A and C read, plus n^2 when BR was not formed.
+trial passes, 3n^2 w.  The row blocks of block 0 are those of trial 0's
+stream, so there e is the probe's height or that plus a multiple of
+``step`` (or n).  Trial 0 on its own is a block of w = 1: n^2 + 2n e.  A
+trial rerun on its own after its block's set-up overflowed is charged 2n
+per row of A and C read, plus n^2 when BR was not formed.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ from .matrix import (
     _block,
     _exact_product,
     _fill,
+    _magnitudes,
     _max_abs,
     _part_width,
     _parts_differ,
@@ -125,6 +130,11 @@ _BLOCK_ENTRIES = 1 << 20
 # n = 128, w = 19 (311,296) and 1.2-2.5x at n = 256.
 _PARTS_COLS = 8
 _PARTS_MACS = 1 << 14
+# Trial 0 is probed on at most this many rows of A and C, and no more than
+# a row block: a wrong product that the first vector exposes there costs
+# one pass over B and these rows.  Higher, the probe's one-column products
+# took a larger share of an accept at n = 512 than at n = 1024.
+_PROBE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -211,11 +221,11 @@ class _Plan:
     a scan of every operand would pick.  The call's BLAS products share
     one pool of scratch buffers, so a call allocates each buffer once."""
 
-    __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "s", "step", "scratch")
+    __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "s", "step", "scratch", "mags")
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix, rho: int) -> None:
         n, p = a.rows, a.ring.modulus
-        self.a, self.b, self.c, self.p, self.rho = a.data, b.data, c.data, p, rho
+        self.a, self.b, self.c, self.p, self.rho = a._a, b._a, c._a, p, rho
         self.ma, self.mb, self.mc = a._magnitude(), b._magnitude(), c._magnitude()
         self.mbr = n * self.mb * rho if p is None else min(n * self.mb * rho, p - 1)
         self.abr = n * self.ma * self.mbr
@@ -223,6 +233,16 @@ class _Plan:
         self.s = -1
         self.step = matrix._FLOAT_BLOCK // n or 1
         self.scratch = {}
+        self.mags = {}
+
+    def _abs(self, name: str, rows: slice | None = None) -> np.ndarray:
+        """``matrix._magnitudes`` of the operand ``name`` ("a", "b" or
+        "c") over ``rows``, formed once per plan: the operand of every
+        ``_check_int64`` certificate of its products."""
+        m = self.mags.get(name)
+        if m is None:
+            m = self.mags[name] = _magnitudes(getattr(self, name))
+        return m if rows is None else m[rows]
 
     def parts(self) -> int | None:
         """The s at which blocks within the size limits compare A(BR) with
@@ -245,30 +265,33 @@ class _Plan:
         w = r.shape[1]
         if w >= _PARTS_COLS and _PARTS_MACS <= len(r) ** 2 * w <= matrix._EINSUM_MACS and self.parts() is not None:
             return _block(self.b, lambda b: np.matmul(b.astype(np.float64), r.astype(np.float64)))
-        return _block(self.b, _exact_product(self.b, r, self.p, self.mb, self.rho, self.scratch))
+        return _block(self.b, _exact_product(self.b, r, self.p, self.mb, self.rho, self.scratch, lambda: self._abs("b")))
 
-    def masks(self, br: np.ndarray, r: np.ndarray, rows: slice | None = None):
+    def masks(self, br: np.ndarray, r: np.ndarray, rows: slice | None = None, first: int | None = None):
         """The stream of A(BR) != CR over ``rows`` of A and C (all of
-        them for None), in row blocks of ``step`` rows, each computed when
-        it is read.  Both products are set up by this call, so it raises
+        them for None), in row blocks of ``step`` rows, the first of them
+        ``first`` rows when given, each computed when it is read.  Both
+        products are set up over all those rows by this call, so it raises
         their ``IntegerOverflow`` before a mask row exists."""
         a, c, p = self.a, self.c, self.p
         if rows is not None:
             a, c = a[rows], c[rows]
-        step = self.step
+        one = len(a) <= (first or self.step)
+        cuts = None if one else [0, *range(first or self.step, len(a), self.step), len(a)]
         if br.dtype.kind == "f":
             differ = self._parts(br, r)
-            if len(a) <= step:
+            if one:
                 return (differ(a, c) for _ in (0,))
-            return (differ(a[i : i + step], c[i : i + step]) for i in range(0, len(a), step))
+            return (differ(a[i:j], c[i:j]) for i, j in zip(cuts, cuts[1:]))
         limit = INT64_MAX if br.shape[1] == 1 else matrix._FLOAT_EXACT
-        ab = _exact_product(a, br, p, self.ma, _max_abs(br) if self.abr > limit else self.mbr, self.scratch)
-        cr = _exact_product(c, r, p, self.mc, self.rho, self.scratch)
-        if len(a) <= step:
+        mbr = _max_abs(br) if self.abr > limit else self.mbr
+        ab = _exact_product(a, br, p, self.ma, mbr, self.scratch, lambda: self._abs("a", rows))
+        cr = _exact_product(c, r, p, self.mc, self.rho, self.scratch, lambda: self._abs("c", rows))
+        if one:
             # One row block, read without slicing: a slice per read cost
             # about a microsecond at n = 64.
             return (np.not_equal(_block(a, ab), _block(c, cr)) for _ in (0,))
-        return (np.not_equal(_block(a[i : i + step], ab), _block(c[i : i + step], cr)) for i in range(0, len(a), step))
+        return (np.not_equal(_block(a[i:j], ab), _block(c[i:j], cr)) for i, j in zip(cuts, cuts[1:]))
 
     def _parts(self, br: np.ndarray, r: np.ndarray):
         """The mask of rows of A and C as ``matrix._parts_differ`` of [A |
@@ -288,12 +311,12 @@ class _Plan:
 
 def _carried_rows(plan: _Plan, r0: np.ndarray, br0: np.ndarray, head: np.ndarray, r1: np.ndarray, br1: np.ndarray):
     """``(R, mask rows)`` for R = ``r0`` and ``r1`` side by side when
-    column 0's B r, ``br0``, is formed, its mask over row block 0,
-    ``head``, is read, and A has rows past that block.  Row block 0 is
+    column 0's B r, ``br0``, is formed, its mask over the probe's rows,
+    ``head``, is read, and A has rows past them.  The probe's rows are
     multiplied for ``r1``'s columns only, and the rows the probe left
-    unread are streamed once against all of R, so no row of column 0 is
-    computed twice.  Any ``IntegerOverflow`` is raised by this call, before
-    a mask row is compared."""
+    unread are streamed once against all of R, in row blocks of ``step``
+    rows, so no row of column 0 is computed twice.  Any ``IntegerOverflow``
+    is raised by this call, before a mask row is compared."""
     step = len(head)
     r = np.concatenate((r0, r1), axis=1)
     tail = plan.masks(np.concatenate((br0, br1), axis=1), r, slice(step, None))
@@ -340,7 +363,7 @@ def fingerprint_block(a: Matrix, b: Matrix, c: Matrix, r: Matrix) -> np.ndarray:
     multiplies.
     """
     _check_block(a, b, c, r)
-    return _fill(_mask_rows(a, b, c, r.data), a.rows)
+    return _fill(_mask_rows(a, b, c, r._a), a.rows)
 
 
 def freivalds_iteration(
@@ -353,9 +376,9 @@ def freivalds_iteration(
     cost is at most three matrix-vector products, and the rows of A and C
     past the row block holding row i are not read.
     """
-    col = Matrix._wrap(r.data.reshape(-1, 1), r.ring)
+    col = Matrix._wrap(r._a.reshape(-1, 1), r.ring)
     _check_block(a, b, c, col)
-    hit = _first_failure(_mask_rows(a, b, c, col.data), a.rows)
+    hit = _first_failure(_mask_rows(a, b, c, col._a), a.rows)
     return (False, hit[1]) if hit else (True, None)
 
 
@@ -382,10 +405,10 @@ def _trials(
     keys = _keys(n)
     width = min(max(1, _BLOCK_ENTRIES // n), max(n, matrix._FLOAT_BLOCK // n))
     end = min(stop, width)
-    # The probe: B r_0 whole, then row block 0 of trial 0's mask.
+    # The probe: B r_0 whole, then the first rows of trial 0's mask.
     r0 = _draw_trials(dist, keys, seed, 0, 1)
     br0 = plan.br(r0)
-    rest = plan.masks(br0, r0)
+    rest = plan.masks(br0, r0, first=min(_PROBE_ROWS, plan.step))
     head = next(rest)
     # Block 0 carries the rows the probe left unread, if any.
     # count_nonzero: a third of ``any``'s call overhead on a small mask.

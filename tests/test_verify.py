@@ -547,11 +547,11 @@ def test_an_accept_reads_every_row_once(monkeypatch, ring, n):
 
 @pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
 def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
-    # Unpatched: n = 362 is one row block, so the probe is trial 0's whole
-    # check and block 0 is trial 0 alone; n = 363 is two row blocks, 361
-    # rows and 2, and n = 1024 eight of 128.  Errors sit
-    # in the first, a middle and the last row block, so trial 0 passes the
-    # probe and fails later, or fails in it.
+    # Unpatched: n = 362 is one row block, n = 363 two, 361 rows and 2, and
+    # n = 1024 eight of 128; the probe compares rows 0..63 of trial 0, and
+    # block 0 carries the rest.  Errors sit in the first, a middle and the
+    # last row block, so trial 0 passes the probe and fails later, or fails
+    # in it.
     m = ring.modulus
     gen = np.random.default_rng(11)
     seen = set()
@@ -586,15 +586,17 @@ def test_verify_at_full_size_row_blocks_equals_the_one_at_a_time_loop(ring):
 @pytest.mark.parametrize("ring", [INT64, RingSpec.prime_field(2**31 - 1)], ids=str)
 @pytest.mark.parametrize("n, float_block", [(1, None), (64, None), (362, None), (363, None), (12, _ROW_BLOCK_ENTRIES)])
 def test_block_0_carries_trial_0_only_when_its_probe_stopped_early(monkeypatch, ring, n, float_block):
-    # Block 0 carries the rows the probe left unread.  Up to n = 362 A is
-    # one row block, so the probe reads all of trial 0 and nothing is
-    # carried; n = 363 is row blocks of 361 rows and 2, and patched, n = 12
-    # is three of 4 rows.  There an accept with k >= 2 carries trial 0 once,
-    # and a reject does unless trial 0 failed in the probe.
+    # Block 0 carries the rows the probe left unread.  The probe reads the
+    # first 64 rows, or a row block if that is shorter: all of trial 0 up
+    # to n = 64, and at n = 362 and 363 rows 0..63 (row blocks of 362 and
+    # 361 rows follow it); patched, n = 12 is three row blocks of 4 rows and
+    # the probe is the first.  Past the probe an accept with k >= 2 carries
+    # trial 0 once, and a reject does unless trial 0 failed in the probe.
     if float_block is not None:
         monkeypatch.setattr(matrix_mod, "_FLOAT_BLOCK", float_block)
     step = matrix_mod._FLOAT_BLOCK // n
-    carries = step < n
+    probe = min(verify_mod._PROBE_ROWS, step)
+    carries = probe < n
     calls, real = [], verify_mod._carried_rows
 
     def spy(*args):
@@ -629,7 +631,7 @@ def test_block_0_carries_trial_0_only_when_its_probe_stopped_early(monkeypatch, 
             assert got == _reference_verdict(a, b, c, cfg), (i, j, cfg)
             if n <= 12:
                 assert got == _python_verdict(a, b, c, cfg)
-            probe_failed = got.witness_iteration == 0 and got.mismatch_row < step
+            probe_failed = got.witness_iteration == 0 and got.mismatch_row < probe
             assert len(calls) == (carries and k > 1 and not probe_failed)
             seen.add((got.accepted, probe_failed))
     # Rejects from the probe and from later trials, and accepts.
@@ -815,7 +817,11 @@ def test_one_verify_scans_each_operand_at_most_once(monkeypatch, mode):
     c_arr = np.einsum("ik,kj->ij", a_arr, b_arr)
     if mode == "dense-random":
         c_arr = c_arr + rng.integers(-3, 3, size=(n, n), endpoint=True)
-    a, b, c = (Matrix(n, n, INT64, m) for m in (a_arr, b_arr, c_arr))
+    # Construction keeps each bound from the scan that vets the entries, so
+    # a verify of matrices built by Matrix scans none of them.
+    built = [Matrix(n, n, INT64, m) for m in (a_arr, b_arr, c_arr)]
+    assert [m._bound for m in built] == [int(np.abs(m).max()) for m in (a_arr, b_arr, c_arr)]
+    a, b, c = (Matrix._wrap(m._a, INT64) for m in built)  # no kept bounds
     scans, real = [], matrix_mod._max_abs
 
     def spy(v):
@@ -827,13 +833,16 @@ def test_one_verify_scans_each_operand_at_most_once(monkeypatch, mode):
     verdict = verify(a, b, c, _cfg(k=20, seed=5))
     assert verdict.accepted == (mode == "equal")
     for m in (a, b, c):
-        assert sum(np.shares_memory(v, m.data) for v in scans) == 1
-    others = [v.shape for v in scans if not any(np.shares_memory(v, m.data) for m in (a, b, c))]
+        assert sum(np.shares_memory(v, m._a) for v in scans) == 1
+    others = [v.shape for v in scans if not any(np.shares_memory(v, m._a) for m in (a, b, c))]
     assert others == []
     # A second verify of the same matrices reads their kept bounds.
     scans.clear()
     assert verify(a, b, c, _cfg(k=20, seed=5)) == verdict
-    assert all(not np.shares_memory(v, m.data) for v in scans for m in (a, b, c))
+    assert all(not np.shares_memory(v, m._a) for v in scans for m in (a, b, c))
+    scans.clear()
+    assert verify(*built, _cfg(k=20, seed=5)) == verdict
+    assert scans == []
 
 
 def test_an_overflowing_block_reruns_its_trials_from_its_br(monkeypatch):
@@ -870,6 +879,31 @@ def test_an_overflowing_block_reruns_its_trials_from_its_br(monkeypatch):
         assert scalar_multiplies() == 3 * n * n + (k - 1) * n * n + 2 * n * n * (f - 1)
         seen.add(f)
     assert len(seen) >= 2
+
+
+def test_a_verify_forms_the_certificate_operand_of_a_once(monkeypatch):
+    # n = 64, one entry of A at 2^40 and B's entries to 2^16: the bound of
+    # A(B r) passes 2^63 - 1 for the probe's column and for the block of
+    # trials 1..19, so both are checked by the certificate sum |A| |B r|,
+    # while no entry overflows.  The plan forms |A| once for both.
+    n = 64
+    rng = np.random.default_rng(40)
+    a_arr = rng.integers(-9, 10, (n, n))
+    a_arr[5, 7] = 1 << 40
+    b_arr = rng.integers(-(1 << 16), 1 << 16, (n, n), endpoint=True)
+    c_arr = np.array(a_arr.astype(object) @ b_arr.astype(object), dtype=np.int64)
+    a, b, c = (Matrix(n, n, INT64, m) for m in (a_arr, b_arr, c_arr))
+    cfg = _cfg(k=20, seed=1)
+    expected = _reference_verdict(a, b, c, cfg)
+    formed = []
+    for module in (matrix_mod, verify_mod):
+        real = module._magnitudes
+        monkeypatch.setattr(module, "_magnitudes", lambda v, real=real: formed.append(v) or real(v))
+    checks = _count_calls(monkeypatch, matrix_mod, "_check_int64")
+    got = verify(a, b, c, cfg)
+    assert got.accepted and got == expected
+    assert [x.shape[0] for x, y, *_ in checks if np.shares_memory(x, a._a)] == [n, n]
+    assert sum(np.shares_memory(v, a._a) for v in formed) == 1
 
 
 # ---------------------------------------------------------------- two-part tier
@@ -968,7 +1002,7 @@ def test_wide_int64_blocks_past_2_53_form_no_product(monkeypatch, accept):
     if not accept:
         while verify(a, b, c, _cfg(k=20, seed=seed)).witness_iteration in (None, 0):
             seed += 1
-    a, b, c = (Matrix(n, n, INT64, m.data) for m in (a, b, c))  # no kept bounds
+    a, b, c = (Matrix._wrap(m._a, INT64) for m in (a, b, c))  # no kept bounds
     einsums = _count_calls(monkeypatch, matrix_mod, "_einsum_product")
     recombines = _count_calls(monkeypatch, matrix_mod, "_recombine")
     differ = _count_calls(monkeypatch, verify_mod, "_parts_differ")
@@ -982,7 +1016,7 @@ def test_wide_int64_blocks_past_2_53_form_no_product(monkeypatch, accept):
     assert [y.shape[1] for y, *_ in einsums] == [1, 1, 1]  # the probe's B r, A(B r) and C r
     assert recombines == []
     scanned = [v for v, in scans]
-    assert len(scanned) == 3 and all(any(np.shares_memory(v, m.data) for m in (a, b, c)) for v in scanned)
+    assert len(scanned) == 3 and all(any(np.shares_memory(v, m._a) for m in (a, b, c)) for v in scanned)
     assert got == _reference_verdict(a, b, c, cfg)
     assert got.accepted == accept and (accept or got.witness_iteration >= 1)
     if accept:
