@@ -36,7 +36,7 @@ Rows:
   and the rows of A and C that the verifier needs;
 * ``matmul``: n = 256, Z_p for p = 2^31 - 1 and 2^61 - 1, and int64 entries
   below 2^28 in magnitude, whose bound n * 2^56 passes 2^63;
-* ``wide_products``: ``_exact_dot`` on n x n by n x w products whose bound
+* ``wide_products``: ``matmul`` of n x n by n x w products whose bound
   lies in (2^53, 2^63 - 1], int64 and Z_p for the largest prime below 2^26,
   with the tier it picks.  The int64 x has entries up to 2^24 and y up to
   2^58 / (n 2^24), so the bound is 2^58, as for A(BR) in a verify with
@@ -288,7 +288,8 @@ def _verify_sizes(fc, data: Path, repeats: int) -> dict:
 
 
 def _tier_of(matrix, call) -> str:
-    """The tier ``_exact_dot`` runs ``call`` on: limbs, float64 or einsum."""
+    """The tier the product chooser runs ``call`` on: limbs, float64 or
+    einsum (every product timed here is past 2**53)."""
     used = []
     names = ("_float_product", "_limb_product")
     real = {name: getattr(matrix, name) for name in names}
@@ -318,8 +319,8 @@ def _wide_products(fc, matrix, data: Path, repeats: int) -> dict:
             xa, ya = _wide(data, kind, p, n, w)
             x, y = fc.Matrix(n, n, ring, xa), fc.Matrix(n, w, ring, ya)
             out[f"{_name(kind, p)} n={n} w={w}"] = {
-                "tier": _tier_of(matrix, lambda: matrix._exact_dot(x, y, ring)),
-                "ms": _median_ms(lambda: matrix._exact_dot(x, y, ring), repeats),
+                "tier": _tier_of(matrix, lambda: fc.matmul(x, y)),
+                "ms": _median_ms(lambda: fc.matmul(x, y), repeats),
             }
     return out
 

@@ -21,7 +21,7 @@ the width of the bound its product or sum already holds, without a scan,
 and keeps its magnitude unread until a product asks (one scan, kept: the
 objects are immutable).  ``data`` reads the entries as int64, a copy for
 narrow storage; the package reads the stored array.  Products convert
-narrow rows to float64 directly.  What needs int64 widens what it reads:
+narrow rows to float directly.  What needs int64 widens what it reads:
 ``einsum`` (against an int64 y), limb digits (``_split``, whose shifts
 pass 15 and 31 bits), sums and their wrap test, and Z_p reductions.
 
@@ -40,13 +40,18 @@ that the bound proves exact:
 
 * at most 2**53, the inner dimension is past 1, and ``y`` has more than
   one column or a narrow ``x`` has more than ``_EINSUM_MACS`` entries:
-  float64 BLAS.  Every product and partial sum is then an
-  integer a double holds exactly, in any summation order.  Rows of ``x``
-  are converted into one reused buffer of at most a block (half a block
-  when ``y`` is smaller than a block), so no float64 copy of ``x`` is
-  made, and no float64 copy is kept.  In the package only blocks of
-  trial vectors have more columns than rows, and ``verify`` keeps each of
-  those within 1 MiB, so ``y`` stays in cache too;
+  float BLAS, on float32 where the bound is at most 2**24 and on float64
+  above.  Every product and partial sum is then an integer the element
+  type holds exactly (a float's significand has 24 bits, a double's 53),
+  in any summation order, and float32 converts ``x`` to half the bytes:
+  at n = 1024 with entries in [-256, 256], B r and BR (bound 2**18) run
+  on sgemv and sgemm, and the recompute AB (2**26) on dgemm; at n = 256,
+  AB's bound is 2**24.  Rows of ``x`` are converted into one reused
+  buffer of at most a block (half a block when ``y`` is smaller than a
+  block), so no float copy of ``x`` is made, and no float copy is kept.
+  In the package only blocks of trial vectors have more columns than
+  rows, and ``verify`` keeps each of those within 1 MiB, so ``y`` stays in
+  cache too;
 * at most 2**63 - 1 or checked int64, and ``y`` has at most two columns,
   the inner dimension is 1 or the product has at most ``_EINSUM_MACS``
   (98,304) multiply-adds: int64 numpy, ``einsum`` of the rows asked for
@@ -55,9 +60,9 @@ that the bound proves exact:
   generic loop, not BLAS).  Larger and wider products run faster on limbs
   (``BENCH_lean_limbs.json``);
 * otherwise limbs on float64 BLAS, for both rings: the same BLAS path as
-  the first tier, with the operands split.  ``x`` is split into a-bit
-  limbs and ``y`` into b-bit limbs, two's complement digits below a top
-  limb that carries the sign; among the splits with
+  the first tier, on float64, with the operands split.  ``x`` is split
+  into a-bit limbs and ``y`` into b-bit limbs, two's complement digits
+  below a top limb that carries the sign; among the splits with
   ``inner * max|x limb| * (2**b - 1) <= 2**53``, so that every limb
   product is exact, the one with the fewest limb products is taken, and
   on a tie the one that splits the operand with fewer entries further.
@@ -111,7 +116,7 @@ arithmetic, exact mod 2**64, returns it on any tier.  The check covers the
 whole of ``x`` and runs when the product is set up, so an
 ``IntegerOverflow`` is raised before any row of the product exists.
 
-Products on float64 BLAS run on as many threads as the process's BLAS
+Products on float BLAS run on as many threads as the process's BLAS
 was started with, and are exact in any summation order, so the thread
 count cannot change a result; ``OPENBLAS_NUM_THREADS=1`` pins one thread.
 
@@ -414,6 +419,12 @@ def _same_ring(x, y) -> None:
 
 
 _FLOAT_EXACT = 1 << 53
+# The largest bound at which the plain float tier runs on float32, whose
+# 24-bit significand holds every integer up to 2**24.  Converting x to half
+# the bytes is the gain: B r_0 of an n = 1024 verify with entries in [-256,
+# 256] took 0.41-0.42 ms on sgemv against 0.90-0.94 ms on dgemv (one BLAS
+# thread, 2-vCPU Xeon VM, BENCH_float32_tier.json).
+_SINGLE_EXACT = 1 << 24
 # Past 2**53, int64 ``einsum`` keeps a product of at most this many
 # multiply-adds, and one of at most two columns, whose limb products pay
 # for converting all of x for little BLAS work.  In BENCH_lean_limbs.json
@@ -424,8 +435,8 @@ _FLOAT_EXACT = 1 << 53
 # parts instead of forming its products (see the module docstring), and
 # keeps these tiers above it, where the limb tier is faster.
 _EINSUM_MACS = 3 << 15
-# Entries of x converted to float64 per BLAS call (1 MiB): no float64 copy
-# of a large x is ever made, and calls stay few and large.
+# Entries of x converted to float per BLAS call (1 MiB as float64): no
+# float copy of a large x is ever made, and calls stay few and large.
 _FLOAT_BLOCK = 1 << 17
 # The plan of a product with neither operand split.
 _WHOLE = (1, 0, 1, 0)
@@ -596,30 +607,42 @@ def _recombine(u: np.ndarray, a: int, b: int, p: int | None, out: np.ndarray) ->
 
 
 def _scratch(pool: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array of ``shape``: a view of ``pool[name]`` when the
-    pool holds one of ``dtype`` at least that large, else a new one, which
-    the pool then keeps.  Without a pool, a new array each time."""
-    size = math.prod(shape)
+    """An uninitialised ``dtype`` array of ``shape``: a view of the bytes
+    of ``pool[name]`` when the pool holds at least that many, else of new
+    ones, which the pool then keeps.  The bytes have no type, so products
+    of one pool on float32 and on float64 share each buffer.  Without a
+    pool, a new array each time."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
     if pool is None:
         return np.empty(shape, dtype)
     buf = pool.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = pool[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+    if buf is None or buf.size < size:
+        buf = pool[name] = np.empty(size, np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
 
 
-def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, dtype=np.int64, scratch: dict | None = None):
+def _float_product(
+    y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, dtype=np.int64, scratch: dict | None = None,
+    bound: int = _FLOAT_EXACT,
+):
     """The block product of a left operand of ``rows`` rows times ``y`` on
-    float64 BLAS: ``xb @ y`` as ``dtype``, reduced mod ``p`` when given,
+    float BLAS: ``xb @ y`` as ``dtype``, reduced mod ``p`` when given,
     under the limb split ``plan = (nx, a, ny, b)`` of ``_limb_plan``;
-    ``_WHOLE`` splits neither operand.  It is exact when every partial sum
-    of every limb product is an integer of magnitude at most 2**53.
+    ``_WHOLE`` splits neither operand.  ``bound`` bounds the magnitude of
+    every partial sum of every limb product, and the product is exact when
+    it is at most 2**53.  The element type comes from it: float32 at most
+    ``_SINGLE_EXACT`` (2**24), where every such partial sum is an integer a
+    float holds exactly, and float64 above.  So a product within 2**24
+    converts x to half the bytes and runs sgemm or sgemv; limb products,
+    whose plans are stated for 2**53, and the overflow check's certificate
+    keep the default and run on float64.
 
     ``y`` is split into its ny limbs here, once, and they stand side by
-    side as the columns of one float64 array.  Rows of x are split as they
+    side as the columns of one float array.  Rows of x are split as they
     are converted, into one reused buffer, with their nx limbs stacked as
     rows, so one BLAS call covers every limb product of those rows and no
-    float64 copy of x is made.  The limb products are recombined into the
+    float copy of x is made.  The limb products are recombined into the
     output at once, by in-place shift-adds (Horner steps, high limbs
     first: over y's limbs for every limb of x, then over x's limbs), mod p
     in uint64, and otherwise wrapping, exact wherever the true entry fits.
@@ -659,20 +682,21 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
     # heap, and the next product reuses their pages instead of faulting in
     # fresh ones, which nearly doubled an n = 512 product on a 2-vCPU Xeon
     # VM.
+    ftype = np.dtype(np.float32 if bound <= _SINGLE_EXACT else np.float64)
     if ny == 1:
-        yf = y.astype(np.float64)
+        yf = y.astype(ftype)
     else:
-        yf = np.empty((inner, ny, cols))
+        yf = np.empty((inner, ny, cols), ftype)
         _split(y, b, ny, yf.transpose(1, 0, 2), _scratch(scratch, "int", y.shape, np.int64))
         yf = yf.reshape(inner, ny * cols)
     # Row i's limbs of x are rows i nx .. i nx + nx - 1 of xf, so the limb
     # products of consecutive BLAS calls fill consecutive rows of of.
-    xf = _scratch(scratch, "x", (step * nx, inner), np.float64)
+    xf = _scratch(scratch, "x", (step * nx, inner), ftype)
     # The limb products' buffer has a page's worth of bytes more than it
-    # holds (_PAGE // 8 doubles), so that each output can read it from a
-    # view whose address lies half a page from the output's (see product).
+    # holds, so that each output can read it from a view whose address
+    # lies half a page from the output's (see product).
     held = span * nx * ny * cols
-    raw = _scratch(scratch, "out", (held + _PAGE // 8,), np.float64)
+    raw = _scratch(scratch, "out", (held + _PAGE // ftype.itemsize,), ftype)
     tmp = _scratch(scratch, "int", (step, inner), np.int64) if nx > 1 else None
     ints = _scratch(scratch, "limbs", (nx, ny, span, cols), np.int64) if nx * ny > 1 else None
 
@@ -710,7 +734,7 @@ def _float_product(y: np.ndarray, rows: int, plan=_WHOLE, p: int | None = None, 
         # (2-vCPU Xeon VM).  Read from half a page away, no load waits.  An
         # output of at most a page of entries skips this: reading the two
         # addresses costs more than its conversion can lose.
-        skew = (out.ctypes.data - raw.ctypes.data - _PAGE // 2) % _PAGE // 8 if out.size > _PAGE else 0
+        skew = (out.ctypes.data - raw.ctypes.data - _PAGE // 2) % _PAGE // ftype.itemsize if out.size > _PAGE else 0
         of = raw[skew : skew + held].reshape(span * nx, ny * cols)
         for j in range(0, len(xb), span):
             piece(xb[j : j + span], out[j : j + span], of)
@@ -811,17 +835,19 @@ def _exact_product(
     ``_check_int64`` runs here and nowhere else, so any ``IntegerOverflow``
     is raised by this call, before a row exists.  ``x_abs`` is passed on to
     it.  ``scratch`` is the pool of buffers its BLAS tiers share (see
-    ``_float_product``).  The plain float64 tier writes an int64 product as
-    ``dtype``, which must hold it; every other tier returns int64."""
+    ``_float_product``).  The plain float tier runs on float32 where the
+    bound is at most 2**24 and on float64 up to 2**53; it writes an int64
+    product as ``dtype``, which must hold it, and every other tier returns
+    int64."""
     (rows, inner), cols = x.shape, y.shape[1]
     bound = inner * mx * my
     if bound > INT64_MAX and p is None:
         _check_int64(x, y, x_abs)
-    # A narrow x converts to float64 faster than int64 einsum reads it, so
-    # a large one takes BLAS even on one column.
+    # A narrow x converts to float faster than int64 einsum reads it, so a
+    # large one takes BLAS even on one column.
     wide = cols > 1 or (x.itemsize < 8 and rows * inner > _EINSUM_MACS)
     if bound <= _FLOAT_EXACT and wide and inner > 1:
-        return _float_product(y, rows, p=p, dtype=np.int64 if p else dtype, scratch=scratch)
+        return _float_product(y, rows, p=p, dtype=np.int64 if p else dtype, scratch=scratch, bound=bound)
     if (bound <= INT64_MAX or p is None) and (cols <= 2 or inner == 1 or rows * inner * cols <= _EINSUM_MACS):
         return _einsum_product(y, p)
     return _limb_product(x, y, mx, my, p, scratch)

@@ -31,8 +31,12 @@ so a call that ends in the probe pays nothing for it.  Every other
 product of every block picks its tier and limb split from the bounds, so
 no trial block is scanned; BR is scanned only where its bound carries
 A(BR)'s past a tier boundary (2**63 - 1 for one column, 2**53 for more),
-and its own magnitude may then pick a cheaper tier.  The plan also holds
-the call's scratch buffers, which all its BLAS products share.  Trials
+and its own magnitude may then pick a cheaper tier.  BR is formed by the
+chooser's plain float tier on float32 wherever n max|B| rho is at most
+2**24 (at n = 1024 with entries in [-256, 256] and the u01 law, 2**18), so
+B is converted to half the bytes it takes as float64, and on float64 up
+to 2**53.  The plan also holds the call's scratch buffers, which all its
+BLAS products share, float32 and float64 alike.  Trials
 run in blocks of
 ``width = min(_BLOCK_ENTRIES // n, max(n, matrix._FLOAT_BLOCK // n))``
 columns, at least one, each drawn only when reached, so memory does not
@@ -192,7 +196,9 @@ class _Plan:
     """The products of one verify call, planned when it starts, from n, the
     ring, max|A|, max|B|, max|C| (one scan each, kept by the matrices) and
     rho, a bound on every entry of every trial vector: the law's largest
-    |support value|.  BR is bounded by n max|B| rho (and by p - 1 over Z_p).
+    |support value|.  BR is bounded by n max|B| rho (and by p - 1 over Z_p),
+    and ``matrix._exact_product`` forms it on float32 BLAS wherever that
+    bound is at most 2**24, on float64 up to 2**53.
 
     The plan holds the tier of a block of w columns, w at least
     ``_PARTS_COLS`` and n^2 w from ``_PARTS_MACS`` to
@@ -219,7 +225,8 @@ class _Plan:
     ``einsum`` below it, and 2**53 for a wider block.  There the block's own
     max|BR| may still pick a cheaper tier or fewer limbs for A(BR), the ones
     a scan of every operand would pick.  The call's BLAS products share
-    one pool of scratch buffers, so a call allocates each buffer once."""
+    one pool of scratch buffers, held as bytes and viewed at the element
+    type each product runs on, so a call allocates each buffer once."""
 
     __slots__ = ("a", "b", "c", "p", "ma", "mb", "mc", "rho", "mbr", "abr", "s", "step", "scratch", "mags")
 

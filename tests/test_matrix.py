@@ -34,6 +34,11 @@ from freicheck import (
     parse_ring,
     reset_scalar_multiplies,
     scalar_multiplies,
+    sample_vector,
+    substream,
+    uniform_support,
+    verify,
+    VerifyConfig,
 )
 import freicheck.matrix as matrix_mod
 from util import brute_matmul, brute_mat_vec, random_matrix
@@ -424,8 +429,12 @@ def test_numpy_and_checked_paths_agree():
 # ---------------------------------------------------------------- product tiers
 
 # (inner, max|x|, max|y|) with inner * max|x| * max|y| landing on each tier
-# boundary of the product chooser: the float64 limit 2^53 and the int64 limit.
+# boundary of the product chooser: the float32 limit 2^24, the float64
+# limit 2^53 and the int64 limit.
 _TIER_CASES = [
+    (5, 819, 4097),  # 2^24 - 1 = 5 * (3^2 * 7 * 13) * (17 * 241)
+    (4, 2**11, 2**11),  # 2^24: still float32
+    (97, 257, 673),  # 2^24 + 1 = 97 * 257 * 673: float64
     (1, 441650591, 20394401),  # 2^53 - 1 = 6361 * 69431 * 20394401
     (2, 2**26, 2**26),  # 2^53: still float64
     (3, 107, 28059810762433),  # 2^53 + 1: int64
@@ -470,11 +479,19 @@ def _entries_at(rng, rows, cols, mag, ring, mode):
 
 @contextmanager
 def _tier_spy():
-    """Names of the float64 and limb tiers as the chooser calls them, and
-    "check" for each int64 overflow check; the limb tier and the check run
-    their products through the float64 tier."""
+    """Names of the tiers as the chooser calls them: "float32" or "float64"
+    for each product on float BLAS, the element type its rows of x are
+    converted to, "limbs" for the limb tier and "check" for each int64
+    overflow check; the limb tier and the check run their products through
+    the float tier."""
     used = []
-    real = matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64
+    real = matrix_mod._scratch, matrix_mod._limb_product, matrix_mod._check_int64
+
+    def scratch(pool, name, shape, dtype):
+        # Every float product converts its rows of x into the buffer "x".
+        if name == "x":
+            used.append(np.dtype(dtype).name)
+        return real[0](pool, name, shape, dtype)
 
     def spy(name, fn):
         def call(*args, **kwargs):
@@ -483,17 +500,19 @@ def _tier_spy():
 
         return call
 
-    matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64 = (
-        spy(name, fn) for name, fn in zip(("float64", "limbs", "check"), real)
-    )
+    matrix_mod._scratch = scratch
+    matrix_mod._limb_product, matrix_mod._check_int64 = spy("limbs", real[1]), spy("check", real[2])
     try:
         yield used
     finally:
-        matrix_mod._float_product, matrix_mod._limb_product, matrix_mod._check_int64 = real
+        matrix_mod._scratch, matrix_mod._limb_product, matrix_mod._check_int64 = real
 
 
 def _tier(used):
-    return "limbs" if "limbs" in used else "float64" if "float64" in used else "einsum"
+    for tier in ("limbs", "float64", "float32"):
+        if tier in used:
+            return tier
+    return "einsum"
 
 
 @settings(max_examples=120, deadline=None)
@@ -524,15 +543,18 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
     # Past 2^63 - 1 an int64 product is checked first, then takes the tier
     # its size picks; past 2^53, einsum keeps a product only while it has
     # at most two columns, an inner dimension of 1 or is small, and Z_p past
-    # 2^63 - 1 always takes limbs.  float64 BLAS needs more than one column
+    # 2^63 - 1 always takes limbs.  Float BLAS needs more than one column
     # and an inner dimension past 1: with one, numpy leaves BLAS for a slow
-    # loop.
+    # loop.  It runs on float32 exactly where the bound is at most 2^24, and
+    # the limb tier and the check run on float64.
     small = cols <= 2 or inner == 1 or rows * inner * cols <= matrix_mod._EINSUM_MACS
     check = ring == INT64 and bound > INT64_MAX
     limbs = (bound > 2**53 and not small) or (ring != INT64 and bound > INT64_MAX)
+    plain = bound <= 2**53 and cols > 1 and inner > 1
     assert ("check" in used) == check
     assert ("limbs" in used) == limbs
-    assert ("float64" in used) == (bound <= 2**53 and cols > 1 and inner > 1 or limbs or check)
+    assert ("float32" in used) == (plain and bound <= 2**24)
+    assert ("float64" in used) == (plain and bound > 2**24 or limbs or check)
 
     expected = _checked_ref(x_rows, [row[:1] for row in y_rows], ring.modulus)
     r = Vector(ring, [row[0] for row in y_rows])
@@ -546,6 +568,7 @@ def test_products_match_python_ints_at_tier_boundaries(case, ring, rows, cols, m
     # check over int64, for limbs over Z_p.
     vbound = inner * mx * max(abs(row[0]) for row in y_rows)
     assert ("float64" in used) == (vbound > INT64_MAX)
+    assert "float32" not in used
     assert ("check" in used) == (ring == INT64 and vbound > INT64_MAX)
     assert ("limbs" in used) == (ring != INT64 and vbound > INT64_MAX)
 
@@ -579,6 +602,74 @@ def test_fingerprint_block_matches_python_ints_at_tier_boundaries(case, ring, co
     else:
         expected = [[abr[i][t] != cr[i][t] for t in range(cols)] for i in range(n)]
         assert fingerprint_block(a, b, c, r).tolist() == expected
+
+
+# (n, max|B|, rho) with n max|B| rho, the bound on B R, on 2^24 - 1, 2^24
+# and 2^24 + 1; every factor is below the prime 32749.
+_SINGLE_CASES = [(5, 4097, 819), (8, 2**11, 2**10), (97, 257, 673)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_SINGLE_CASES) - 1),
+    ring=st.sampled_from([INT64, RingSpec.prime_field(32749)]),
+    k=st.integers(min_value=2, max_value=12),
+    wrong=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_products_and_verdicts_match_python_ints_at_the_float32_limit(case, ring, k, wrong, seed):
+    # B R on float32 up to 2^24 and on float64 past it, as matmul forms it,
+    # inside fingerprint_block and inside verify, whose law has rho as its
+    # largest |support value|: each against Python integers.
+    n, mb, rho = _SINGLE_CASES[case]
+    p = ring.modulus
+    rng = random.Random(seed)
+    mode = rng.choice(["saturated", "random"])
+    a_rows = _entries_at(rng, n, n, 1, ring, "random")
+    b_rows = _entries_at(rng, n, n, mb, ring, mode)
+    r_rows = _entries_at(rng, n, k, rho, ring, mode)
+    c_rows = _checked_ref(a_rows, b_rows, p)
+    if wrong:
+        i, j = rng.randrange(n), rng.randrange(n)
+        c_rows[i][j] = (c_rows[i][j] + 1) % p if p else c_rows[i][j] + 1
+    a, b, c = (Matrix(n, n, ring, m) for m in (a_rows, b_rows, c_rows))
+    r = Matrix(n, k, ring, r_rows)
+
+    br = _checked_ref(b_rows, r_rows, p)
+    with _tier_spy() as used:
+        assert matmul(b, r).data.tolist() == br
+    assert used == ["float32" if n * mb * rho <= 2**24 else "float64"]
+    abr, cr = _checked_ref(a_rows, br, p), _checked_ref(c_rows, r_rows, p)
+    assert fingerprint_block(a, b, c, r).tolist() == [[abr[i][t] != cr[i][t] for t in range(k)] for i in range(n)]
+
+    # verify's trial block B R' has the bound n max|B| rho too.
+    support = (-rho, 0, 1, rho) if p is None else (0, 1, rho)
+    dist = uniform_support(support)
+    expected = None
+    for t in range(k):
+        col = [[v] for v in sample_vector(dist, n, substream(seed, t), ring).data.tolist()]
+        bv = _checked_ref(b_rows, col, p)
+        diff = [i for i, (u, v) in enumerate(zip(_checked_ref(a_rows, bv, p), _checked_ref(c_rows, col, p))) if u != v]
+        if diff:
+            expected = (t, [v[0] for v in col], diff[0])
+            break
+    got = verify(a, b, c, VerifyConfig(k, seed, dist))
+    if expected is None:
+        assert got.accepted
+    else:
+        assert (got.witness_iteration, got.witness.data.tolist(), got.mismatch_row) == expected
+
+
+def test_a_zero_right_operand_runs_on_float32_whatever_the_left_holds():
+    # max|y| = 0 makes the bound 0 however large x is: INT64_MIN and
+    # INT64_MAX convert to float32 as -2^63 and 2^63, and every product
+    # term is still an exact zero.
+    x = Matrix.from_rows([[INT64_MIN, INT64_MAX, 1], [INT64_MAX, INT64_MIN, -1]], INT64)
+    y = Matrix(3, 4, INT64, [[0] * 4] * 3)
+    with _tier_spy() as used:
+        got = matmul(x, y)
+    assert used == ["float32"]
+    assert got.data.tolist() == [[0] * 4] * 2 and got._a.dtype == np.int16
 
 
 # ---------------------------------------------------------------- limb tier

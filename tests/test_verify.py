@@ -707,8 +707,9 @@ def test_overflow_in_the_last_row_block_wins_over_a_mismatch_in_the_first(monkey
         assert str(err.value) == message
 
 
-# Seeded products and verdicts of every float64 BLAS tier, pickled to
-# stdout, each with the tiers it ran.
+# Seeded products and verdicts of every float BLAS tier, pickled to
+# stdout, each with the tiers it ran: a float product is named by the
+# element type its rows of x are converted to.
 _BLAS_THREADS_CHILD = """
 import importlib
 import pickle
@@ -733,7 +734,16 @@ def spy(mod, name, tier):
     setattr(mod, name, call)
 
 
-spy(matrix_mod, "_float_product", "float64")
+real_scratch = matrix_mod._scratch
+
+
+def scratch(pool, name, shape, dtype):
+    if name == "x":
+        tiers.append(np.dtype(dtype).name)
+    return real_scratch(pool, name, shape, dtype)
+
+
+matrix_mod._scratch = scratch
 spy(matrix_mod, "_limb_product", "limbs")
 spy(matrix_mod, "_check_int64", "check")
 spy(verify_mod, "_parts_differ", "parts")
@@ -770,16 +780,26 @@ a, b, c = (Matrix(64, 64, int64, m) for m in (a_arr, b_arr, c_arr))
 run("accept", lambda: verdict(a, b, c, 0))
 c_arr[40, 17] += 1
 run("reject", lambda: verdict(a, b, Matrix(64, 64, int64, c_arr), 2))
+a_arr, b_arr = (rng.integers(-256, 256, size=(256, 256), endpoint=True) for _ in range(2))
+x, y = (Matrix(256, 256, int64, m) for m in (a_arr, b_arr))
+run("float32", lambda: product(x, y))
+c_arr = a_arr @ b_arr
+run("float32 accept", lambda: verdict(x, y, Matrix(256, 256, int64, c_arr), 0))
+c_arr[200, 17] += 1
+run("float32 reject", lambda: verdict(x, y, Matrix(256, 256, int64, c_arr), 2))
 sys.stdout.buffer.write(pickle.dumps(out))
 """
 
 
 def test_results_are_byte_identical_on_one_and_two_blas_threads():
-    # Every float64 BLAS product is an exact integer in any summation order,
+    # Every float BLAS product is an exact integer in any summation order,
     # so the thread count a process starts BLAS with changes no product,
     # verdict or witness: the float64 tier (bound 2^52), the limb tier over
     # zp 2^61 - 1, an int64 product past 2^63 - 1 whose certificate clears
-    # it, and verify's two-part compare, which a reject past trial 0 reaches.
+    # it, verify's two-part compare, which a reject past trial 0 reaches,
+    # the float32 tier (n = 256, entries to 256, bound at most 2^24), and
+    # an n = 256 verify whose BR runs on float32 (bound 2^16) and whose
+    # A(BR) and CR run on float64 (2^32).
     src = str(Path(verify_mod.__file__).resolve().parents[1])
     runs = {}
     for threads in ("1", "2"):
@@ -797,11 +817,17 @@ def test_results_are_byte_identical_on_one_and_two_blas_threads():
         "check": ("check", "float64"),
         "accept": ("parts",),
         "reject": ("parts",),
+        "float32": ("float32",),
+        "float32 accept": ("float32", "float64"),
+        "float32 reject": ("float32", "float64"),
     }
     accepted, *_ = got["accept"][0]
     rejected, _, witness, iteration, row = got["reject"][0]
     assert accepted and not rejected and witness is not None
     assert iteration > 0 and row == 40
+    accepted, *_ = got["float32 accept"][0]
+    rejected, _, witness, _, row = got["float32 reject"][0]
+    assert accepted and not rejected and witness is not None and row == 200
 
 
 @pytest.mark.parametrize("mode", ["equal", "dense-random"])
@@ -904,6 +930,26 @@ def test_a_verify_forms_the_certificate_operand_of_a_once(monkeypatch):
     assert got.accepted and got == expected
     assert [x.shape[0] for x, y, *_ in checks if np.shares_memory(x, a._a)] == [n, n]
     assert sum(np.shares_memory(v, a._a) for v in formed) == 1
+
+
+def test_a_plan_keeps_its_buffers_across_float32_and_float64_products(monkeypatch):
+    # n = 256, entries to 256, 19 trial columns: BR (bound 2^16) runs on
+    # float32, A(BR) and CR (2^32) on float64, all from one pool of bytes.
+    # A second block reuses every buffer the first allocated.
+    n = 256
+    rng = np.random.default_rng(41)
+    a_arr, b_arr = (rng.integers(-256, 256, (n, n), endpoint=True) for _ in range(2))
+    a, b, c = (Matrix(n, n, INT64, m) for m in (a_arr, b_arr, a_arr @ b_arr))
+    r = rng.integers(0, 2, (n, 19))
+    plan = verify_mod._Plan(a, b, c, 1)
+    types = []
+    real = matrix_mod._scratch
+    monkeypatch.setattr(matrix_mod, "_scratch", lambda pool, name, *rest: types.append((name, *rest)) or real(pool, name, *rest))
+    assert not matrix_mod._fill(plan.masks(plan.br(r), r), n).any()
+    held = dict(plan.scratch)
+    assert not matrix_mod._fill(plan.masks(plan.br(r), r), n).any()
+    assert plan.scratch.keys() == held.keys() and all(plan.scratch[name] is buf for name, buf in held.items())
+    assert {np.dtype(dtype).name for name, _, dtype in types if name == "x"} == {"float32", "float64"}
 
 
 # ---------------------------------------------------------------- two-part tier
